@@ -18,11 +18,12 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .fingroup import (CrossedModule, derived_crossed_modules, load_xmod,
-                       preset_library, validate_crossed_module, xmod_to_json)
+from .fingroup import (CrossedModule, load_xmod, preset_library,
+                       validate_crossed_module, xmod_to_json)
 from .gauge import DEFAULT_TOLS, builtin_cases, run_case
-from .gerbe import (abelian_oracle, classify_gerbes, cocycle_to_json,
-                    cocycle_to_simplicial_map, enumerate_cocycles, lift_gerbe)
+from .gerbe import (LiftPlan, abelian_oracle, classify_gerbes,
+                    cocycle_to_json, cocycle_to_simplicial_map,
+                    enumerate_cocycles)
 from .simplicial import (CoverComplex, ball_cover, circle, circle_cover,
                          constant_simplicial_group, delta1, homotopy_classes,
                          load_sset, sphere_cover)
@@ -223,6 +224,11 @@ def _homotopy_crosscheck(cover, xm, cl, budget_limit: int) -> dict:
 def cmd_gerbe_classify(cfg: RunConfig) -> tuple[RunReport, int]:
     cover = parse_cover(cfg.inputs["cover"])
     xm = parse_xmod(cfg.inputs["xmod"])
+    cache = _cache_path(cfg, cover, xm)
+    hit = _cache_load(cache)
+    if hit is not None:
+        print(f"[{cfg.command}] cache hit", file=sys.stderr)
+        return hit
     budget = Budget(cfg.budget, what="gerbe classification")
     cl = classify_gerbes(cover, xm, budget=budget, jobs=cfg.jobs,
                          force=cfg.force)
@@ -265,6 +271,7 @@ def cmd_gerbe_classify(cfg: RunConfig) -> tuple[RunReport, int]:
         with open(path, "w") as fh:
             json.dump(results["representatives"], fh, sort_keys=True,
                       indent=2)
+    _cache_store(cache, report, code)
     return report, code
 
 
@@ -298,8 +305,7 @@ def cmd_classify_bundles(cfg: RunConfig) -> tuple[RunReport, int]:
     x = parse_sset(cfg.inputs["sset"], cfg.truncation)
     g = constant_simplicial_group(parse_group(cfg.inputs["group"]),
                                   cfg.truncation)
-    bc = classify_bundles(x, g, budget=Budget(cfg.budget, what="bundles"),
-                          jobs=cfg.jobs)
+    bc = classify_bundles(x, g, budget=Budget(cfg.budget, what="bundles"))
     results = {
         "sset": cfg.inputs["sset"],
         "group": cfg.inputs["group"],
@@ -335,47 +341,37 @@ def cmd_gauge_verify(cfg: RunConfig) -> tuple[RunReport, int]:
 def cmd_lift(cfg: RunConfig) -> tuple[RunReport, int]:
     cover = parse_cover(cfg.inputs["cover"])
     target = parse_xmod(cfg.inputs["xmod"])
-    base = derived_crossed_modules(target)["image-in-base"]
-    if cfg.inputs.get("base_xmod"):
-        given = parse_xmod(cfg.inputs["base_xmod"])
-        import numpy as np
-        same = (np.array_equal(given.H.table, base.H.table)
-                and np.array_equal(given.D.table, base.D.table)
-                and np.array_equal(given.alpha.mapping, base.alpha.mapping))
-        if not same:
-            raise StructureError("--base-xmod does not match the image "
-                                 "module of the target")
+    plan = LiftPlan(cover, target)
+    if (cfg.inputs.get("base_xmod")
+            and not plan.is_base(parse_xmod(cfg.inputs["base_xmod"]))):
+        raise StructureError("--base-xmod does not match the image "
+                             "module of the target")
     budget = Budget(cfg.budget, what="lift")
-    cocycles = enumerate_cocycles(cover, base, budget=budget, jobs=cfg.jobs)
+    cocycles = enumerate_cocycles(cover, plan.base, budget=budget,
+                                  jobs=cfg.jobs)
     lifted = 0
     obstruction_zero = 0
-    emitted = None
     agree_all = True
-    oracle = None
     for c in cocycles:
-        r = lift_gerbe(c, target, budget=budget)
+        r = plan.lift(c, budget=budget)
         lifted += r.lifted is not None
-        if emitted is None:
-            emitted = r.obstruction_zero is not None
-            oracle = r.oracle
-        if r.obstruction_zero is not None:
-            obstruction_zero += r.obstruction_zero
+        obstruction_zero += bool(r.obstruction_zero)
         if r.agreement is False:
             agree_all = False
     results = {
         "cover": cover.to_json(),
         "target_xmod": target.name,
-        "base_xmod": base.name,
+        "base_xmod": plan.base.name,
         "cocycles": len(cocycles),
         "lifted": lifted,
         "all_lift": lifted == len(cocycles),
     }
     oracles = {}
-    if emitted:
+    if plan.emitted:
         oracles["obstruction"] = {
             "emitted": True,
             "zero_count": obstruction_zero,
-            "h3_kernel_invariants": oracle.invariants if oracle else None,
+            "h3_kernel_invariants": plan.oracle.invariants,
             "agree": agree_all,
         }
     else:
@@ -393,35 +389,50 @@ DISPATCH = {
     "lift": cmd_lift,
 }
 
-CACHED_COMMANDS = {"gerbe-classify"}
-
 
 # ---------------------------------------------------------------------------
-# cache
+# result cache (gerbe-classify)
+
+# bump when the entry layout or the meaning of a result changes
+CACHE_FORMAT = 2
 
 
-def _cache_path(cfg: RunConfig) -> str | None:
-    if not cfg.cache_dir or cfg.command not in CACHED_COMMANDS:
+def _cache_path(cfg: RunConfig, cover: CoverComplex,
+                xm: CrossedModule) -> str | None:
+    """Entry path keyed on the run's semantic key and on the content of the
+    resolved inputs, so an edited input file never serves the old result."""
+    if not cfg.cache_dir:
         return None
-    key = hashlib.sha256(
-        json.dumps(cfg.semantic_key(), sort_keys=True).encode()).hexdigest()
-    return os.path.join(cfg.cache_dir, f"{cfg.command}-{key[:24]}.json")
+    key = {"format": CACHE_FORMAT, "run": cfg.semantic_key(),
+           "cover": cover.to_json(),
+           "xmod": dict(xmod_to_json(xm), name=xm.name)}
+    digest = hashlib.sha256(
+        json.dumps(key, sort_keys=True).encode()).hexdigest()
+    return os.path.join(cfg.cache_dir, f"{cfg.command}-{digest[:24]}.json")
 
 
-def _cache_load(path: str | None):
-    if path and os.path.isfile(path):
+def _cache_load(path: str | None) -> tuple[RunReport, int] | None:
+    """The cached (report, exit code), or None on a miss.  An unreadable
+    entry counts as a miss; the caller recomputes and overwrites it."""
+    if not path or not os.path.isfile(path):
+        return None
+    try:
         with open(path) as fh:
-            return json.load(fh)
-    return None
+            entry = json.load(fh)
+        return RunReport(**entry["payload"]), int(entry["exit"])
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        print(f"cache entry {path} unreadable ({e}); recomputing",
+              file=sys.stderr)
+        return None
 
 
-def _cache_store(path: str | None, payload_json: str, code: int) -> None:
+def _cache_store(path: str | None, report: RunReport, code: int) -> None:
     if not path:
         return
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump({"payload_json": payload_json, "exit": code}, fh)
+        json.dump({"payload": report.payload(), "exit": code}, fh)
     os.replace(tmp, path)
 
 
@@ -529,10 +540,7 @@ def _emit(payload_json: str, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(payload_json)
     else:
-        data = json.loads(payload_json)
-        report = RunReport(data["command"], data["config"], data["results"],
-                           data["oracles"], data["exhaustive"])
-        sys.stdout.write(report.to_table())
+        sys.stdout.write(RunReport(**json.loads(payload_json)).to_table())
 
 
 def main(argv=None) -> int:
@@ -540,17 +548,9 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         cfg = _config_from_args(args)
-        cache = _cache_path(cfg)
-        hit = _cache_load(cache)
-        if hit is not None:
-            print(f"[{cfg.command}] cache hit", file=sys.stderr)
-            _emit(hit["payload_json"], cfg.fmt)
-            return int(hit["exit"])
         report, code = DISPATCH[cfg.command](cfg)
         report.elapsed = time.time() - t0
-        payload_json = report.to_json()
-        _cache_store(cache, payload_json, code)
-        _emit(payload_json, cfg.fmt)
+        _emit(report.to_json(), cfg.fmt)
         print(f"[{cfg.command}] elapsed {report.elapsed:.2f}s",
               file=sys.stderr)
         return code

@@ -375,10 +375,6 @@ class Residual:
 # grid derivative helpers
 
 
-def _grid_axes(shape: tuple) -> int:
-    return len(shape)
-
-
 def _central_diff(values: np.ndarray, shape: tuple, axis: int, step: float,
                   periodic: bool) -> tuple:
     """Central difference along a grid axis plus validity mask.

@@ -11,7 +11,7 @@ witnesses (r_a, s_ab); `classify_gerbes` computes the orbit partition by
 breadth-first search over single-chart / single-pair generator witnesses
 with canonical-form hashing.  `abelian_oracle` independently computes Čech
 cohomology of the cover with finite abelian coefficients through integer
-Smith normal form, `lift_gerbe` lifts cocycles along alpha with an H^3
+Smith normal form, `LiftPlan` lifts cocycles along alpha with an H^3
 obstruction cross-check, and `cocycle_to_simplicial_map` converts cocycles
 into simplicial maps from the cover nerve into the 2-categorical nerve and
 the classifying space, for the homotopy-theoretic count of the same
@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from .fingroup import (CrossedModule, FiniteGroup, abelian_invariants,
-                       derived_crossed_modules, image, kernel,
+                       derived_crossed_modules, kernel,
                        validate_crossed_module, xmod_from_json, xmod_to_json)
 from .intlinalg import solve_mod, homology
 from .simplicial import (CoverComplex, SimplicialMap, TruncatedSimplicialSet,
@@ -51,6 +51,7 @@ __all__ = [
     "CohomologyResult",
     "abelian_oracle",
     "LiftResult",
+    "LiftPlan",
     "lift_gerbe",
     "CocycleMaps",
     "cocycle_to_simplicial_map",
@@ -451,123 +452,158 @@ class LiftResult:
     defect: dict | None                # quad -> kernel coordinates of the defect
 
 
+class LiftPlan:
+    """Lifting data of a (cover, target) pair, built once for all cocycles.
+
+    Only the preimage cosets, the search and the defect 3-cochain depend on
+    the cocycle.  The plan holds the rest: the image module the cocycles
+    live over, ker alpha with its centrality and action checks, the
+    triple/quad index maps, and, when the obstruction is emitted, H^3 of the
+    cover in ker alpha, cyclic coordinates of ker alpha and the coboundary
+    matrix from triples to quads.
+    """
+
+    def __init__(self, cover: CoverComplex, xm: CrossedModule):
+        H, D = xm.H, xm.D
+        self.cover = cover
+        self.xm = xm
+        self.base = derived_crossed_modules(xm)["image-in-base"]
+        ker_g, ker_inc = kernel(xm.alpha, name="ker")
+        self.central = all(H.mul(int(k), x) == H.mul(x, int(k))
+                           for k in ker_inc.mapping for x in H.elements())
+        self.action_trivial = all(int(xm.action.table[d, int(k)]) == int(k)
+                                  for d in D.elements() for k in ker_inc.mapping)
+
+        self.triples = cover.simplices(2)
+        self.quads = cover.simplices(3)
+        self.tidx = {t: i for i, t in enumerate(self.triples)}
+        self.pre = _preimage_lists(xm)
+        # quads become checkable once their lexicographically last triple is set
+        self.by_depth: list[list[tuple]] = [[] for _ in self.triples]
+        for q in self.quads:
+            a, b, cc, dd = q
+            parts = [(a, b, cc), (a, b, dd), (a, cc, dd), (b, cc, dd)]
+            self.by_depth[max(self.tidx[t] for t in parts)].append(q)
+
+        self.oracle: CohomologyResult | None = None
+        if self.emitted:
+            self.oracle = abelian_oracle(cover, ker_g, 3)
+            _, self.moduli, self.coord = _abelian_coordinates(ker_g)
+            self.ker_back = {int(v): i for i, v in enumerate(ker_inc.mapping)}
+            # coboundary from triples to quads, one row per quad
+            self.mat = [[0] * len(self.triples) for _ in self.quads]
+            for qi, (a, b, cc, dd) in enumerate(self.quads):
+                self.mat[qi][self.tidx[(a, b, cc)]] += 1
+                self.mat[qi][self.tidx[(a, cc, dd)]] += 1
+                self.mat[qi][self.tidx[(a, b, dd)]] -= 1
+                self.mat[qi][self.tidx[(b, cc, dd)]] -= 1
+
+    @property
+    def emitted(self) -> bool:
+        """Whether the H^3 obstruction applies: ker alpha central, fixed by D."""
+        return self.central and self.action_trivial
+
+    def is_base(self, m: CrossedModule) -> bool:
+        """Whether m is the image module: equal group tables and alpha."""
+        return (np.array_equal(m.H.table, self.base.H.table)
+                and np.array_equal(m.D.table, self.base.D.table)
+                and np.array_equal(m.alpha.mapping, self.base.alpha.mapping))
+
+    def lift(self, c: GerbeCocycle, budget: Budget | None = None) -> LiftResult:
+        """Lift a cocycle over `self.base` to one for the target, if possible.
+
+        The h-values are lifted triple by triple within alpha-preimage cosets
+        by exhaustive backtracking against the tetrahedron condition.  When
+        the obstruction is emitted, the defect 3-cochain of an arbitrary
+        set-level lift is computed and its class is tested for triviality by
+        linear algebra; the two verdicts are cross-checked.
+        """
+        budget = budget or Budget(what="gerbe lift")
+        if not self.is_base(c.xm):
+            raise StructureError("cocycle is not over the image module of the target")
+        if (c.cover.charts, c.cover.sets) != (self.cover.charts, self.cover.sets):
+            raise StructureError("cocycle is not on the cover of the lift plan")
+        rep = validate_cocycle(c)
+        if not rep.ok:
+            raise StructureError(f"cannot lift an invalid cocycle: {rep.summary()}")
+        xm = self.xm
+        H, D = xm.H, xm.D
+        triples, tidx, by_depth = self.triples, self.tidx, self.by_depth
+        # the image module's alpha is the inclusion im alpha -> D
+        im_inc = self.base.alpha.mapping
+        cosets = [self.pre[int(im_inc[c.h[t]])] for t in triples]
+
+        def quad_ok(q, vals) -> bool:
+            a, b, cc, dd = q
+            lhs = H.mul(vals[tidx[(a, b, cc)]], vals[tidx[(a, cc, dd)]])
+            rhs = H.mul(xm.act(c.d[(a, b)], vals[tidx[(b, cc, dd)]]),
+                        vals[tidx[(a, b, dd)]])
+            return lhs == rhs
+
+        lifted_vals: list[int] | None = None
+        stack_vals: list[int] = []
+
+        def dfs(i: int) -> bool:
+            if i == len(triples):
+                return True
+            for v in cosets[i]:
+                budget.spend()
+                stack_vals.append(v)
+                if all(quad_ok(q, stack_vals) for q in by_depth[i]) and dfs(i + 1):
+                    return True
+                stack_vals.pop()
+            return False
+
+        if not triples:
+            lifted_vals = []
+        elif dfs(0):
+            lifted_vals = list(stack_vals)
+
+        lifted = None
+        if lifted_vals is not None:
+            lifted = GerbeCocycle(c.cover, xm, dict(c.d),
+                                  {t: lifted_vals[i] for i, t in enumerate(tidx)},
+                                  name=f"{c.name}-lift")
+            lrep = validate_cocycle(lifted)
+            if not lrep.ok:
+                raise StructureError(f"lift search returned an invalid cocycle: "
+                                     f"{lrep.summary()}")
+
+        obstruction_zero = None
+        agreement = None
+        defect_out = None
+        if self.emitted:
+            ref = [cs[0] for cs in cosets]          # arbitrary set-level lift
+            defect_out = {}
+            zrows = []
+            for q in self.quads:
+                a, b, cc, dd = q
+                lhs = H.mul(ref[tidx[(a, b, cc)]], ref[tidx[(a, cc, dd)]])
+                rhs = H.mul(xm.act(c.d[(a, b)], ref[tidx[(b, cc, dd)]]),
+                            ref[tidx[(a, b, dd)]])
+                z = H.mul(H.inv(rhs), lhs)
+                if int(xm.alpha.mapping[z]) != D.identity:
+                    raise StructureError("lift defect landed outside ker alpha")
+                exps = self.coord[self.ker_back[z]]
+                defect_out[q] = tuple(int(e) for e in exps)
+                zrows.append(exps)
+            obstruction_zero = True
+            if self.quads:
+                for ci, m in enumerate(self.moduli):
+                    rhs_vec = [(-row[ci]) % m for row in zrows]
+                    if solve_mod(self.mat, rhs_vec, m) is None:
+                        obstruction_zero = False
+                        break
+            agreement = (lifted is not None) == obstruction_zero
+        return LiftResult(lifted, self.central, self.action_trivial,
+                          obstruction_zero, agreement, self.oracle, defect_out)
+
+
 def lift_gerbe(c: GerbeCocycle, xm: CrossedModule,
                budget: Budget | None = None) -> LiftResult:
-    """Lift a cocycle for (im alpha -> D) to one for (H -> D), if possible.
-
-    The h-values are lifted triple by triple within alpha-preimage cosets by
-    exhaustive backtracking against the tetrahedron condition.  When ker
-    alpha is central and the D-action fixes it, the defect 3-cochain of an
-    arbitrary set-level lift is computed and its class is tested for
-    triviality by linear algebra; the two verdicts are cross-checked.
-    """
-    budget = budget or Budget(what="gerbe lift")
-    base = derived_crossed_modules(xm)["image-in-base"]
-    same = (np.array_equal(c.xm.H.table, base.H.table)
-            and np.array_equal(c.xm.D.table, base.D.table)
-            and np.array_equal(c.xm.alpha.mapping, base.alpha.mapping))
-    if not same:
-        raise StructureError("cocycle is not over the image module of the target")
-    rep = validate_cocycle(c)
-    if not rep.ok:
-        raise StructureError(f"cannot lift an invalid cocycle: {rep.summary()}")
-    H, D = xm.H, xm.D
-    _, im_inc = image(xm.alpha, name="im")
-    ker_g, ker_inc = kernel(xm.alpha, name="ker")
-    central = all(H.mul(int(k), x) == H.mul(x, int(k))
-                  for k in ker_inc.mapping for x in H.elements())
-    action_trivial = all(int(xm.action.table[d, int(k)]) == int(k)
-                         for d in D.elements() for k in ker_inc.mapping)
-
-    triples = c.cover.simplices(2)
-    quads = c.cover.simplices(3)
-    tidx = {t: i for i, t in enumerate(triples)}
-    pre = _preimage_lists(xm)
-    cosets = [pre[int(im_inc.mapping[c.h[t]])] for t in triples]
-    # quads become checkable once their lexicographically last triple is set
-    by_depth: list[list[tuple]] = [[] for _ in triples]
-    for q in quads:
-        a, b, cc, dd = q
-        parts = [(a, b, cc), (a, b, dd), (a, cc, dd), (b, cc, dd)]
-        by_depth[max(tidx[t] for t in parts)].append(q)
-
-    def quad_ok(q, vals) -> bool:
-        a, b, cc, dd = q
-        lhs = H.mul(vals[tidx[(a, b, cc)]], vals[tidx[(a, cc, dd)]])
-        rhs = H.mul(xm.act(c.d[(a, b)], vals[tidx[(b, cc, dd)]]),
-                    vals[tidx[(a, b, dd)]])
-        return lhs == rhs
-
-    lifted_vals: list[int] | None = None
-    stack_vals: list[int] = []
-
-    def dfs(i: int) -> bool:
-        if i == len(triples):
-            return True
-        for v in cosets[i]:
-            budget.spend()
-            stack_vals.append(v)
-            if all(quad_ok(q, stack_vals) for q in by_depth[i]) and dfs(i + 1):
-                return True
-            stack_vals.pop()
-        return False
-
-    if not triples:
-        lifted_vals = []
-    elif dfs(0):
-        lifted_vals = list(stack_vals)
-
-    lifted = None
-    if lifted_vals is not None:
-        lifted = GerbeCocycle(c.cover, xm, dict(c.d),
-                              {t: lifted_vals[i] for i, t in enumerate(tidx)},
-                              name=f"{c.name}-lift")
-        lrep = validate_cocycle(lifted)
-        if not lrep.ok:
-            raise StructureError(f"lift search returned an invalid cocycle: "
-                                 f"{lrep.summary()}")
-
-    obstruction_zero = None
-    agreement = None
-    oracle = None
-    defect_out = None
-    if central and action_trivial:
-        oracle = abelian_oracle(c.cover, ker_g, 3)
-        gens, moduli, coord = _abelian_coordinates(ker_g)
-        ker_back = {int(v): i for i, v in enumerate(ker_inc.mapping)}
-        ref = [cs[0] for cs in cosets]          # arbitrary set-level lift
-        defect_out = {}
-        zrows = []
-        for q in quads:
-            a, b, cc, dd = q
-            lhs = H.mul(ref[tidx[(a, b, cc)]], ref[tidx[(a, cc, dd)]])
-            rhs = H.mul(xm.act(c.d[(a, b)], ref[tidx[(b, cc, dd)]]),
-                        ref[tidx[(a, b, dd)]])
-            z = H.mul(H.inv(rhs), lhs)
-            if int(xm.alpha.mapping[z]) != D.identity:
-                raise StructureError("lift defect landed outside ker alpha")
-            exps = coord[ker_back[z]]
-            defect_out[q] = tuple(int(e) for e in exps)
-            zrows.append(exps)
-        if not quads:
-            obstruction_zero = True
-        else:
-            mat = [[0] * len(triples) for _ in quads]
-            for qi, q in enumerate(quads):
-                a, b, cc, dd = q
-                mat[qi][tidx[(a, b, cc)]] += 1
-                mat[qi][tidx[(a, cc, dd)]] += 1
-                mat[qi][tidx[(a, b, dd)]] -= 1
-                mat[qi][tidx[(b, cc, dd)]] -= 1
-            obstruction_zero = True
-            for ci, m in enumerate(moduli):
-                rhs_vec = [(-zrows[qi][ci]) % m for qi in range(len(quads))]
-                if solve_mod(mat, rhs_vec, m) is None:
-                    obstruction_zero = False
-                    break
-        agreement = (lifted is not None) == obstruction_zero
-    return LiftResult(lifted, central, action_trivial, obstruction_zero,
-                      agreement, oracle, defect_out)
+    """One-shot `LiftPlan(c.cover, xm).lift(c, budget)`; build the plan
+    yourself to lift many cocycles on one cover."""
+    return LiftPlan(c.cover, xm).lift(c, budget)
 
 
 # ---------------------------------------------------------------------------

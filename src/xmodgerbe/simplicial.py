@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,6 @@ __all__ = [
     "TruncatedSimplicialGroup",
     "SimplicialMap",
     "CoverComplex",
-    "MooreData",
     "validate_simplicial",
     "validate_map",
     "constant_simplicial_group",
@@ -35,7 +35,6 @@ __all__ = [
     "truncate_sset",
     "nondegenerate",
     "moore_homotopy",
-    "gbar_subgroups",
     "enumerate_simplicial_maps",
     "homotopy_classes",
     "simplicially_homotopic",
@@ -413,7 +412,15 @@ class CoverComplex:
 
     def simplices(self, k: int) -> list[tuple[int, ...]]:
         """Sorted (k+1)-subsets in the family: the k-simplices of the nerve."""
-        return sorted(tuple(sorted(s)) for s in self.sets if len(s) == k + 1)
+        return list(self._simplices.get(k, ()))
+
+    @cached_property
+    def _simplices(self) -> dict[int, list[tuple[int, ...]]]:
+        # built on first use; nothing reassigns `sets` after construction
+        by_dim: dict[int, list[tuple[int, ...]]] = {}
+        for s in self.sets:
+            by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))
+        return {k: sorted(v) for k, v in by_dim.items()}
 
     def max_dim(self) -> int:
         return max(len(s) for s in self.sets) - 1
@@ -479,27 +486,6 @@ def cover_nerve(cover: CoverComplex, N: int) -> TruncatedSimplicialSet:
 # Moore complex and homotopy groups of a simplicial group
 
 
-@dataclass
-class MooreData:
-    """Per-level normal-complex data for a truncated simplicial group.
-
-    `moore[n]` is the intersection-of-kernels subgroup (faces 1..n); the
-    `chain_*` fields hold the kernel of the composite face d_1 d_2 ... d_n,
-    the other published reading of the same letter.  `readings_agree[n]`
-    records whether the two coincide.  `action_axiom_*` report whether
-    conjugation through s_0 satisfies the two compatibility axioms that an
-    abstract action is required to satisfy.
-    """
-
-    moore: list[list[int]]
-    chain: list[list[int]]
-    readings_agree: list[bool]
-    boundary_normal: list[bool]
-    faces_stay_inside: list[bool]
-    action_axiom_boundary: list[bool]
-    action_axiom_peiffer: list[bool]
-
-
 def _kernel_elements(g: TruncatedSimplicialGroup, n: int, which: list[int]) -> list[int]:
     """Elements of level n killed by every face in `which`."""
     out = []
@@ -514,18 +500,6 @@ def moore_subgroup(g: TruncatedSimplicialGroup, n: int) -> list[int]:
     if n == 0:
         return list(range(g.sizes[0]))
     return _kernel_elements(g, n, list(range(1, n + 1)))
-
-
-def chain_subgroup(g: TruncatedSimplicialGroup, n: int) -> list[int]:
-    """Kernel of the composite d_1 d_2 ... d_n down to level 0."""
-    if n == 0:
-        return list(range(g.sizes[0]))
-    # composite d_1 ... d_n applied innermost-first: d_n, then d_{n-1}, ...
-    comp = np.arange(g.sizes[n])
-    for k in range(n, 0, -1):
-        comp = g.faces[k][k][comp]
-    e0 = g.identity(0)
-    return [x for x in range(g.sizes[n]) if comp[x] == e0]
 
 
 def moore_homotopy(g: TruncatedSimplicialGroup, n: int) -> FiniteGroup:
@@ -552,57 +526,6 @@ def moore_homotopy(g: TruncatedSimplicialGroup, n: int) -> FiniteGroup:
         raise StructureError(f"boundary image not normal at level {n}")
     q, _ = quotient(cyc, bdry_in, name=f"pi{n}")
     return q
-
-
-def gbar_subgroups(g: TruncatedSimplicialGroup) -> MooreData:
-    """Both readings of the higher-kernel filtration, plus the axiom checks.
-
-    For each level the conjugation action of G_n on the level-(n+1) subgroup
-    through s_0 is tested against the two axioms an action must satisfy:
-    d_0(g.x) = g d_0(x) g^-1, and (d_0 x).y = x y x^-1.
-    """
-    moore = [moore_subgroup(g, n) for n in range(g.N + 1)]
-    chain = [chain_subgroup(g, n) for n in range(g.N + 1)]
-    agree = [set(a) == set(b) for a, b in zip(moore, chain)]
-    bnormal, inside, ax_a, ax_b = [True], [True], [True], [True]
-    for n in range(g.N):
-        sub = moore[n + 1]
-        bd = sorted(set(g.face(n + 1, 0, x) for x in sub))
-        bnormal.append(is_normal(g.groups[n], bd))
-        ok_in = True
-        msub = set(moore[n])
-        for i in range(1, n + 2):
-            if not all(g.face(n + 1, i, x) in msub for x in sub):
-                ok_in = False
-        inside.append(ok_in)
-        gn, gn1 = g.groups[n], g.groups[n + 1]
-        s0 = g.degens[n][0]
-        oka = True
-        okb = True
-        subset = set(sub)
-        for a in range(gn.order):
-            sa = int(s0[a])
-            for x in sub:
-                cx = gn1.conj(sa, x)
-                if cx not in subset:
-                    oka = False  # conjugation must even preserve the subgroup
-                    break
-                if g.face(n + 1, 0, cx) != gn.conj(a, g.face(n + 1, 0, x)):
-                    oka = False
-                    break
-            if not oka:
-                break
-        for x in sub:
-            sx = int(s0[g.face(n + 1, 0, x)])
-            for y in sub:
-                if gn1.conj(sx, y) != gn1.conj(x, y):
-                    okb = False
-                    break
-            if not okb:
-                break
-        ax_a.append(oka)
-        ax_b.append(okb)
-    return MooreData(moore, chain, agree, bnormal, inside, ax_a, ax_b)
 
 
 # ---------------------------------------------------------------------------

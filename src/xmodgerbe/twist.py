@@ -492,7 +492,7 @@ def _partition_twistings(twistings: list[Twisting],
 
 
 def classify_bundles(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup,
-                     budget: Budget | None = None, jobs: int = 1) -> BundleClassification:
+                     budget: Budget | None = None) -> BundleClassification:
     """Count bundles over x with structure group g both ways and compare.
 
     Route A enumerates twistings and partitions them by gauge equivalence;

@@ -83,6 +83,42 @@ def test_gerbe_classify_cache_round_trip(capsys, tmp_path):
     assert "cache hit" in err2
 
 
+def _classify_cached(capsys, cover_file, cache):
+    code, out, err = run_cli(capsys, "gerbe-classify", "--cover", str(cover_file),
+                             "--xmod", "xmod_base:cyclic:2", "--format", "json",
+                             "--cache-dir", str(cache))
+    assert code == 0
+    return json.loads(out)["results"]["classes"], err
+
+
+def test_gerbe_classify_cache_follows_input_file_content(capsys, tmp_path):
+    from xmodgerbe.simplicial import ball_cover, circle_cover
+    cov = tmp_path / "cov.json"
+    cache = tmp_path / "cache"
+    cov.write_text(json.dumps(circle_cover(3).to_json()))
+    assert _classify_cached(capsys, cov, cache)[0] == 2
+    cov.write_text(json.dumps(ball_cover(3).to_json()))
+    classes, err = _classify_cached(capsys, cov, cache)
+    assert "cache hit" not in err
+    assert classes == 1
+
+
+def test_gerbe_classify_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
+    from xmodgerbe.simplicial import circle_cover
+    cov = tmp_path / "cov.json"
+    cache = tmp_path / "cache"
+    cov.write_text(json.dumps(circle_cover(3).to_json()))
+    _classify_cached(capsys, cov, cache)
+    [entry] = cache.iterdir()
+    entry.write_text("{garbage")
+    classes, err = _classify_cached(capsys, cov, cache)
+    assert classes == 2
+    assert "unreadable" in err and "cache hit" not in err
+    classes, err = _classify_cached(capsys, cov, cache)
+    assert classes == 2
+    assert "cache hit" in err
+
+
 def test_gerbe_classify_jobs_do_not_change_output(capsys):
     argv = ("gerbe-classify", "--cover", "circle:3", "--xmod", "xmod_base:symmetric:3",
             "--format", "json")

@@ -8,7 +8,8 @@ from xmodgerbe.fingroup import (cyclic_group, derived_crossed_modules,
                                 xmod_identity, xmod_mod, xmod_trivial_base,
                                 xmod_trivial_fiber)
 from xmodgerbe.gerbe import (CMBundleCocycle, CoverMap, GerbeCocycle,
-                             StableWitness, abelian_oracle, apply_witness,
+                             LiftPlan, StableWitness, abelian_oracle,
+                             apply_witness,
                              bundle_product, classify_gerbes, cocycle_from_json,
                              cocycle_to_json, cocycle_to_simplicial_map,
                              compose_witness, enumerate_cocycles,
@@ -219,6 +220,35 @@ def test_lift_solid_cover_all_lift():
         r = lift_gerbe(c, target)
         assert r.central and r.lifted and r.obstruction_zero and r.agreement
         assert r.oracle.order == 1
+
+
+def test_lift_plan_matches_one_shot_lift():
+    cases = [(sphere_cover(4), xmod_mod(4, 2)), (sphere_cover(5), xmod_mod(4, 2)),
+             (sphere_cover(4), xmod_automorphism(cyclic_group(3)))]
+    for cover, target in cases:
+        plan = LiftPlan(cover, target)
+        cocycles = enumerate_cocycles(cover, plan.base)
+        assert cocycles
+        for c in cocycles:
+            got, want = plan.lift(c), lift_gerbe(c, target)
+            assert (got.lifted is None) == (want.lifted is None)
+            if got.lifted is not None:
+                assert got.lifted.d == want.lifted.d
+                assert got.lifted.h == want.lifted.h
+                assert got.lifted.name == want.lifted.name
+            assert got.central == want.central
+            assert got.action_trivial == want.action_trivial
+            assert got.obstruction_zero == want.obstruction_zero
+            assert got.agreement == want.agreement
+            assert got.oracle == want.oracle
+            assert got.defect == want.defect
+    # the automorphism module: 8 cocycles, obstruction not emitted
+    assert len(cocycles) == 8 and not plan.emitted and got.oracle is None
+    plan = LiftPlan(sphere_cover(4), xmod_mod(4, 2))
+    with pytest.raises(StructureError):
+        plan.lift(enumerate_cocycles(sphere_cover(4), xmod_mod(4, 2))[1])
+    with pytest.raises(StructureError):
+        plan.lift(enumerate_cocycles(ball_cover(3), plan.base)[1])
 
 
 def test_cocycle_json_round_trip(tmp_path):
