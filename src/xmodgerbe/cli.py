@@ -38,6 +38,8 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+DEFAULT_TRUNCATION = 3
+
 # matching the exhaustive-mode guard of the classifier: beyond this order
 # the model dictionary and map-homotopy routes are not attempted
 HOMOTOPY_ORDER_CAP = 16
@@ -50,7 +52,7 @@ class RunConfig:
 
     command: str
     inputs: dict
-    truncation: int = 3
+    truncation: int = DEFAULT_TRUNCATION
     budget: int = DEFAULT_BUDGET
     jobs: int = 1
     cache_dir: str | None = None
@@ -228,7 +230,21 @@ def cmd_gerbe_classify(cfg: RunConfig) -> tuple[RunReport, int]:
     hit = _cache_load(cache)
     if hit is not None:
         print(f"[{cfg.command}] cache hit", file=sys.stderr)
-        return hit
+        report, code = hit
+    else:
+        report, code = _gerbe_classify(cfg, cover, xm)
+        _cache_store(cache, report, code)
+    if cfg.out:
+        os.makedirs(cfg.out, exist_ok=True)
+        path = os.path.join(cfg.out, f"classes-{_slug(xm.name)}.json")
+        with open(path, "w") as fh:
+            json.dump(report.results["representatives"], fh, sort_keys=True,
+                      indent=2)
+    return report, code
+
+
+def _gerbe_classify(cfg: RunConfig, cover: CoverComplex,
+                    xm: CrossedModule) -> tuple[RunReport, int]:
     budget = Budget(cfg.budget, what="gerbe classification")
     cl = classify_gerbes(cover, xm, budget=budget, jobs=cfg.jobs,
                          force=cfg.force)
@@ -265,13 +281,6 @@ def cmd_gerbe_classify(cfg: RunConfig) -> tuple[RunReport, int]:
     exhaustive = cl.exhaustive and not cl.guard_exceeded
     report = RunReport(cfg.command, _config_echo(cfg), results, oracles,
                        exhaustive)
-    if cfg.out:
-        os.makedirs(cfg.out, exist_ok=True)
-        path = os.path.join(cfg.out, f"classes-{_slug(xm.name)}.json")
-        with open(path, "w") as fh:
-            json.dump(results["representatives"], fh, sort_keys=True,
-                      indent=2)
-    _cache_store(cache, report, code)
     return report, code
 
 
@@ -457,9 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "numerical gauge-law checks.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--truncation", type=int, default=3,
-                        help="simplicial truncation level (2..4)")
+    def common(sp, truncation: bool = False):
+        if truncation:
+            sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
+                            help="simplicial truncation level (2..4)")
+        else:
+            # not read here, so an explicit --truncation is a usage error;
+            # the default still fills the config echo and the cache key
+            sp.set_defaults(truncation=DEFAULT_TRUNCATION)
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="search node budget")
         sp.add_argument("--jobs", type=int, default=1,
@@ -494,13 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="match the classifying space of the nerve "
                              "against the 2-nerve model")
     sp.add_argument("--xmod", required=True)
-    common(sp)
+    common(sp, truncation=True)
 
     sp = sub.add_parser("classify-bundles",
                         help="count principal bundles two ways")
     sp.add_argument("--sset", required=True, help="circle | delta1 | file")
     sp.add_argument("--group", required=True, help="e.g. symmetric:3")
-    common(sp)
+    common(sp, truncation=True)
 
     sp = sub.add_parser("gauge-verify",
                         help="run residual checks on a bundled gauge case")

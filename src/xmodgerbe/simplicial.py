@@ -14,6 +14,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -81,6 +82,7 @@ class TruncatedSimplicialSet:
                         raise StructureError(f"{self.name}: face d_{i} at level {n} wrong length")
                     if len(arr) and (arr.min() < 0 or arr.max() >= self.sizes[n - 1]):
                         raise StructureError(f"{self.name}: face d_{i} at level {n} out of range")
+                    arr.flags.writeable = False
                     fl[i] = arr
             if n < self.N:
                 dl = self.degens[n]
@@ -92,18 +94,80 @@ class TruncatedSimplicialSet:
                         raise StructureError(f"{self.name}: s_{i} at level {n} wrong length")
                     if len(arr) and (arr.min() < 0 or arr.max() >= self.sizes[n + 1]):
                         raise StructureError(f"{self.name}: s_{i} at level {n} out of range")
+                    arr.flags.writeable = False
                     dl[i] = arr
-
-    def face(self, n: int, i: int, x: int) -> int:
-        return int(self.faces[n][i][x])
-
-    def degen(self, n: int, i: int, x: int) -> int:
-        return int(self.degens[n][i][x])
 
     def label(self, n: int, x: int):
         if self.labels is not None and self.labels[n] is not None:
             return self.labels[n][x]
         return x
+
+    # Search tables: built on first use from the face and degeneracy arrays,
+    # which __post_init__ makes read-only, so a cached table cannot go stale.
+    # A search source only needs face_getters and face_slots, which are built
+    # from _face_rows directly so that it does not also hold face_tuples.
+
+    def _face_rows(self, n: int):
+        """(d_0 z, ..., d_n z) as Python ints, for z = 0, 1, ... at level n >= 1."""
+        return zip(*(arr.tolist() for arr in self.faces[n]))
+
+    @cached_property
+    def face_tuples(self) -> list[list[tuple[int, ...]]]:
+        """face_tuples[n][z] = (d_0 z, ..., d_n z) as Python ints; () at level 0."""
+        return [[()] * self.sizes[0]] + [list(self._face_rows(n))
+                                         for n in range(1, self.N + 1)]
+
+    @cached_property
+    def face_getters(self) -> list[list]:
+        """face_getters[n][z](vals) = tuple(vals[f] for f in face_tuples[n][z]),
+        for n >= 1 (level 0 is empty)."""
+        return [[]] + [[itemgetter(*faces) for faces in self._face_rows(n)]
+                       for n in range(1, self.N + 1)]
+
+    @cached_property
+    def degen_lists(self) -> list[list[list[int]]]:
+        """degen_lists[n][i][y] = s_i y as a Python int (empty at the top level)."""
+        return [[arr.tolist() for arr in self.degens[n]] for n in range(self.N + 1)]
+
+    @cached_property
+    def face_index(self) -> list[dict[tuple[int, ...], list[int]]]:
+        """face_index[n] maps a face tuple to the level-n simplices having it
+        (level 0 is empty: vertices have no faces)."""
+        out: list[dict[tuple[int, ...], list[int]]] = [dict()]
+        for n in range(1, self.N + 1):
+            d: dict[tuple[int, ...], list[int]] = {}
+            for v, key in enumerate(self.face_tuples[n]):
+                d.setdefault(key, []).append(v)
+            out.append(d)
+        return out
+
+    @cached_property
+    def degeneracy_table(self) -> list[dict[int, list[tuple[int, int]]]]:
+        """degeneracy_expressions(self, n) for every level n; its keys are the
+        degenerate simplices, so every other simplex is nondegenerate."""
+        return [degeneracy_expressions(self, n) for n in range(self.N + 1)]
+
+    @cached_property
+    def face_slots(self) -> tuple[list, list]:
+        """(face_mult, users), one entry per level n = 0..N-1: for w at level
+        n+1, face_mult[n][w] counts how often each level-n simplex occurs
+        among the faces of w, and users[n][f] lists the w having f as a face.
+        """
+        face_mult: list[list[dict[int, int]]] = []
+        users_by_level: list[dict[int, list[int]]] = []
+        for n in range(self.N):
+            mult: list[dict[int, int]] = []
+            users: dict[int, list[int]] = {}
+            for w, faces in enumerate(self._face_rows(n + 1)):
+                d: dict[int, int] = {}
+                for f in faces:
+                    d[f] = d.get(f, 0) + 1
+                mult.append(d)
+                for f in d:
+                    users.setdefault(f, []).append(w)
+            face_mult.append(mult)
+            users_by_level.append(users)
+        return face_mult, users_by_level
 
     def __repr__(self):
         return f"TruncatedSimplicialSet({self.name}, sizes={self.sizes})"
@@ -127,6 +191,12 @@ class TruncatedSimplicialGroup:
         return self.groups[n].identity
 
     def sset(self) -> TruncatedSimplicialSet:
+        """The underlying simplicial set, built once per group so that every
+        search into it shares one set of search tables."""
+        return self._sset
+
+    @cached_property
+    def _sset(self) -> TruncatedSimplicialSet:
         return TruncatedSimplicialSet(self.N, self.sizes, self.faces, self.degens,
                                       name=self.name)
 
@@ -575,23 +645,11 @@ class _Search:
         self.values: list[dict[int, int]] = [dict() for _ in range(self.N + 1)]
         self.used: list[set[int]] = [set() for _ in range(self.N + 1)]
         # face slots: for w at level n+1, which level-n elements must be known
-        self.face_mult: list[list[dict[int, int]]] = []
-        self.pending: list[list[int]] = []
-        self.users: list[dict[int, list[int]]] = []
-        for n in range(spec.lo, self.N):
-            mult: list[dict[int, int]] = []
-            users: dict[int, list[int]] = {}
-            for w in range(x.sizes[n + 1]):
-                d: dict[int, int] = {}
-                for i in range(n + 2):
-                    f = x.face(n + 1, i, w)
-                    d[f] = d.get(f, 0) + 1
-                mult.append(d)
-                for f in d:
-                    users.setdefault(f, []).append(w)
-            self.face_mult.append(mult)
-            self.users.append(users)
-            self.pending.append([sum(m.values()) for m in mult])
+        face_mult, users = x.face_slots
+        self.face_mult = face_mult[spec.lo:]
+        self.users = users[spec.lo:]
+        # faces of each level-(n+1) simplex still without a value
+        self.pending = [[n + 2] * x.sizes[n + 1] for n in range(spec.lo, self.N)]
         # narrowed candidate domains for still-unassigned simplices, keyed
         # (level, simplex); every change is recorded on the trail
         self.domains: dict[tuple[int, int], list[int]] = {}
@@ -615,9 +673,10 @@ class _Search:
             return True
         k = n - self.spec.lo
         pend = self.pending[k]
+        mult = self.face_mult[k]
         for w in self.users[k].get(z, ()):
-            pend[w] -= self.face_mult[k][w][z]
-            p = pend[w]
+            p = pend[w] - mult[w][z]
+            pend[w] = p
             if p == 0:
                 if not self._feasible_up(n + 1, w):
                     return False
@@ -645,10 +704,11 @@ class _Search:
             dom = spec.pool(n) if req is None else spec.lookup(n, req)
         # probe each value through spec.required so twisted key schemes
         # (anything beyond the plain face-value tuple) stay correct
+        lookup, required, values = spec.lookup, spec.required, self.values
         new = []
         for v in dom:
             vals[m] = v
-            if spec.lookup(n + 1, spec.required(n + 1, w, self.values)):
+            if lookup(n + 1, required(n + 1, w, values)):
                 new.append(v)
         del vals[m]
         if len(new) != len(dom):
@@ -665,8 +725,9 @@ class _Search:
                 del self.values[n][z]
                 if n < self.N:
                     k = n - self.spec.lo
+                    pend, mult = self.pending[k], self.face_mult[k]
                     for w in self.users[k].get(z, ()):
-                        self.pending[k][w] += self.face_mult[k][w][z]
+                        pend[w] += mult[w][z]
             else:
                 n, z, old = e
                 if old is None:
@@ -685,11 +746,14 @@ class _Search:
 
         plan: list[tuple[int, list[int], list[int]]] = []
         for n in range(spec.lo, self.N + 1):
-            nd = set(nondegenerate(x, n))
-            forced_first = [z for z in range(x.sizes[n])
-                            if z not in nd or spec.force(n, z, None) is not None]
-            free = [z for z in range(x.sizes[n]) if z in nd
-                    and spec.force(n, z, None) is None]
+            degenerate = x.degeneracy_table[n]
+            forced_first: list[int] = []
+            free: list[int] = []
+            for z in range(x.sizes[n]):
+                if z not in degenerate and spec.force(n, z, None) is None:
+                    free.append(z)
+                else:
+                    forced_first.append(z)
             plan.append((n, forced_first, free))
 
         trail: list = []
@@ -715,7 +779,7 @@ class _Search:
             if n >= self.N or len(remaining) == 1:
                 return next(iter(remaining))
             k = n - spec.lo
-            pend = self.pending[k]
+            pend, mult, users = self.pending[k], self.face_mult[k], self.users[k]
             doms = self.domains
             best, best_key = -1, None
             for z in remaining:
@@ -723,8 +787,7 @@ class _Search:
                 size = len(d) if d is not None else 1 << 30
                 if size <= 1:
                     return z
-                score = sum(1 for w in self.users[k].get(z, ())
-                            if pend[w] == self.face_mult[k][w][z])
+                score = sum(1 for w in users.get(z, ()) if pend[w] == mult[w][z])
                 cur = (size, -score, z)
                 if best_key is None or cur < best_key:
                     best, best_key = z, cur
@@ -806,25 +869,17 @@ class _Search:
                 return
 
 
-def _face_lookup_tables(y) -> list[dict]:
-    """For each level n >= 1 of y, map full face-tuples to element lists."""
-    tabs: list[dict] = [dict()]
-    for n in range(1, y.N + 1):
-        d: dict[tuple, list[int]] = {}
-        cols = [y.faces[n][i] for i in range(n + 1)]
-        for v in range(y.sizes[n]):
-            key = tuple(int(c[v]) for c in cols)
-            d.setdefault(key, []).append(v)
-        tabs.append(d)
-    return tabs
-
-
 def _map_spec(x, y, boundary: dict | None = None) -> AssignmentSpec:
     """AssignmentSpec for plain simplicial maps x -> y (optional forcing)."""
-    lookup_tabs = _face_lookup_tables(y)
-    degex = [degeneracy_expressions(x, n) for n in range(x.N + 1)]
+    x_faces = x.face_getters
+    degex = x.degeneracy_table
+    y_faces = y.face_tuples
+    y_index = y.face_index
+    y_degens = y.degen_lists
     pools = [list(range(y.sizes[n])) for n in range(y.N + 1)]
-    boundary = boundary or {}
+    bounds: list[dict[int, int]] = [dict() for _ in range(x.N + 1)]
+    for (n, z), v in (boundary or {}).items():
+        bounds[n][z] = int(v)
 
     def pool(n):
         return pools[n]
@@ -832,30 +887,33 @@ def _map_spec(x, y, boundary: dict | None = None) -> AssignmentSpec:
     def required(n, z, values):
         if n == 0:
             return None
-        return tuple(values[n - 1][x.face(n, i, z)] for i in range(n + 1))
+        return x_faces[n][z](values[n - 1])
 
     def lookup(n, key):
-        return lookup_tabs[n].get(key, ())
+        return y_index[n].get(key, ())
 
     def image_faces(n, v):
         if n == 0:
             return None
-        return tuple(int(y.faces[n][i][v]) for i in range(n + 1))
+        return y_faces[n][v]
 
     def force(n, z, values):
         exprs = degex[n].get(z)
-        bval = boundary.get((n, z))
-        if exprs is None and bval is None:
+        v = bounds[n].get(z)
+        if exprs is None and v is None:
             return None
         if values is None:
             return -1  # probe: "is forced", value unknown yet
-        vals = set()
-        if bval is not None:
-            vals.add(int(bval))
         if exprs is not None:
+            below = values[n - 1]
+            degens = y_degens[n - 1]
             for i, w in exprs:
-                vals.add(int(y.degens[n - 1][i][values[n - 1][w]]))
-        return vals.pop() if len(vals) == 1 else -2
+                u = degens[i][below[w]]
+                if v is None:
+                    v = u
+                elif u != v:
+                    return -2  # two forcing rules disagree
+        return v
 
     return AssignmentSpec(x, 0, pool, required, lookup, image_faces, force)
 
@@ -912,9 +970,9 @@ def simplicially_homotopic(f: SimplicialMap, g: SimplicialMap,
         m = d1.sizes[n]
         e0 = _const_vertex_index(d1, n, 0)
         e1 = _const_vertex_index(d1, n, 1)
-        for a in range(x.sizes[n]):
-            boundary[(n, a * m + e0)] = f(n, a)
-            boundary[(n, a * m + e1)] = g(n, a)
+        for a, (fa, ga) in enumerate(zip(f.levels[n].tolist(), g.levels[n].tolist())):
+            boundary[(n, a * m + e0)] = fa
+            boundary[(n, a * m + e1)] = ga
     spec = _map_spec(prism, y, boundary=boundary)
     for values in _Search(spec, budget).solutions(limit=1):
         arrs = [np.array([values[n][z] for z in range(prism.sizes[n])], dtype=np.int64)

@@ -20,8 +20,7 @@ import numpy as np
 
 from .simplicial import (AssignmentSpec, SimplicialMap,
                          TruncatedSimplicialGroup, TruncatedSimplicialSet,
-                         _face_lookup_tables, _Search, degeneracy_expressions,
-                         enumerate_simplicial_maps, homotopy_classes,
+                         _Search, enumerate_simplicial_maps, homotopy_classes,
                          truncate_sset, validate_simplicial)
 from .util import Budget, Report, StructureError
 
@@ -275,8 +274,10 @@ def build_wbar(g: TruncatedSimplicialGroup, N: int | None = None,
 
 
 def _twisting_spec(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup) -> AssignmentSpec:
-    g_tabs = _face_lookup_tables(g.sset())
-    degex = [degeneracy_expressions(x, n) for n in range(x.N + 1)]
+    gs = g.sset()
+    g_index, g_faces, g_degens = gs.face_index, gs.face_tuples, gs.degen_lists
+    x_faces = x.face_tuples
+    degex = x.degeneracy_table
     pools = [None, list(range(g.sizes[0]))] + \
         [list(range(g.sizes[n - 1])) for n in range(2, x.N + 1)]
 
@@ -287,19 +288,18 @@ def _twisting_spec(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup) -> As
         if n == 1:
             return None
         grp = g.groups[n - 2]
-        t1 = values[n - 1][x.face(n, 1, z)]
-        t0 = values[n - 1][x.face(n, 0, z)]
-        first = grp.mul(t1, grp.inv(t0))
-        rest = tuple(values[n - 1][x.face(n, i + 1, z)] for i in range(1, n))
-        return (first,) + rest
+        below = values[n - 1]
+        faces = x_faces[n][z]
+        first = grp.mul(below[faces[1]], grp.inv(below[faces[0]]))
+        return (first,) + tuple([below[f] for f in faces[2:]])
 
     def lookup(n, key):
-        return g_tabs[n - 1].get(key, ())
+        return g_index[n - 1].get(key, ())
 
     def image_faces(n, v):
         if n == 1:
             return None
-        return tuple(int(g.faces[n - 1][i][v]) for i in range(n))
+        return g_faces[n - 1][v]
 
     def force(n, z, values):
         exprs = degex[n].get(z)
@@ -312,7 +312,7 @@ def _twisting_spec(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup) -> As
             if j == 0:
                 vals.add(g.identity(n - 1))
             else:
-                vals.add(int(g.degens[n - 2][j - 1][values[n - 1][y]]))
+                vals.add(g_degens[n - 2][j - 1][values[n - 1][y]])
         return vals.pop() if len(vals) == 1 else -2
 
     return AssignmentSpec(x, 1, pool, required, lookup, image_faces, force)
@@ -348,8 +348,12 @@ def _equivalence_spec(t1: Twisting, t2: Twisting) -> AssignmentSpec:
     """psi: X_n -> G_n with d0 psi(z) = tau1(z) psi(d0 z) tau2(z)^-1 and the
     untwisted conditions for the other faces and all degeneracies."""
     x, g = t1.base, t1.group
-    g_tabs = _face_lookup_tables(g.sset())
-    degex = [degeneracy_expressions(x, n) for n in range(x.N + 1)]
+    gs = g.sset()
+    g_index, g_faces, g_degens = gs.face_index, gs.face_tuples, gs.degen_lists
+    x_faces = x.face_tuples
+    degex = x.degeneracy_table
+    tau1 = [None] + [t1.values[n].tolist() for n in range(1, x.N + 1)]
+    tau2 = [None] + [t2.values[n].tolist() for n in range(1, x.N + 1)]
     pools = [list(range(g.sizes[n])) for n in range(x.N + 1)]
 
     def pool(n):
@@ -359,18 +363,18 @@ def _equivalence_spec(t1: Twisting, t2: Twisting) -> AssignmentSpec:
         if n == 0:
             return None
         grp = g.groups[n - 1]
-        psi0 = values[n - 1][x.face(n, 0, z)]
-        first = grp.mul(grp.mul(t1(n, z), psi0), grp.inv(t2(n, z)))
-        rest = tuple(values[n - 1][x.face(n, i, z)] for i in range(1, n + 1))
-        return (first,) + rest
+        below = values[n - 1]
+        faces = x_faces[n][z]
+        first = grp.mul(grp.mul(tau1[n][z], below[faces[0]]), grp.inv(tau2[n][z]))
+        return (first,) + tuple([below[f] for f in faces[1:]])
 
     def lookup(n, key):
-        return g_tabs[n].get(key, ())
+        return g_index[n].get(key, ())
 
     def image_faces(n, v):
         if n == 0:
             return None
-        return tuple(int(g.faces[n][i][v]) for i in range(n + 1))
+        return g_faces[n][v]
 
     def force(n, z, values):
         exprs = degex[n].get(z)
@@ -378,7 +382,7 @@ def _equivalence_spec(t1: Twisting, t2: Twisting) -> AssignmentSpec:
             return None
         if values is None:
             return -1
-        vals = set(int(g.degens[n - 1][j][values[n - 1][y]]) for j, y in exprs)
+        vals = set(g_degens[n - 1][j][values[n - 1][y]] for j, y in exprs)
         return vals.pop() if len(vals) == 1 else -2
 
     return AssignmentSpec(x, 0, pool, required, lookup, image_faces, force)

@@ -169,3 +169,38 @@ def brute_cech_h2_order(cover, group) -> int:
                    for (a, b, c) in triples)
         coboundaries.add(cb)
     return len(cocycles) // len(coboundaries)
+
+
+def brute_simplicial_maps(x, y) -> list[tuple]:
+    """Encodings of every simplicial map x -> y, by level-wise brute force.
+
+    Level 0 is every function X_0 -> Y_0; each map found so far is then
+    extended to level n in every way a scalar scan of the raw face and
+    degeneracy arrays allows: an image of z must have the images of z's
+    faces as its faces, and s_i a must go to s_i of the image of a.  Only
+    usable on very small instances; shares nothing with the search engine.
+    """
+    import itertools
+    partial = [[vals] for vals in itertools.product(range(y.sizes[0]),
+                                                    repeat=x.sizes[0])]
+    for n in range(1, x.N + 1):
+        grown = []
+        for levels in partial:
+            below = levels[n - 1]
+            options = []
+            for z in range(x.sizes[n]):
+                ok = []
+                for v in range(y.sizes[n]):
+                    if any(int(y.faces[n][i][v]) != below[int(x.faces[n][i][z])]
+                           for i in range(n + 1)):
+                        continue
+                    if any(int(x.degens[n - 1][i][a]) == z
+                           and int(y.degens[n - 1][i][below[a]]) != v
+                           for i in range(n) for a in range(x.sizes[n - 1])):
+                        continue
+                    ok.append(v)
+                options.append(ok)
+            for vals in itertools.product(*options):
+                grown.append(levels + [vals])
+        partial = grown
+    return sorted(tuple(tuple(lvl) for lvl in levels) for levels in partial)

@@ -119,6 +119,33 @@ def test_gerbe_classify_corrupt_cache_entry_is_a_miss(capsys, tmp_path):
     assert "cache hit" in err
 
 
+def test_gerbe_classify_cache_hit_still_writes_out(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    argv = ("gerbe-classify", "--cover", "circle:3", "--xmod", "xmod_base:cyclic:2",
+            "--format", "json", "--cache-dir", str(cache))
+    code1, out1, err1 = run_cli(capsys, *argv, "--out", str(tmp_path / "a"))
+    code2, out2, err2 = run_cli(capsys, *argv, "--out", str(tmp_path / "b"))
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert "cache hit" not in err1 and "cache hit" in err2
+    [fa] = (tmp_path / "a").iterdir()
+    [fb] = (tmp_path / "b").iterdir()
+    assert fa.name == fb.name and fa.name.startswith("classes-")
+    assert fa.read_bytes() == fb.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ("lift", "--cover", "sphere:4", "--xmod", "xmod_mod:4:2"),
+    ("gerbe-classify", "--cover", "circle:3", "--xmod", "xmod_base:cyclic:2"),
+    ("gauge-verify", "--case", "trivial"),
+    ("xmod-check", "xmod_mod:4:2"),
+])
+def test_truncation_rejected_where_unused_exit_2(argv):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv) + ["--truncation", "4"])
+    assert e.value.code == 2
+
+
 def test_gerbe_classify_jobs_do_not_change_output(capsys):
     argv = ("gerbe-classify", "--cover", "circle:3", "--xmod", "xmod_base:symmetric:3",
             "--format", "json")

@@ -14,6 +14,8 @@ from xmodgerbe.simplicial import (ball_cover, circle, circle_cover,
                                   truncate_sset, validate_simplicial)
 from xmodgerbe.util import Budget, BudgetError, StructureError
 
+from _oracles import brute_simplicial_maps
+
 
 def test_builtin_ssets_validate():
     for x in (delta1(2), delta1(3), circle(2), circle(3),
@@ -143,3 +145,70 @@ def test_sset_json_round_trip(tmp_path):
     p.write_text(json.dumps(d))
     z = load_sset(str(p))
     assert z.sizes == x.sizes
+
+
+def test_map_search_matches_brute_force():
+    from xmodgerbe.twist import build_wbar
+    wbar, _ = build_wbar(constant_simplicial_group(cyclic_group(2), 2))
+    wbar_s3, _ = build_wbar(constant_simplicial_group(symmetric_group(3), 2))
+    pairs = [(delta1(2), circle(2)), (circle(2), circle(2)), (circle(2), wbar),
+             (sset_product(delta1(2), delta1(2)), circle(2)),
+             (circle(2), wbar_s3), (delta1(2), cover_nerve(circle_cover(3), 2))]
+    for x, y in pairs:
+        got = [f.encoding() for f in
+               enumerate_simplicial_maps(x, y, budget=Budget(what="maps"))]
+        want = brute_simplicial_maps(x, y)
+        assert want, (x.name, y.name)
+        assert got == want, (x.name, y.name)
+
+
+def _table_objects():
+    from xmodgerbe.fingroup import xmod_mod
+    from xmodgerbe.twist import build_wbar
+    from xmodgerbe.xnerve import build_duskin, build_nerve
+    xm = xmod_mod(4, 2)
+    nerve = build_nerve(xm, 2)
+    wbar, _ = build_wbar(nerve, 3)
+    return [circle(3), sset_product(delta1(3), circle(3)),
+            cover_nerve(sphere_cover(4), 3), wbar, build_duskin(xm, 3),
+            nerve.sset()]
+
+
+def test_search_tables_match_the_arrays():
+    for x in _table_objects():
+        for n in range(x.N + 1):
+            faces = [[int(x.faces[n][i][z]) for i in range(n + 1)]
+                     for z in range(x.sizes[n])] if n else [[]] * x.sizes[0]
+            assert x.face_tuples[n] == [tuple(f) for f in faces], (x.name, n)
+            index = {}
+            if n:
+                for z, f in enumerate(faces):
+                    index.setdefault(tuple(f), []).append(z)
+            assert x.face_index[n] == index, (x.name, n)
+            hits = {}
+            if n:
+                for i in range(n):
+                    for y in range(x.sizes[n - 1]):
+                        hits.setdefault(int(x.degens[n - 1][i][y]), []).append((i, y))
+            assert x.degeneracy_table[n] == hits, (x.name, n)
+            assert nondegenerate(x, n) == \
+                [z for z in range(x.sizes[n]) if z not in hits], (x.name, n)
+            if n < x.N:
+                assert x.degen_lists[n] == [
+                    [int(x.degens[n][i][y]) for y in range(x.sizes[n])]
+                    for i in range(n + 1)], (x.name, n)
+        face_mult, users = x.face_slots
+        for n in range(x.N):
+            for w in range(x.sizes[n + 1]):
+                fs = [int(x.faces[n + 1][i][w]) for i in range(n + 2)]
+                assert face_mult[n][w] == {f: fs.count(f) for f in fs}
+                assert all(w in users[n][f] for f in fs)
+        with pytest.raises(ValueError):
+            x.faces[1][0][0] = 0
+        with pytest.raises(ValueError):
+            x.degens[0][0][0] = 0
+
+
+def test_group_sset_built_once():
+    g = constant_simplicial_group(symmetric_group(3), 2)
+    assert g.sset() is g.sset()
