@@ -25,6 +25,7 @@ leading axes (inputs are stacks of matrices).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -98,10 +99,6 @@ def matrix_exp(x: np.ndarray) -> np.ndarray:
     for _ in range(s):
         out = out @ out
     return out
-
-
-def _minv(x: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(x)
 
 
 def _mags(x: np.ndarray) -> np.ndarray:
@@ -200,7 +197,7 @@ def compute_T(a_value: np.ndarray, h: np.ndarray, xm: MatrixCrossedModule,
     differences in the curve parameter give O(t_step^2) accuracy.
     """
     t = xm.t_step if t_step is None else t_step
-    hinv = _minv(np.asarray(h, dtype=np.complex128))
+    hinv = np.linalg.inv(np.asarray(h, dtype=np.complex128))
     plus = h @ xm.action(matrix_exp(t * a_value), hinv)
     minus = h @ xm.action(matrix_exp(-t * a_value), hinv)
     return (plus - minus) / (2.0 * t)
@@ -234,10 +231,10 @@ def validate_matrix_xmod(xm: MatrixCrossedModule, samples: int = 25,
                          - xm.action(d1, xm.action(d2, h1))) <= tol))
     checks.append(("equivariance",
                    worst(xm.alpha(xm.action(d1, h1))
-                         - d1 @ xm.alpha(h1) @ _minv(d1)) <= tol))
+                         - d1 @ xm.alpha(h1) @ np.linalg.inv(d1)) <= tol))
     checks.append(("peiffer",
                    worst(xm.action(xm.alpha(h1), h2)
-                         - h1 @ h2 @ _minv(h1)) <= tol))
+                         - h1 @ h2 @ np.linalg.inv(h1)) <= tol))
     rep = Report()
     for cname, ok in checks:
         rep.add(f"{xm.name}:{cname}", ok)
@@ -404,28 +401,29 @@ def _central_diff(values: np.ndarray, shape: tuple, axis: int, step: float,
 
 
 def _pair_maps(gcd: GaugeChartData) -> dict:
-    """Per chart pair: concatenated overlap samples plus a point index map.
+    """Per chart pair: concatenated overlap samples plus a dense row array.
 
     Components of the same pair are merged so triple checks can look up
-    pair data at any matched point by its chart-a index.
+    pair data at any matched point by its chart-a index: ``rows[i]`` is the
+    sample row of chart-a point i, or -1 where the pair does not meet.
     """
-    table: dict = {}
+    parts: dict = {}
     for o in gcd.overlaps:
-        entry = table.setdefault((o.a, o.b), {"index": {}, "n": 0,
-                                               "d": [], "a_form": [],
-                                               "delta": []})
-        base = entry["n"]
-        for row, i in enumerate(o.ia):
-            entry["index"][int(i)] = base + row
-        entry["n"] += len(o.ia)
-        entry["d"].append(o.d)
-        entry["a_form"].append(o.a_form)
-        entry["delta"].append(o.delta)
-    for entry in table.values():
+        parts.setdefault((o.a, o.b), []).append(o)
+    table = {}
+    for (a, b), comps in parts.items():
+        ia = np.concatenate([np.asarray(o.ia, dtype=np.int64) for o in comps])
+        rows = np.full(len(gcd.charts[a].grid), -1, dtype=np.int64)
+        if ia.size and (ia.min() < 0 or ia.max() >= len(rows)):
+            raise StructureError(f"overlap ({a},{b}) has points outside "
+                                 f"chart {a}")
+        rows[ia] = np.arange(len(ia))
+        entry = {"rows": rows}
         for f in ("d", "a_form", "delta"):
-            parts = entry[f]
-            entry[f] = (None if any(p is None for p in parts)
-                        else np.concatenate(parts))
+            samples = [getattr(o, f) for o in comps]
+            entry[f] = (None if any(s is None for s in samples)
+                        else np.concatenate(samples))
+        table[(a, b)] = entry
     return table
 
 
@@ -439,14 +437,16 @@ def _pair_fetch(table: dict, a: int, b: int, idx: np.ndarray,
     if arr is None:
         raise StructureError(f"overlap ({a},{b}) has no '{field_name}' "
                              f"samples needed by {what}")
-    index = entry["index"]
-    try:
-        rows = np.fromiter((index[int(i)] for i in idx), dtype=np.int64,
-                           count=len(idx))
-    except KeyError as missing:
+    idx = np.asarray(idx, dtype=np.int64)
+    rows = entry["rows"]
+    inside = (idx >= 0) & (idx < len(rows))   # no negative wraparound
+    found = np.full(len(idx), -1, dtype=np.int64)
+    found[inside] = rows[idx[inside]]
+    if (found < 0).any():
+        missing = int(idx[np.argmax(found < 0)])
         raise StructureError(f"overlap ({a},{b}) lacks point {missing} "
-                             f"needed by {what}") from None
-    return arr[rows]
+                             f"needed by {what}")
+    return arr[found]
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +523,7 @@ def check_connection(gcd: GaugeChartData) -> Residual:
                                  "samples")
         aa = ca.A[o.ia]
         ab = cb.A[o.ib]
-        dinv = _minv(o.d)
+        dinv = np.linalg.inv(o.d)
         for mu in range(gcd.dim):
             der, valid = _central_diff(dinv, o.shape, mu, ca.steps[mu],
                                        o.periodic[mu])
@@ -543,7 +543,7 @@ def check_connection(gcd: GaugeChartData) -> Residual:
         if ca.A is None:
             raise StructureError("triple law needs connection samples")
         aa = ca.A[t.ia]
-        hinv = _minv(t.h)
+        hinv = np.linalg.inv(t.h)
         for mu in range(gcd.dim):
             der, valid = _central_diff(hinv, t.shape, mu, ca.steps[mu],
                                        t.periodic[mu])
@@ -577,7 +577,7 @@ def check_bfield(gcd: GaugeChartData) -> Residual:
         de_ac = _pair_fetch(table, t.a, t.c, t.ia, "delta", what)
         d_ab = _pair_fetch(table, t.a, t.b, t.ia, "d", what)
         ba = gcd.charts[t.a].B[t.ia]
-        hinv = _minv(t.h)
+        hinv = np.linalg.inv(t.h)
         for c in range(n2):
             lhs = de_ab[:, c] + xm.daction_of(d_ab, de_bc[:, c])
             rhs = (t.h @ de_ac[:, c] @ hinv
@@ -635,7 +635,7 @@ def curvature_and_nu(gcd: GaugeChartData) -> CurvatureReport:
     glue = Residual(f"nu-gluing {gcd.name}")
     for o in gcd.overlaps:
         ok = valids[o.a][o.ia] & valids[o.b][o.ib]
-        dinv = _minv(o.d)
+        dinv = np.linalg.inv(o.d)
         for c in range(n2):
             lhs = nus[o.a][o.ia][:, c]
             rhs = o.d @ nus[o.b][o.ib][:, c] @ dinv
@@ -690,9 +690,9 @@ def so3_conjugation_xmod() -> MatrixCrossedModule:
     return MatrixCrossedModule(
         "so3-conj", so3, so3,
         alpha=lambda h: h,
-        action=lambda d, h: d @ h @ _minv(d),
+        action=lambda d, h: d @ h @ np.linalg.inv(d),
         dalpha=lambda x: x,
-        daction=lambda d, y: d @ y @ _minv(d),
+        daction=lambda d, y: d @ y @ np.linalg.inv(d),
         h_abelian=False)
 
 
@@ -730,16 +730,25 @@ def _arc_indices(lo: int, length: int, m: int) -> np.ndarray:
     return (lo + np.arange(length)) % m
 
 
+def _matched_runs(grids: list, m: int) -> list:
+    """Cyclic runs of the master-grid points (mod m) that every index array
+    in `grids` contains, each paired with its positions in every array."""
+    pos = np.full((len(grids), m), -1, dtype=np.int64)
+    for row, g in zip(pos, grids):
+        row[g] = np.arange(len(g))
+    common = functools.reduce(np.intersect1d, grids)
+    return [(run, pos[:, run]) for run in _runs_cyclic(common, m)]
+
+
+def _flat(rows: np.ndarray, ncols: int) -> np.ndarray:
+    """Flat chart indices of the given grid rows times all ncols columns."""
+    return (rows[:, None] * ncols + np.arange(ncols)[None, :]).ravel()
+
+
 def _overlap_1d(charts_idx: list, a: int, b: int, theta: np.ndarray,
                 m: int, d_fun, a_form_fun) -> list:
-    ga, gb = charts_idx[a], charts_idx[b]
-    pos_a = {int(p): j for j, p in enumerate(ga)}
-    pos_b = {int(p): j for j, p in enumerate(gb)}
-    both = np.array(sorted(set(map(int, ga)) & set(map(int, gb))))
     out = []
-    for run in _runs_cyclic(both, m):
-        ia = np.array([pos_a[int(p)] for p in run])
-        ib = np.array([pos_b[int(p)] for p in run])
+    for run, (ia, ib) in _matched_runs([charts_idx[a], charts_idx[b]], m):
         th = theta[run]
         d = d_fun(th).reshape(-1, 1, 1)
         af = None
@@ -851,19 +860,11 @@ def case_u1_circle_three(step: float | None = None) -> GaugeChartData:
     for (a, b) in [(0, 1), (1, 2), (0, 2)]:
         overlaps += _overlap_1d(idx, a, b, theta, m, d_fun(a, b),
                                 a_form_fun(a, b))
-    pos = [{int(p): j for j, p in enumerate(idx[a])} for a in range(3)]
-    common = np.array(sorted(set(map(int, idx[0])) & set(map(int, idx[1]))
-                             & set(map(int, idx[2]))))
     triples = []
-    for run in _runs_cyclic(common, m):
-        th = theta[run]
-        h = np.exp(1j * phi(0, 1, 2)(th)).reshape(-1, 1, 1)
-        triples.append(TripleOverlap(
-            0, 1, 2,
-            np.array([pos[0][int(p)] for p in run]),
-            np.array([pos[1][int(p)] for p in run]),
-            np.array([pos[2][int(p)] for p in run]),
-            (len(run),), (False,), h))
+    for run, (ia, ib, ic) in _matched_runs(idx, m):
+        h = np.exp(1j * phi(0, 1, 2)(theta[run])).reshape(-1, 1, 1)
+        triples.append(TripleOverlap(0, 1, 2, ia, ib, ic, (len(run),),
+                                     (False,), h))
     return GaugeChartData("u1-circle-three", u1_null_xmod(), 1, charts,
                           overlaps, triples, periods=(2 * np.pi,))
 
@@ -910,20 +911,11 @@ def case_u1_torus_three(step: float | None = None) -> GaugeChartData:
         pts = grid_of(bands[a])
         charts.append(Chart(pts, (arc, m2), (step, step), (False, True),
                             A=a_fields(a, pts), B=b_field(a, pts)))
-    pos = [{int(p): j for j, p in enumerate(bands[a])} for a in range(3)]
-    cols = np.arange(m2)
-
-    def flat(a, rows):
-        return (np.array([pos[a][int(p)] for p in rows])[:, None] * m2
-                + cols[None, :]).ravel()
-
     overlaps = []
     for (a, b) in [(0, 1), (1, 2), (0, 2)]:
-        both = np.array(sorted(set(map(int, bands[a]))
-                               & set(map(int, bands[b]))))
-        for run in _runs_cyclic(both, m1):
-            ia = flat(a, run)
-            ib = flat(b, run)
+        for run, (ra, rb) in _matched_runs([bands[a], bands[b]], m1):
+            ia = _flat(ra, m2)
+            ib = _flat(rb, m2)
             k = len(ia)
             y = charts[a].grid[ia][:, 1]
             d = np.ones((k, 1, 1), dtype=np.complex128)
@@ -934,14 +926,11 @@ def case_u1_torus_three(step: float | None = None) -> GaugeChartData:
             overlaps.append(Overlap(a, b, ia, ib, (len(run), m2),
                                     (False, True), d, a_form=af,
                                     delta=delta))
-    common = np.array(sorted(set(map(int, bands[0])) & set(map(int, bands[1]))
-                             & set(map(int, bands[2]))))
     triples = []
-    for run in _runs_cyclic(common, m1):
-        ia = flat(0, run)
+    for run, rows in _matched_runs(bands, m1):
+        ia, ib, ic = (_flat(r, m2) for r in rows)
         h = np.ones((len(ia), 1, 1), dtype=np.complex128)
-        triples.append(TripleOverlap(0, 1, 2, ia, flat(1, run),
-                                     flat(2, run), (len(run), m2),
+        triples.append(TripleOverlap(0, 1, 2, ia, ib, ic, (len(run), m2),
                                      (False, True), h))
     return GaugeChartData("u1-torus-three", u1_id_xmod(), 2, charts,
                           overlaps, triples, periods=(2 * np.pi, 2 * np.pi))
@@ -996,13 +985,8 @@ def case_u1_sphere_monopole(k: int = 1,
     chart_s = Chart(gs, (len(rows_s), mphi), (step_th, step_phi),
                     (False, True), A=a_sp(gs), B=b_of(gs))
     band = np.arange(cut_s, cut_n + 1)
-    cols = np.arange(mphi)
-    pos_n = {int(r): j for j, r in enumerate(rows_n)}
-    pos_s = {int(r): j for j, r in enumerate(rows_s)}
-    ia = (np.array([pos_n[int(r)] for r in band])[:, None] * mphi
-          + cols[None, :]).ravel()
-    ib = (np.array([pos_s[int(r)] for r in band])[:, None] * mphi
-          + cols[None, :]).ravel()
+    ia = _flat(band - rows_n[0], mphi)
+    ib = _flat(band - rows_s[0], mphi)
     pts = gn[ia]
     d = np.exp(-1j * k * pts[:, 1]).reshape(-1, 1, 1)
     delta = np.zeros((len(ia), 1, 1, 1), dtype=np.complex128)
@@ -1024,7 +1008,7 @@ def conjugation_T_samples(samples: int = 100, seed: int = 11,
     xs = np.stack([xm.D.algebra(rng.normal(scale=0.8, size=3))
                    for _ in range(samples)])
     fd = compute_T(xs, hs, xm, t_step)
-    closed = hs @ xs @ _minv(hs) - xs
+    closed = hs @ xs @ np.linalg.inv(hs) - xs
     res.add("T-closed-form", fd - closed)
     return res
 

@@ -243,13 +243,15 @@ def _generator_witnesses(cover: CoverComplex, xm: CrossedModule) -> list[StableW
     """Single-chart r changes and single-pair s changes (they generate)."""
     gens: list[StableWitness] = []
     base = identity_witness(cover, xm)
+    d_moves = [v for v in xm.D.elements() if v != xm.D.identity]
+    h_moves = [v for v in xm.H.elements() if v != xm.H.identity]
     for a in range(cover.charts):
-        for dval in range(1, xm.D.order):
+        for dval in d_moves:
             w = StableWitness(dict(base.r), dict(base.s))
             w.r[a] = dval
             gens.append(w)
     for p in cover.simplices(1):
-        for hval in range(1, xm.H.order):
+        for hval in h_moves:
             w = StableWitness(dict(base.r), dict(base.s))
             w.s[p] = hval
             gens.append(w)

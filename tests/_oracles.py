@@ -204,3 +204,35 @@ def brute_simplicial_maps(x, y) -> list[tuple]:
                 grown.append(levels + [vals])
         partial = grown
     return sorted(tuple(tuple(lvl) for lvl in levels) for levels in partial)
+
+
+def relabel(xm, perm_h, perm_d):
+    """The same crossed module with every label moved along a permutation.
+
+    Element a of H becomes perm_h[a] and element d of D becomes perm_d[d]:
+    both multiplication tables, alpha and the action are transported by
+    scalar loops, so the identities may land on any label.
+    """
+    from xmodgerbe.fingroup import (CrossedModule, FiniteGroup, GroupAction,
+                                    GroupHom)
+    nh, nd = xm.H.order, xm.D.order
+
+    def moved(table, perm):
+        n = len(perm)
+        out = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                out[perm[a]][perm[b]] = perm[int(table[a][b])]
+        return np.array(out, dtype=np.int64)
+
+    H = FiniteGroup(moved(xm.H.table, perm_h), name=xm.H.name)
+    D = FiniteGroup(moved(xm.D.table, perm_d), name=xm.D.name)
+    alpha = [0] * nh
+    for a in range(nh):
+        alpha[perm_h[a]] = perm_d[int(xm.alpha.mapping[a])]
+    action = [[0] * nh for _ in range(nd)]
+    for d in range(nd):
+        for a in range(nh):
+            action[perm_d[d]][perm_h[a]] = perm_h[int(xm.action.table[d][a])]
+    return CrossedModule(H, D, GroupHom(H, D, np.array(alpha), name="alpha"),
+                         GroupAction(D, H, np.array(action)), name=xm.name)

@@ -4,6 +4,7 @@ are computed once per session and reused by the unit and acceptance tests."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from xmodgerbe.fingroup import (cyclic_group, dihedral_group, preset_corpus,
                                 symmetric_group, xmod_trivial_base,
@@ -14,6 +15,11 @@ from xmodgerbe.simplicial import (circle, circle_cover, constant_simplicial_grou
 from xmodgerbe.twist import classify_bundles, enumerate_twistings
 from xmodgerbe.util import Budget
 
+
+# Property tests replay the same examples on every run and stay cheap.
+settings.register_profile("xmodgerbe", derandomize=True, max_examples=8,
+                          deadline=None, database=None)
+settings.load_profile("xmodgerbe")
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -232,6 +232,70 @@ def test_chart_data_validation_catches_mismatched_points():
 
 
 # ---------------------------------------------------------------------------
+# triple laws: pair lookups that cannot be served must raise
+
+
+def test_triple_without_pair_overlap_rejected():
+    gcd = case_u1_circle_three()
+    gcd.overlaps = [o for o in gcd.overlaps if (o.a, o.b) != (1, 2)]
+    with pytest.raises(StructureError,
+                       match=r"missing overlap data for charts \(1,2\)"):
+        check_gerbe_cocycle_smooth(gcd)
+
+
+def test_triple_needs_a_form_of_its_pairs():
+    gcd = case_u1_circle_three()
+    for o in gcd.overlaps:
+        if (o.a, o.b) == (0, 1):
+            o.a_form = None
+    with pytest.raises(StructureError,
+                       match=r"overlap \(0,1\) has no 'a_form' samples"):
+        check_connection(gcd)
+
+
+def _moved_triple_point(gcd, point):
+    t = gcd.triples[0]
+    t.ia = t.ia.copy()
+    t.ia[0] = point
+    return gcd
+
+
+def test_triple_point_outside_pair_overlap_rejected():
+    gcd = case_u1_circle_three()
+    inside = set()
+    for o in gcd.overlaps:
+        if (o.a, o.b) == (0, 1):
+            inside.update(int(i) for i in o.ia)
+    outside = min(set(range(len(gcd.charts[0].grid))) - inside)
+    _moved_triple_point(gcd, outside)
+    with pytest.raises(StructureError,
+                       match=rf"overlap \(0,1\) lacks point {outside} "):
+        check_gerbe_cocycle_smooth(gcd)
+
+
+@pytest.mark.parametrize("where", ["negative", "past-the-end"])
+def test_triple_point_outside_chart_rejected(where):
+    # a negative index must not wrap around to the end of the chart
+    gcd = case_u1_circle_three()
+    n = len(gcd.charts[0].grid)
+    point = -1 if where == "negative" else n
+    _moved_triple_point(gcd, point)
+    for check in (check_gerbe_cocycle_smooth, check_connection):
+        with pytest.raises(StructureError, match=rf"lacks point {point} "):
+            check(gcd)
+
+
+def test_overlap_point_outside_chart_rejected():
+    gcd = case_u1_circle_three()
+    o = gcd.overlaps[0]
+    o.ia = o.ia.copy()
+    o.ia[0] = -1
+    with pytest.raises(StructureError,
+                       match=rf"overlap \({o.a},{o.b}\) has points outside"):
+        check_gerbe_cocycle_smooth(gcd)
+
+
+# ---------------------------------------------------------------------------
 # synthetic fourfold overlap: the tetra law on explicit samples
 
 

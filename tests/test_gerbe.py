@@ -1,9 +1,14 @@
 """Cocycle enumeration, stable equivalence, products, pullback, lifting."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from xmodgerbe.fingroup import (cyclic_group, derived_crossed_modules,
+                                preset_corpus,
                                 symmetric_group, xmod_automorphism,
                                 xmod_identity, xmod_mod, xmod_trivial_base,
                                 xmod_trivial_fiber)
@@ -20,7 +25,7 @@ from xmodgerbe.simplicial import ball_cover, circle_cover, sphere_cover
 from xmodgerbe.util import Budget, BudgetError, StructureError
 from xmodgerbe.xnerve import match_wbar_duskin
 
-from _oracles import brute_cech_h2_order
+from _oracles import brute_cech_h2_order, relabel
 
 
 def test_cocycle_counts_trivial_base_modules():
@@ -181,6 +186,40 @@ def test_classification_matches_oracle(gerbe_runs):
         abelian_oracle(sphere_cover(4), z2, 2).order
     assert len(gerbe_runs["circle-z2"][2].classes) == \
         abelian_oracle(circle_cover(3), z2, 2).order
+
+
+def test_classes_do_not_depend_on_the_identity_label():
+    # the generating witnesses must skip the identity, whatever its label
+    xm = xmod_trivial_fiber(cyclic_group(2))
+    moved = relabel(xm, [1, 0], [0])
+    assert moved.H.identity == 1
+    assert classify_gerbes(ball_cover(3), moved).counts() == (2, 1)
+    for cover in (circle_cover(3), sphere_cover(4)):
+        assert classify_gerbes(cover, moved).counts() == \
+            classify_gerbes(cover, xm).counts()
+
+
+SMALL_PRESETS = [xm for xm in preset_corpus()
+                 if xm.H.order * xm.D.order <= 16]
+SMALL_COVERS = {"circle:3": circle_cover(3), "ball:3": ball_cover(3)}
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_counts(i: int, cover: str) -> tuple:
+    return classify_gerbes(SMALL_COVERS[cover], SMALL_PRESETS[i]).counts()
+
+
+@pytest.mark.parametrize("cover", sorted(SMALL_COVERS))
+@pytest.mark.parametrize("i", range(len(SMALL_PRESETS)),
+                         ids=[xm.name for xm in SMALL_PRESETS])
+@given(data=st.data())
+def test_class_counts_invariant_under_relabelling(i, cover, data):
+    xm = SMALL_PRESETS[i]
+    perm_h = data.draw(st.permutations(range(xm.H.order)), label="perm_h")
+    perm_d = data.draw(st.permutations(range(xm.D.order)), label="perm_d")
+    moved = relabel(xm, perm_h, perm_d)
+    assert classify_gerbes(SMALL_COVERS[cover], moved).counts() == \
+        _preset_counts(i, cover)
 
 
 def test_base_only_module_matches_bundle_count():
