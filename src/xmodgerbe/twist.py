@@ -14,13 +14,15 @@ homotopy classes of maps into W-bar) and reports loudly when they disagree.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .simplicial import (AssignmentSpec, SimplicialMap,
                          TruncatedSimplicialGroup, TruncatedSimplicialSet,
-                         _Search, enumerate_simplicial_maps, homotopy_classes,
+                         _radix_digits, _radix_encode, _Search,
+                         enumerate_simplicial_maps, homotopy_classes,
                          truncate_sset, validate_simplicial)
 from .util import Budget, Report, StructureError
 
@@ -221,50 +223,48 @@ def build_wbar(g: TruncatedSimplicialGroup, N: int | None = None,
 
     Level 0 is a point; level n is the tuple set G_{n-1} x ... x G_0 (first
     component most significant in the index).  Needs g truncated at >= N-1.
+
+    Index encoding: a level-n simplex (t_0, ..., t_{n-1}), t_k in G_{n-1-k},
+    is the mixed-radix number with digits t_k and radices |G_{n-1-k}|, the
+    position of the tuple in itertools.product order.  A whole level is
+    built at once: every face and degeneracy component is a column gather
+    through the faces, degeneracies and tables of g, re-encoded below or
+    above.
     """
     if N is None:
         N = g.N
     if N - 1 > g.N:
         raise StructureError(f"W-bar at truncation {N} needs group level {N - 1}")
     name = name or f"Wbar({g.name})"
-    tuples: list[list[tuple]] = [[()]]
-    index: list[dict[tuple, int]] = [{(): 0}]
-    for n in range(1, N + 1):
-        lvl = list(itertools.product(*[range(g.sizes[n - 1 - k]) for k in range(n)]))
-        tuples.append(lvl)
-        index.append({t: i for i, t in enumerate(lvl)})
-    sizes = [len(lvl) for lvl in tuples]
-
-    def face(n: int, i: int, tup: tuple) -> tuple:
-        if i == 0:
-            return tup[1:]
-        if i < n:
-            head = tuple(g.face(n - 1 - k, i - 1 - k, tup[k]) for k in range(i - 1))
-            mid = g.groups[n - 1 - i].mul(g.face(n - i, 0, tup[i - 1]), tup[i])
-            return head + (mid,) + tup[i + 1:]
-        return tuple(g.face(n - 1 - k, n - 1 - k, tup[k]) for k in range(n - 1))
-
-    def degen(n: int, j: int, tup: tuple) -> tuple:
-        if j == 0:
-            return (g.identity(n),) + tup
-        head = tuple(g.degen(n - 1 - k, j - 1 - k, tup[k]) for k in range(j))
-        return head + (g.identity(n - j),) + tup[j:]
+    radix = [[g.sizes[n - 1 - k] for k in range(n)] for n in range(N + 1)]
+    sizes = [math.prod(r) for r in radix]
+    tuples = [list(itertools.product(*(range(r) for r in radix[n])))
+              for n in range(N + 1)]
 
     faces: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
     degens: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[n].append(np.array([index[n - 1][face(n, i, t)] for t in tuples[n]],
-                                     dtype=np.int64))
-    for n in range(N):
-        for j in range(n + 1):
-            degens[n].append(np.array([index[n + 1][degen(n, j, t)] for t in tuples[n]],
-                                      dtype=np.int64))
+    tau_vals = [np.zeros(0, dtype=np.int64)]
+    for n in range(N + 1):
+        t = list(_radix_digits(radix[n]))
+        size = sizes[n]
+        if n >= 1:
+            tau_vals.append(t[0].copy())
+            faces[n].append(_radix_encode(t[1:], radix[n - 1], size))
+            for i in range(1, n):
+                head = [g.faces[n - 1 - k][i - 1 - k][t[k]] for k in range(i - 1)]
+                mid = g.groups[n - 1 - i].table[g.faces[n - i][0][t[i - 1]], t[i]]
+                faces[n].append(_radix_encode(head + [mid] + t[i + 1:],
+                                              radix[n - 1], size))
+            last = [g.faces[n - 1 - k][n - 1 - k][t[k]] for k in range(n - 1)]
+            faces[n].append(_radix_encode(last, radix[n - 1], size))
+        if n < N:
+            degens[n].append(_radix_encode([g.identity(n)] + t, radix[n + 1], size))
+            for j in range(1, n + 1):
+                head = [g.degens[n - 1 - k][j - 1 - k][t[k]] for k in range(j)]
+                degens[n].append(_radix_encode(head + [g.identity(n - j)] + t[j:],
+                                               radix[n + 1], size))
     w = TruncatedSimplicialSet(N, sizes, faces, degens, labels=tuples,
                                name=name, wbar_of=g.name)
-    tau_vals = [np.zeros(0, dtype=np.int64)]
-    for n in range(1, N + 1):
-        tau_vals.append(np.array([t[0] for t in tuples[n]], dtype=np.int64))
     tau = Twisting(w, g, tau_vals, name=f"tau({name})")
     return w, tau
 

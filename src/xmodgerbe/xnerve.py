@@ -22,6 +22,7 @@ the derived crossed modules.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,9 @@ from .fingroup import (CrossedModule, FiniteGroup, cokernel,
                        kernel, quotient, subgroup, validate_crossed_module,
                        xmod_identity)
 from .simplicial import (SimplicialMap, TruncatedSimplicialGroup,
-                         TruncatedSimplicialSet, _map_spec, _Search,
-                         moore_homotopy, validate_map, validate_simplicial)
+                         TruncatedSimplicialSet, _map_spec, _radix_digits,
+                         _radix_encode, _Search, moore_homotopy, validate_map,
+                         validate_simplicial)
 from .twist import build_wbar
 from .util import Budget, Report, StructureError
 
@@ -159,36 +161,39 @@ def _free_triples(n: int) -> list[tuple[int, int]]:
     return [(i, k) for i in range(n - 1) for k in range(i + 2, n + 1)]
 
 
-def _derive_full(xm: CrossedModule, n: int, ds: tuple, hs: tuple):
-    """All edge labels d_ij and triangle labels h_ijk from the free data."""
-    D, H = xm.D, xm.H
-    free = _free_triples(n)
-    dfull = {(i, i + 1): ds[i] for i in range(n)}
-    hfull = {(i, i + 1, k): hs[t] for t, (i, k) in enumerate(free)}
+def _derive_labels(xm: CrossedModule, n: int, digits: np.ndarray):
+    """Every edge label d_ij and triangle label h_ijk at level n, as columns.
+
+    `digits` holds the free data of every level-n simplex (spine edges, then
+    the triangles of `_free_triples`); the rest follows from the pasting
+    conditions, derived from the last vertex backwards.
+    """
+    dt, ht = xm.D.table, xm.H.table
+    dinv, hinv = xm.D.inverses, xm.H.inverses
+    al, act = xm.alpha.mapping, xm.action.table
+    d = {(i, i + 1): digits[i] for i in range(n)}
+    h = {(i, i + 1, k): digits[n + t] for t, (i, k) in enumerate(_free_triples(n))}
     for i in range(n - 2, -1, -1):
         for k in range(i + 2, n):
             for l in range(k + 1, n + 1):
-                a = H.inv(hfull[(i, i + 1, k)])
-                b = xm.act(dfull[(i, i + 1)], hfull[(i + 1, k, l)])
-                hfull[(i, k, l)] = H.mul(H.mul(a, b), hfull[(i, i + 1, l)])
+                a = hinv[h[i, i + 1, k]]
+                b = act[d[i, i + 1], h[i + 1, k, l]]
+                h[i, k, l] = ht[ht[a, b], h[i, i + 1, l]]
         for k in range(i + 2, n + 1):
-            da = xm.alpha(hfull[(i, i + 1, k)])
-            dfull[(i, k)] = D.mul(D.mul(D.inv(da), dfull[(i, i + 1)]),
-                                  dfull[(i + 1, k)])
-    return dfull, hfull
+            d[i, k] = dt[dt[dinv[al[h[i, i + 1, k]]], d[i, i + 1]], d[i + 1, k]]
+    return d, h
 
 
-def _coherent(xm: CrossedModule, n: int, dfull: dict, hfull: dict) -> bool:
-    """Every triangle and tetrahedron condition on the derived data."""
-    D, H = xm.D, xm.H
+def _pasting_holds(xm: CrossedModule, n: int, d: dict, h: dict) -> bool:
+    """Every triangle and tetrahedron condition, on every level-n simplex."""
+    dt, ht = xm.D.table, xm.H.table
+    al, act = xm.alpha.mapping, xm.action.table
     for i, j, k in itertools.combinations(range(n + 1), 3):
-        if D.mul(dfull[(i, j)], dfull[(j, k)]) != \
-                D.mul(xm.alpha(hfull[(i, j, k)]), dfull[(i, k)]):
+        if not np.array_equal(dt[d[i, j], d[j, k]], dt[al[h[i, j, k]], d[i, k]]):
             return False
     for i, j, k, l in itertools.combinations(range(n + 1), 4):
-        lhs = H.mul(hfull[(i, j, k)], hfull[(i, k, l)])
-        rhs = H.mul(xm.act(dfull[(i, j)], hfull[(j, k, l)]), hfull[(i, j, l)])
-        if lhs != rhs:
+        if not np.array_equal(ht[h[i, j, k], h[i, k, l]],
+                              ht[act[d[i, j], h[j, k, l]], h[i, j, l]]):
             return False
     return True
 
@@ -199,6 +204,14 @@ def build_duskin(xm: CrossedModule, N: int, verify: bool = True) -> TruncatedSim
     Level n is parameterized by the spine edges d_{i,i+1} and the triangles
     h_{i,i+1,k}; all other labels are derived, and (for `verify`) every
     derived simplex is checked against all pasting conditions.
+
+    Index encoding: a level-n simplex is the mixed-radix number whose digits
+    are d_{0,1}, ..., d_{n-1,n} (radix |D|, most significant first) and then
+    the h_{i,i+1,k} in `_free_triples` order (radix |H|), i.e. the position
+    of its label (ds, hs) in itertools.product order.  A whole level is
+    built at once: labels are derived as columns, and each face or
+    degeneracy re-reads the free data of the image along its vertex map,
+    with identities on the collapsed edges and triangles.
     """
     if N > 4:
         raise StructureError("2-categorical nerve unsupported above dimension 4")
@@ -206,56 +219,39 @@ def build_duskin(xm: CrossedModule, N: int, verify: bool = True) -> TruncatedSim
     if not rep.ok:
         raise StructureError(f"invalid crossed module: {rep.summary()}")
     D, H = xm.D, xm.H
-    levels: list[list[tuple]] = []
-    index: list[dict] = []
-    for n in range(N + 1):
-        free = _free_triples(n)
-        lvl = [(ds, hs)
-               for ds in itertools.product(range(D.order), repeat=n)
-               for hs in itertools.product(range(H.order), repeat=len(free))]
-        levels.append(lvl)
-        index.append({t: i for i, t in enumerate(lvl)})
+    radix = [[D.order] * n + [H.order] * len(_free_triples(n)) for n in range(N + 1)]
+    sizes = [math.prod(r) for r in radix]
+    labels = [list(itertools.product(itertools.product(range(D.order), repeat=n),
+                                     itertools.product(range(H.order),
+                                                       repeat=len(_free_triples(n)))))
+              for n in range(N + 1)]
 
-    full = []  # cache of (dfull, hfull) per level per element
-    for n in range(N + 1):
-        lvl_full = []
-        for ds, hs in levels[n]:
-            df, hf = _derive_full(xm, n, ds, hs)
-            if verify and n >= 2 and not _coherent(xm, n, df, hf):
-                raise StructureError(
-                    f"derived simplex data violates a pasting condition at level {n}")
-            lvl_full.append((df, hf))
-        full.append(lvl_full)
-
-    def read_free(n_child: int, vmap, df, hf) -> tuple:
-        ds = tuple(df[(vmap[m], vmap[m + 1])] if vmap[m] != vmap[m + 1]
-                   else D.identity for m in range(n_child))
-        hs = []
-        for (m, k) in _free_triples(n_child):
-            a, b, c = vmap[m], vmap[m + 1], vmap[k]
-            if a == b or b == c or a == c:
-                hs.append(H.identity)
-            else:
-                hs.append(hf[(a, b, c)])
-        return ds, tuple(hs)
+    def read_free(m: int, vmap: list[int], d: dict, h: dict, size: int) -> np.ndarray:
+        """Level-m indices of the simplices on the (non-decreasing) vertices vmap."""
+        digits = [d[a, b] if a != b else D.identity for a, b in zip(vmap, vmap[1:])]
+        for i, k in _free_triples(m):
+            a, b, c = vmap[i], vmap[i + 1], vmap[k]
+            digits.append(H.identity if a == b or b == c else h[a, b, c])
+        return _radix_encode(digits, radix[m], size)
 
     faces: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
     degens: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
-    for n in range(1, N + 1):
-        for j in range(n + 1):
-            vmap = [m for m in range(n + 1) if m != j]
-            col = [index[n - 1][read_free(n - 1, vmap, df, hf)]
-                   for df, hf in full[n]]
-            faces[n].append(np.array(col, dtype=np.int64))
-    for n in range(N):
-        for j in range(n + 1):
-            vmap = [m if m <= j else m - 1 for m in range(n + 2)]
-            col = [index[n + 1][read_free(n + 1, vmap, df, hf)]
-                   for df, hf in full[n]]
-            degens[n].append(np.array(col, dtype=np.int64))
+    for n in range(N + 1):
+        d, h = _derive_labels(xm, n, _radix_digits(radix[n]))
+        if verify and n >= 2 and not _pasting_holds(xm, n, d, h):
+            raise StructureError(
+                f"derived simplex data violates a pasting condition at level {n}")
+        if n >= 1:
+            for j in range(n + 1):
+                vmap = [m for m in range(n + 1) if m != j]
+                faces[n].append(read_free(n - 1, vmap, d, h, sizes[n]))
+        if n < N:
+            for j in range(n + 1):
+                vmap = [m if m <= j else m - 1 for m in range(n + 2)]
+                degens[n].append(read_free(n + 1, vmap, d, h, sizes[n]))
 
-    out = TruncatedSimplicialSet(N, [len(l) for l in levels], faces, degens,
-                                 labels=levels, name=f"D({xm.name})")
+    out = TruncatedSimplicialSet(N, sizes, faces, degens,
+                                 labels=labels, name=f"D({xm.name})")
     srep = validate_simplicial(out)
     if not srep.ok:
         raise StructureError(f"2-categorical nerve failed checks: {srep.summary()}")

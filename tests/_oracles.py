@@ -236,3 +236,111 @@ def relabel(xm, perm_h, perm_d):
             action[perm_d[d]][perm_h[a]] = perm_h[int(xm.action.table[d][a])]
     return CrossedModule(H, D, GroupHom(H, D, np.array(alpha), name="alpha"),
                          GroupAction(D, H, np.array(action)), name=xm.name)
+
+
+def naive_duskin(xm, N):
+    """(sizes, faces, degens, labels) of the 2-categorical nerve, one simplex
+    at a time.
+
+    A level-n simplex is (ds, hs): spine edges d_{i,i+1} and the triangles
+    h_{i,i+1,k}, listed in itertools.product order.  Every other edge and
+    triangle label is derived from the pasting conditions by scalar table
+    reads, and each face or degeneracy is found by looking up the re-read
+    free data in a dict.
+    """
+    import itertools
+    dt, ht = xm.D.table.tolist(), xm.H.table.tolist()
+    dinv, hinv = xm.D.inverses.tolist(), xm.H.inverses.tolist()
+    al, act = xm.alpha.mapping.tolist(), xm.action.table.tolist()
+    ed, eh = xm.D.identity, xm.H.identity
+
+    def free(n):
+        return [(i, k) for i in range(n - 1) for k in range(i + 2, n + 1)]
+
+    def derive(n, ds, hs):
+        d = {(i, i + 1): ds[i] for i in range(n)}
+        h = {(i, i + 1, k): hs[t] for t, (i, k) in enumerate(free(n))}
+        for i in range(n - 2, -1, -1):
+            for k in range(i + 2, n):
+                for l in range(k + 1, n + 1):
+                    a = hinv[h[(i, i + 1, k)]]
+                    b = act[d[(i, i + 1)]][h[(i + 1, k, l)]]
+                    h[(i, k, l)] = ht[ht[a][b]][h[(i, i + 1, l)]]
+            for k in range(i + 2, n + 1):
+                da = al[h[(i, i + 1, k)]]
+                d[(i, k)] = dt[dt[dinv[da]][d[(i, i + 1)]]][d[(i + 1, k)]]
+        return d, h
+
+    def read_free(m, vmap, d, h):
+        ds = tuple(d[(vmap[i], vmap[i + 1])] if vmap[i] != vmap[i + 1] else ed
+                   for i in range(m))
+        hs = []
+        for (i, k) in free(m):
+            a, b, c = vmap[i], vmap[i + 1], vmap[k]
+            hs.append(eh if a == b or b == c or a == c else h[(a, b, c)])
+        return ds, tuple(hs)
+
+    labels, index = [], []
+    for n in range(N + 1):
+        lvl = [(ds, hs)
+               for ds in itertools.product(range(len(dt)), repeat=n)
+               for hs in itertools.product(range(len(ht)), repeat=len(free(n)))]
+        labels.append(lvl)
+        index.append({t: i for i, t in enumerate(lvl)})
+    faces = [[] for _ in range(N + 1)]
+    degens = [[] for _ in range(N + 1)]
+    for n in range(N + 1):
+        derived = [derive(n, ds, hs) for ds, hs in labels[n]]
+        if n >= 1:
+            for j in range(n + 1):
+                vmap = [m for m in range(n + 1) if m != j]
+                faces[n].append([index[n - 1][read_free(n - 1, vmap, d, h)]
+                                 for d, h in derived])
+        if n < N:
+            for j in range(n + 1):
+                vmap = [m if m <= j else m - 1 for m in range(n + 2)]
+                degens[n].append([index[n + 1][read_free(n + 1, vmap, d, h)]
+                                  for d, h in derived])
+    return [len(lvl) for lvl in labels], faces, degens, labels
+
+
+def naive_wbar(g, N):
+    """(sizes, faces, degens, labels) of the bar construction W-bar g, one
+    simplex at a time.
+
+    Level n lists the tuples (t_0, ..., t_{n-1}), t_k in G_{n-1-k}, in
+    itertools.product order.  Faces and degeneracies follow the textbook
+    formulas with scalar reads of g's face, degeneracy and multiplication
+    arrays, and are found by looking the resulting tuple up in a dict.
+    """
+    import itertools
+    gf = [[arr.tolist() for arr in lvl] for lvl in g.faces]
+    gs = [[arr.tolist() for arr in lvl] for lvl in g.degens]
+    tables = [grp.table.tolist() for grp in g.groups]
+    ident = [grp.identity for grp in g.groups]
+
+    def face(n, i, tup):
+        if i == 0:
+            return tup[1:]
+        if i < n:
+            head = tuple(gf[n - 1 - k][i - 1 - k][tup[k]] for k in range(i - 1))
+            mid = tables[n - 1 - i][gf[n - i][0][tup[i - 1]]][tup[i]]
+            return head + (mid,) + tup[i + 1:]
+        return tuple(gf[n - 1 - k][n - 1 - k][tup[k]] for k in range(n - 1))
+
+    def degen(n, j, tup):
+        if j == 0:
+            return (ident[n],) + tup
+        head = tuple(gs[n - 1 - k][j - 1 - k][tup[k]] for k in range(j))
+        return head + (ident[n - j],) + tup[j:]
+
+    labels = [[()]]
+    for n in range(1, N + 1):
+        labels.append(list(itertools.product(
+            *[range(len(tables[n - 1 - k])) for k in range(n)])))
+    index = [{t: i for i, t in enumerate(lvl)} for lvl in labels]
+    faces = [[[index[n - 1][face(n, i, t)] for t in labels[n]]
+              for i in range(n + 1)] if n else [] for n in range(N + 1)]
+    degens = [[[index[n + 1][degen(n, j, t)] for t in labels[n]]
+               for j in range(n + 1)] if n < N else [] for n in range(N + 1)]
+    return [len(lvl) for lvl in labels], faces, degens, labels

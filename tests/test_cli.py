@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import hashlib
 import json
 import os
 
@@ -177,6 +178,21 @@ def test_duskin_compare_and_out(capsys, tmp_path):
     assert [f.name for f in files] == [payload["results"]["dictionary_file"]]
     art = json.loads(files[0].read_text())
     assert isinstance(art, dict) and art
+
+
+def test_duskin_compare_bytes_are_pinned(capsys, tmp_path):
+    # The isomorphism levels depend on the index order of both models and on
+    # the search order; these digests were recorded from the per-simplex
+    # builders, so a change to either order shows up here.
+    out_dir = tmp_path / "dict"
+    code, out, err = run_cli(capsys, "duskin-compare", "--xmod", "xmod_mod:4:2",
+                             "--format", "json", "--out", str(out_dir))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "c11ca002993a2d74bd9f651d0adaa14f3c43472780c42e775aed00fad89d3663"
+    art = (out_dir / "dictionary-Z4-_Z2.json").read_bytes()
+    assert hashlib.sha256(art).hexdigest() == \
+        "091457c8360625ef8b762bcde45baf77ea7d292635f167a2129ac449d94dd8c7"
 
 
 def test_truncation_out_of_range_exit_2(capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from xmodgerbe.fingroup import cyclic_group, symmetric_group
+from xmodgerbe.fingroup import cyclic_group, symmetric_group, xmod_mod
 from xmodgerbe.simplicial import (SimplicialMap, circle,
                                   constant_simplicial_group, delta1,
                                   validate_simplicial)
@@ -13,8 +13,9 @@ from xmodgerbe.twist import (Twisting, build_twisted_product, build_wbar,
                              validate_twisting, witness_compose,
                              witness_invert)
 from xmodgerbe.util import Budget, StructureError
+from xmodgerbe.xnerve import build_nerve
 
-from _oracles import scan_sigma_bar
+from _oracles import naive_wbar, relabel, scan_sigma_bar
 
 
 def test_enumerate_twistings_circle_s3():
@@ -110,3 +111,19 @@ def test_wbar_universal_twisted_product():
     assert scan_sigma_bar(tp) == []
     # total space of the universal twisting is the contractible W construction
     assert tp.total.sizes == [3, 9, 27]
+
+
+def test_wbar_matches_scalar_oracle():
+    xm = xmod_mod(8, 4)
+    moved = relabel(xm, list(range(7, -1, -1)), [1, 2, 3, 0])
+    groups = [constant_simplicial_group(symmetric_group(3), 3),
+              constant_simplicial_group(cyclic_group(2), 3),
+              build_nerve(xm, 2), build_nerve(moved, 2)]
+    assert all(grp.identity != 0 for grp in groups[-1].groups)
+    for g in groups:
+        w, tau = build_wbar(g, 3)
+        got = (w.sizes, [[a.tolist() for a in lvl] for lvl in w.faces],
+               [[a.tolist() for a in lvl] for lvl in w.degens], w.labels)
+        assert got == naive_wbar(g, 3), g.name
+        for n in range(1, 4):
+            assert tau.values[n].tolist() == [t[0] for t in w.labels[n]]

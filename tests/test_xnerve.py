@@ -1,16 +1,21 @@
 """Nerve of a crossed module, Duskin complex, and the matching results."""
 
+import numpy as np
 import pytest
 
-from xmodgerbe.fingroup import (cokernel, cyclic_group, groups_isomorphic,
-                                kernel, symmetric_group, xmod_identity,
-                                xmod_mod, xmod_trivial_base,
+from xmodgerbe import xnerve
+from xmodgerbe.fingroup import (CrossedModule, GroupHom, cokernel,
+                                cyclic_group, groups_isomorphic, kernel,
+                                symmetric_group, trivial_action,
+                                xmod_identity, xmod_mod, xmod_trivial_base,
                                 xmod_trivial_fiber)
 from xmodgerbe.simplicial import moore_homotopy, validate_map, validate_simplicial
-from xmodgerbe.util import Budget
+from xmodgerbe.util import Budget, Report, StructureError
 from xmodgerbe.xnerve import (build_duskin, build_nerve, exactness_check,
                               homotopy_quotient, match_wbar_duskin,
                               nerve_homotopy, semidirect_model)
+
+from _oracles import naive_duskin, relabel
 
 
 def test_nerve_level_sizes(corpus):
@@ -51,6 +56,42 @@ def test_duskin_validates_and_is_small():
         d = build_duskin(xm, 3)
         assert validate_simplicial(d).ok
         assert d.sizes[0] == 1
+
+
+def _rotated(xm):
+    """xm relabelled so that both identities leave label 0 (when |G| > 1)."""
+    def rot(n):
+        return list(range(1, n)) + [0]
+    return relabel(xm, rot(xm.H.order), rot(xm.D.order))
+
+
+def _as_lists(x):
+    return (x.sizes, [[a.tolist() for a in lvl] for lvl in x.faces],
+            [[a.tolist() for a in lvl] for lvl in x.degens], x.labels)
+
+
+def test_duskin_matches_scalar_oracle(corpus):
+    small = [xm for xm in corpus if xm.H.order * xm.D.order <= 16]
+    cases = [(xm, 3) for xm in small] + [(_rotated(xm), 3) for xm in small]
+    cases.append((xmod_mod(4, 2), 4))
+    assert any(xm.H.identity != 0 and xm.D.identity != 0 for xm, _ in cases)
+    for xm, N in cases:
+        assert _as_lists(build_duskin(xm, N)) == naive_duskin(xm, N), (xm.name, N)
+
+
+def test_duskin_pasting_check_survives_a_skipped_validation(monkeypatch):
+    # id: S3 -> S3 with the trivial action breaks Peiffer; with the input
+    # check switched off, the pasting conditions at level 3 catch it
+    s3 = symmetric_group(3)
+    bad = CrossedModule(s3, s3, GroupHom(s3, s3, np.arange(6), name="id"),
+                        trivial_action(s3, s3), name="bad")
+    with pytest.raises(StructureError, match="invalid crossed module"):
+        build_duskin(bad, 3)
+    monkeypatch.setattr(xnerve, "validate_crossed_module", lambda xm: Report())
+    build_duskin(bad, 2)
+    with pytest.raises(StructureError, match="derived simplex data violates "
+                                             "a pasting condition at level 3"):
+        build_duskin(bad, 3)
 
 
 def test_match_wbar_duskin_small_modules(corpus):
