@@ -638,7 +638,9 @@ def cocycle_to_simplicial_map(c: GerbeCocycle, match, budget: Budget | None = No
         raise StructureError("model dictionary unavailable (no isomorphism)")
     duskin = match.duskin
     budget = budget or Budget(what="cocycle extension")
-    x = nerve if nerve is not None else cover_nerve(c.cover, match.wbar.N)
+    x = nerve
+    if x is None:
+        x = cover_nerve(c.cover, match.wbar.N, budget=budget)
     idx = _duskin_index(duskin)
     D = c.xm.D
     boundary: dict[tuple[int, int], int] = {}

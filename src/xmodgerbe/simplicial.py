@@ -20,7 +20,7 @@ from operator import itemgetter
 import numpy as np
 
 from .fingroup import FiniteGroup, is_normal, quotient, subgroup, validate_group
-from .util import Budget, BudgetError, Report, StructureError
+from .util import DEFAULT_BUDGET, Budget, BudgetError, Report, StructureError
 
 __all__ = [
     "TruncatedSimplicialSet",
@@ -169,6 +169,24 @@ class TruncatedSimplicialSet:
             face_mult.append(mult)
             users_by_level.append(users)
         return face_mult, users_by_level
+
+    @cached_property
+    def face_scores(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(score, maxmult), one entry per level n = 0..N-1: score[n][f]
+        counts the w at level n+1 whose faces are all f (the search's
+        tie-break score of f before any value is set), and maxmult[n][w] is
+        the largest multiplicity of a face of w."""
+        scores: list[list[int]] = []
+        maxmults: list[list[int]] = []
+        for n, mult in enumerate(self.face_slots[0]):
+            score = [0] * self.sizes[n]
+            for d in mult:
+                if len(d) == 1:
+                    for f in d:
+                        score[f] += 1
+            scores.append(score)
+            maxmults.append([max(d.values()) for d in mult])
+        return scores, maxmults
 
     def __repr__(self):
         return f"TruncatedSimplicialSet({self.name}, sizes={self.sizes})"
@@ -437,13 +455,27 @@ def truncate_sset(x: TruncatedSimplicialSet, M: int) -> TruncatedSimplicialSet:
         name=x.name, wbar_of=x.wbar_of)
 
 
+def _guard_sizes(sizes: list[int], budget: Budget | None, what: str) -> None:
+    """Raise BudgetError before a model is allocated when its largest level
+    holds more simplices than the run's node limit (the default limit
+    without a budget).  Only compares: nothing is charged to the budget."""
+    limit = DEFAULT_BUDGET if budget is None else budget.limit
+    n = max(range(len(sizes)), key=sizes.__getitem__)
+    if sizes[n] > limit:
+        raise BudgetError(f"{what} level {n} has {sizes[n]} simplices",
+                          sizes[n], limit)
+
+
 def sset_product(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,
-                 name: str | None = None) -> TruncatedSimplicialSet:
+                 name: str | None = None,
+                 budget: Budget | None = None) -> TruncatedSimplicialSet:
     """Level-wise product; pair (a, b) at level n is encoded a * |Y_n| + b."""
     if x.N != y.N:
         raise StructureError("product needs equal truncations")
     N = x.N
     sizes = [x.sizes[n] * y.sizes[n] for n in range(N + 1)]
+    name = name or f"{x.name}x{y.name}"
+    _guard_sizes(sizes, budget, name)
     faces: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
     degens: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
     for n in range(1, N + 1):
@@ -456,8 +488,7 @@ def sset_product(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,
         b = np.tile(np.arange(y.sizes[n]), x.sizes[n])
         for i in range(n + 1):
             degens[n].append(x.degens[n][i][a] * y.sizes[n + 1] + y.degens[n][i][b])
-    return TruncatedSimplicialSet(N, sizes, faces, degens,
-                                  name=name or f"{x.name}x{y.name}")
+    return TruncatedSimplicialSet(N, sizes, faces, degens, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +577,19 @@ def sphere_cover(k: int) -> CoverComplex:
         k, [list(c) for c in itertools.combinations(range(k), k - 1)])
 
 
-def cover_nerve(cover: CoverComplex, N: int) -> TruncatedSimplicialSet:
+def _cover_nerve_sizes(cover: CoverComplex, N: int) -> list[int]:
+    """Level sizes of cover_nerve(cover, N) without listing its tuples:
+    level n counts, for each admissible support S, the (n+1)-tuples onto S."""
+    def onto(m: int, s: int) -> int:
+        return sum((-1) ** j * math.comb(s, j) * (s - j) ** m for j in range(s + 1))
+    return [sum(onto(n + 1, len(s)) for s in cover.sets) for n in range(N + 1)]
+
+
+def cover_nerve(cover: CoverComplex, N: int,
+                budget: Budget | None = None) -> TruncatedSimplicialSet:
     """Simplicial nerve of a cover: level n is the ordered (n+1)-tuples of
     charts (repeats allowed) whose support is an admissible intersection."""
+    _guard_sizes(_cover_nerve_sizes(cover, N), budget, f"nerve({cover.charts})")
     tuples: list[list[tuple[int, ...]]] = []
     index: list[dict[tuple[int, ...], int]] = []
     for n in range(N + 1):
@@ -655,6 +696,18 @@ class AssignmentSpec:
         self.force = force
 
 
+def _lone_open(faces, vals) -> int:
+    """The one simplex among `faces` without a value in `vals`; -1 when
+    none or several are open."""
+    m = -1
+    for f in faces:
+        if f not in vals:
+            if m >= 0:
+                return -1
+            m = f
+    return m
+
+
 class _Search:
     def __init__(self, spec: AssignmentSpec, budget: Budget, distinct: bool = False):
         self.spec = spec
@@ -670,6 +723,13 @@ class _Search:
         self.users = users[spec.lo:]
         # faces of each level-(n+1) simplex still without a value
         self.pending = [[n + 2] * x.sizes[n + 1] for n in range(spec.lo, self.N)]
+        # score[k][f]: the users w of f whose only face without a value is f
+        # (pick_next's tie-break).  While pending[k][w] > maxmult[k][w], two
+        # or more faces of w are open, so no score can change through w
+        # and _set/_unset need not scan w's faces.
+        scores, maxmult = x.face_scores
+        self.score = [list(s) for s in scores[spec.lo:]]
+        self.maxmult = maxmult[spec.lo:]
         # narrowed candidate domains for still-unassigned simplices, keyed
         # (level, simplex); every change is recorded on the trail
         self.domains: dict[tuple[int, int], list[int]] = {}
@@ -686,36 +746,43 @@ class _Search:
     def _set(self, n: int, z: int, v: int, trail: list) -> bool:
         if self.distinct and v in self.used[n]:
             return False
-        self.values[n][z] = v
+        vals = self.values[n]
+        vals[z] = v
         self.used[n].add(v)
         trail.append((n, z))
         if n >= self.N:
             return True
         k = n - self.spec.lo
-        pend = self.pending[k]
-        mult = self.face_mult[k]
+        pend, mult = self.pending[k], self.face_mult[k]
+        score, top = self.score[k], self.maxmult[k]
+        # every count first, then the checks (which never read them), so a
+        # failed check leaves exactly what _unset gives back
+        checks = []
         for w in self.users[k].get(z, ()):
             p = pend[w] - mult[w][z]
             pend[w] = p
             if p == 0:
+                score[z] -= 1
+                checks.append((w, -1))
+            elif p <= top[w]:
+                u = _lone_open(mult[w], vals)
+                if u >= 0:
+                    score[u] += 1
+                    if p == 1:
+                        checks.append((w, u))
+        for w, u in checks:
+            if u < 0:
                 if not self._feasible_up(n + 1, w):
                     return False
-            elif p == 1:
-                if not self._narrow(n, k, w, trail):
-                    return False
+            elif not self._narrow(n, u, w, trail):
+                return False
         return True
 
-    def _narrow(self, n: int, k: int, w: int, trail: list) -> bool:
-        """One face of w (level n+1) is still open: intersect that face's
-        candidate domain with the values that leave w a compatible image."""
+    def _narrow(self, n: int, m: int, w: int, trail: list) -> bool:
+        """m is the only face of w (level n+1) without a value, and occurs
+        once among w's faces: intersect m's candidate domain with the values
+        that leave w a compatible image."""
         vals = self.values[n]
-        m = -1
-        for f in self.face_mult[k][w]:
-            if f not in vals:
-                m = f
-                break
-        if m < 0:
-            return True
         spec = self.spec
         key = (n, m)
         dom = self.domains.get(key)
@@ -741,13 +808,22 @@ class _Search:
             e = trail.pop()
             if len(e) == 2:
                 n, z = e
-                self.used[n].discard(self.values[n][z])
-                del self.values[n][z]
+                vals = self.values[n]
                 if n < self.N:
+                    # the mirror of _set, read while z still has its value
                     k = n - self.spec.lo
                     pend, mult = self.pending[k], self.face_mult[k]
+                    score, top = self.score[k], self.maxmult[k]
                     for w in self.users[k].get(z, ()):
-                        pend[w] += mult[w][z]
+                        p = pend[w]
+                        pend[w] = p + mult[w][z]
+                        if p == 0:
+                            score[z] += 1
+                        elif p <= top[w]:
+                            u = _lone_open(mult[w], vals)
+                            if u >= 0:
+                                score[u] -= 1
+                self.used[n].discard(vals.pop(z))
             else:
                 n, z, old = e
                 if old is None:
@@ -774,7 +850,9 @@ class _Search:
                     free.append(z)
                 else:
                     forced_first.append(z)
-            plan.append((n, forced_first, free))
+            # the pick order: the free simplices in set iteration order,
+            # which is not ascending; the engine has always followed it
+            plan.append((n, forced_first, list(set(free))))
 
         trail: list = []
         emitted = 0
@@ -793,30 +871,41 @@ class _Search:
                     return False
             return True
 
-        def pick_next(n: int, remaining: set[int]) -> int:
-            # smallest narrowed domain first (empty dies at once, singleton
-            # propagates); ties: most upper-level face-tuples completed.
-            # The top-level pick and the early singleton return follow set
-            # iteration order, which is not ascending: on gerbe-classify
-            # --cover circle:3 --xmod xmod_base:symmetric:3, next(iter(...))
-            # differs from min(...) in about 4k of 9k top-level picks.  A min
-            # or cursor scan would change the search order and node counts,
-            # so this scan stays as it is.
-            if n >= self.N or len(remaining) == 1:
-                return next(iter(remaining))
-            k = n - spec.lo
-            pend, mult, users = self.pending[k], self.face_mult[k], self.users[k]
+        # per level li, over the pick order plan[li][2]: avail[li][i] marks
+        # an entry no frame holds, left[li] counts those entries, and no
+        # available entry lies before cursor[li]; a frame that pops hands
+        # its entry back and moves the cursor back to it if it lies earlier
+        avail = [bytearray(b"\x01" * len(order)) for _, _, order in plan]
+        left = [len(order) for _, _, order in plan]
+        cursor = [0] * len(plan)
+
+        def pick_next(li: int) -> int:
+            """Index in the pick order of the simplex the next frame takes.
+
+            The top level and a lone available simplex take the first
+            available entry.  Below the top the smallest narrowed domain
+            wins (an empty one dies at once, a singleton propagates; the
+            first such entry returns at once), then the highest score (the
+            upper-level simplices whose last open face this is), then the
+            smaller simplex.
+            """
+            n, _, order = plan[li]
+            flags = avail[li]
+            i = cursor[li] = flags.find(1, cursor[li])
+            if n >= self.N or left[li] == 1:
+                return i
+            score = self.score[n - spec.lo]
             doms = self.domains
-            best, best_key = -1, None
-            for z in remaining:
+            best, best_key = i, None
+            for j in itertools.compress(range(i, len(order)), flags[i:]):
+                z = order[j]
                 d = doms.get((n, z))
                 size = len(d) if d is not None else 1 << 30
                 if size <= 1:
-                    return z
-                score = sum(1 for w in users.get(z, ()) if pend[w] == mult[w][z])
-                cur = (size, -score, z)
-                if best_key is None or cur < best_key:
-                    best, best_key = z, cur
+                    return j
+                key = (size, -score[z], z)
+                if best_key is None or key < best_key:
+                    best, best_key = j, key
             return best
 
         def candidates(n: int, z: int):
@@ -826,22 +915,20 @@ class _Search:
             req = spec.required(n, z, self.values)
             return iter(spec.pool(n) if req is None else spec.lookup(n, req))
 
-        # one shared pool of unassigned free simplices per level; frames
-        # borrow one element and hand it back when they pop, so memory
-        # stays linear in the number of simplices
-        rem: list[set[int]] = [set(fr) for _, _, fr in plan]
-
-        # frame: [li, z, cand_iter, entry_mark, try_mark] where entry_mark
-        # is the trail length when the frame (and, for the first frame of a
-        # level, its forced block) was created, and try_mark the trail
-        # length before the currently-applied candidate.
+        # frame: [li, z, cand_iter, entry_mark, try_mark, i] where
+        # entry_mark is the trail length when the frame (and, for the first
+        # frame of a level, its forced block) was created, try_mark the
+        # trail length before the currently-applied candidate, and i the
+        # index of z in the level's pick order.
         stack: list[list] = []
 
         def open_frame(li: int, entry: int) -> None:
-            z = pick_next(plan[li][0], rem[li])
-            rem[li].discard(z)
-            stack.append([li, z, candidates(plan[li][0], z),
-                          entry, len(trail)])
+            i = pick_next(li)
+            avail[li][i] = 0
+            left[li] -= 1
+            n, _, order = plan[li]
+            z = order[i]
+            stack.append([li, z, candidates(n, z), entry, len(trail), i])
 
         def descend(li: int) -> str:
             """Advance to the next decision point; "sol", "dead" or "frame"."""
@@ -850,7 +937,7 @@ class _Search:
                 if not run_forced(li):
                     self._unset(trail, entry)
                     return "dead"
-                if rem[li]:
+                if left[li]:
                     open_frame(li, entry)
                     return "frame"
                 li += 1
@@ -881,10 +968,14 @@ class _Search:
                     self._unset(trail, fr[4])
                 if not advanced:
                     self._unset(trail, fr[3])
-                    rem[fr[0]].add(fr[1])
+                    li, i = fr[0], fr[5]
+                    avail[li][i] = 1
+                    left[li] += 1
+                    if i < cursor[li]:
+                        cursor[li] = i
                     stack.pop()
                     continue
-                if rem[fr[0]]:
+                if left[fr[0]]:
                     open_frame(fr[0], len(trail))
                     continue
                 state = descend(fr[0] + 1)
@@ -990,7 +1081,7 @@ def simplicially_homotopic(f: SimplicialMap, g: SimplicialMap,
     if d1 is None:
         d1 = delta1(x.N)
     if prism is None:
-        prism = sset_product(x, d1)
+        prism = sset_product(x, d1, budget=budget)
     boundary: dict[tuple[int, int], int] = {}
     for n in range(x.N + 1):
         m = d1.sizes[n]
@@ -1036,7 +1127,7 @@ def homotopy_classes(maps: list[SimplicialMap],
             "(built by build_wbar); the relation may fail to be transitive otherwise")
     x = maps[0].source
     d1 = delta1(x.N)
-    prism = sset_product(x, d1)
+    prism = sset_product(x, d1, budget=budget)
     classes: list[list[int]] = []
     witnesses: dict[tuple[int, int], SimplicialMap] = {}
     for i, f in enumerate(maps):

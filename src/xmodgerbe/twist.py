@@ -21,8 +21,8 @@ import numpy as np
 
 from .simplicial import (AssignmentSpec, SimplicialMap,
                          TruncatedSimplicialGroup, TruncatedSimplicialSet,
-                         _radix_digits, _radix_encode, _Search,
-                         enumerate_simplicial_maps, homotopy_classes,
+                         _guard_sizes, _radix_digits, _radix_encode,
+                         _Search, enumerate_simplicial_maps, homotopy_classes,
                          truncate_sset, validate_simplicial)
 from .util import Budget, Report, StructureError
 
@@ -218,7 +218,8 @@ def build_twisted_product(t: Twisting, check_action: bool | None = None) -> Twis
 
 
 def build_wbar(g: TruncatedSimplicialGroup, N: int | None = None,
-               name: str | None = None) -> tuple[TruncatedSimplicialSet, Twisting]:
+               name: str | None = None, budget: Budget | None = None
+               ) -> tuple[TruncatedSimplicialSet, Twisting]:
     """Classifying space of g and its canonical twisting tau = first slot.
 
     Level 0 is a point; level n is the tuple set G_{n-1} x ... x G_0 (first
@@ -238,6 +239,7 @@ def build_wbar(g: TruncatedSimplicialGroup, N: int | None = None,
     name = name or f"Wbar({g.name})"
     radix = [[g.sizes[n - 1 - k] for k in range(n)] for n in range(N + 1)]
     sizes = [math.prod(r) for r in radix]
+    _guard_sizes(sizes, budget, name)
     tuples = [list(itertools.product(*(range(r) for r in radix[n])))
               for n in range(N + 1)]
 
@@ -510,7 +512,7 @@ def classify_bundles(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup,
     twistings = enumerate_twistings(x, g, budget=budget)
     t_classes, _ = _partition_twistings(twistings, budget.limit)
 
-    wbar, tau_univ = build_wbar(g, N=x.N)
+    wbar, tau_univ = build_wbar(g, N=x.N, budget=budget)
     maps = enumerate_simplicial_maps(x, wbar, budget=budget)
     m_classes, _ = homotopy_classes(maps, budget=budget)
     rep.add("counts-equal", len(t_classes) == len(m_classes),

@@ -32,9 +32,9 @@ from .fingroup import (CrossedModule, FiniteGroup, cokernel,
                        kernel, quotient, subgroup, validate_crossed_module,
                        xmod_identity)
 from .simplicial import (SimplicialMap, TruncatedSimplicialGroup,
-                         TruncatedSimplicialSet, _map_spec, _radix_digits,
-                         _radix_encode, _Search, moore_homotopy, validate_map,
-                         validate_simplicial)
+                         TruncatedSimplicialSet, _guard_sizes, _map_spec,
+                         _radix_digits, _radix_encode, _Search, moore_homotopy,
+                         validate_map, validate_simplicial)
 from .twist import build_wbar
 from .util import Budget, Report, StructureError
 
@@ -94,7 +94,8 @@ def _anchors(xm: CrossedModule, d: np.ndarray, hs: list[np.ndarray]) -> list[np.
     return vs
 
 
-def build_nerve(xm: CrossedModule, N: int, validate: bool = True) -> NerveGroup:
+def build_nerve(xm: CrossedModule, N: int, validate: bool = True,
+                budget: Budget | None = None) -> NerveGroup:
     """The nerve simplicial group of a crossed module, truncated at N.
 
     Level-n elements are (d; h_1..h_n) encoded d * |H|^n + sum h_i |H|^(n-i);
@@ -106,6 +107,7 @@ def build_nerve(xm: CrossedModule, N: int, validate: bool = True) -> NerveGroup:
     if not rep.ok:
         raise StructureError(f"invalid crossed module: {rep.summary()}")
     oh, od = xm.H.order, xm.D.order
+    _guard_sizes([od * oh ** n for n in range(N + 1)], budget, f"N({xm.name})")
     ht, dt = xm.H.table, xm.D.table
     act = xm.action.table
     al = xm.alpha.mapping
@@ -198,7 +200,8 @@ def _pasting_holds(xm: CrossedModule, n: int, d: dict, h: dict) -> bool:
     return True
 
 
-def build_duskin(xm: CrossedModule, N: int, verify: bool = True) -> TruncatedSimplicialSet:
+def build_duskin(xm: CrossedModule, N: int, verify: bool = True,
+                 budget: Budget | None = None) -> TruncatedSimplicialSet:
     """2-categorical nerve: level n carries edge/triangle labels, n <= 4.
 
     Level n is parameterized by the spine edges d_{i,i+1} and the triangles
@@ -221,6 +224,7 @@ def build_duskin(xm: CrossedModule, N: int, verify: bool = True) -> TruncatedSim
     D, H = xm.D, xm.H
     radix = [[D.order] * n + [H.order] * len(_free_triples(n)) for n in range(N + 1)]
     sizes = [math.prod(r) for r in radix]
+    _guard_sizes(sizes, budget, f"D({xm.name})")
     labels = [list(itertools.product(itertools.product(range(D.order), repeat=n),
                                      itertools.product(range(H.order),
                                                        repeat=len(_free_triples(n)))))
@@ -309,13 +313,13 @@ def match_wbar_duskin(xm: CrossedModule, N: int = 3,
     """
     if N > 4:
         raise StructureError("matching unsupported above dimension 4")
-    nerve = build_nerve(xm, max(2, N - 1))
-    wbar, _tau = build_wbar(nerve, N)
-    duskin = build_duskin(xm, N)
+    budget = budget or Budget(what="model matching")
+    nerve = build_nerve(xm, max(2, N - 1), budget=budget)
+    wbar, _tau = build_wbar(nerve, N, budget=budget)
+    duskin = build_duskin(xm, N, budget=budget)
     if wbar.sizes != duskin.sizes:
         return MatchResult(False, wbar, duskin,
                            certificate=f"level sizes differ: {wbar.sizes} vs {duskin.sizes}")
-    budget = budget or Budget(what="model matching")
     spec = _map_spec(wbar, duskin)
     for values in _Search(spec, budget, distinct=True).solutions(limit=1):
         arrs = [np.array([values[n][z] for z in range(wbar.sizes[n])], dtype=np.int64)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -199,6 +200,18 @@ def test_truncation_out_of_range_exit_2(capsys):
     code, out, err = run_cli(capsys, "duskin-compare", "--xmod", "xmod_mod:4:2",
                              "--truncation", "5")
     assert code == 2
+
+
+def test_oversized_model_exit_3_before_allocation(capsys):
+    # each model of id(S3) at N=4 has 6^10 simplices at level 4: the size
+    # guard refuses it before anything that size is built
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "duskin-compare", "--xmod",
+                             "xmod_id:symmetric:3", "--truncation", "4")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3
+    assert out == ""
+    assert "level 4 has 60466176 simplices" in err
 
 
 def test_classify_bundles_s3(capsys):

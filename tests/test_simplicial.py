@@ -1,12 +1,16 @@
 """Truncated simplicial sets, covers, map search, and homotopy."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from xmodgerbe.fingroup import cyclic_group, symmetric_group
-from xmodgerbe.simplicial import (ball_cover, circle, circle_cover,
-                                  constant_simplicial_group, cover_nerve,
-                                  degeneracy_expressions, delta1,
+from xmodgerbe import simplicial
+from xmodgerbe.fingroup import (cyclic_group, symmetric_group,
+                                xmod_trivial_base, xmod_trivial_fiber)
+from xmodgerbe.simplicial import (_map_spec, _Search, ball_cover, circle,
+                                  circle_cover, constant_simplicial_group,
+                                  cover_nerve, degeneracy_expressions, delta1,
                                   enumerate_simplicial_maps, homotopy_classes,
                                   load_sset, moore_homotopy, nondegenerate,
                                   simplicially_homotopic, sphere_cover,
@@ -147,19 +151,154 @@ def test_sset_json_round_trip(tmp_path):
     assert z.sizes == x.sizes
 
 
-def test_map_search_matches_brute_force():
+def _search_pairs():
     from xmodgerbe.twist import build_wbar
     wbar, _ = build_wbar(constant_simplicial_group(cyclic_group(2), 2))
     wbar_s3, _ = build_wbar(constant_simplicial_group(symmetric_group(3), 2))
-    pairs = [(delta1(2), circle(2)), (circle(2), circle(2)), (circle(2), wbar),
-             (sset_product(delta1(2), delta1(2)), circle(2)),
-             (circle(2), wbar_s3), (delta1(2), cover_nerve(circle_cover(3), 2))]
-    for x, y in pairs:
+    return [(delta1(2), circle(2)), (circle(2), circle(2)), (circle(2), wbar),
+            (sset_product(delta1(2), delta1(2)), circle(2)),
+            (circle(2), wbar_s3), (delta1(2), cover_nerve(circle_cover(3), 2))]
+
+
+def test_map_search_matches_brute_force():
+    for x, y in _search_pairs():
         got = [f.encoding() for f in
                enumerate_simplicial_maps(x, y, budget=Budget(what="maps"))]
         want = brute_simplicial_maps(x, y)
         assert want, (x.name, y.name)
         assert got == want, (x.name, y.name)
+
+
+def test_search_order_is_pinned():
+    # the unsorted solution sequence follows the order in which the engine
+    # picks simplices, so a change of pick order moves this digest
+    digest = hashlib.sha256()
+    counts = []
+    for x, y in _search_pairs():
+        sols = list(_Search(_map_spec(x, y), Budget(what="maps")).solutions())
+        counts.append(len(sols))
+        for values in sols:
+            digest.update(repr([[values[n][z] for z in range(x.sizes[n])]
+                                for n in range(x.N + 1)]).encode())
+    assert counts == [2, 2, 2, 5, 6, 9]
+    assert digest.hexdigest() == \
+        "1f342aab19bfc298b6121247226afce306e2c938d50cfe1d1dfbc67ea780b5f0"
+
+
+def _gerbe_maps(cover, xm):
+    from xmodgerbe.gerbe import classify_gerbes, cocycle_to_simplicial_map
+    from xmodgerbe.xnerve import match_wbar_duskin
+    cl = classify_gerbes(cover, xm, budget=Budget(what="gerbes"))
+    match = match_wbar_duskin(xm, 3, budget=Budget(what="dictionary"))
+    nerve, maps = None, []
+    for c in cl.cocycles:
+        cm = cocycle_to_simplicial_map(c, match, nerve=nerve,
+                                       budget=Budget(what="extension"))
+        nerve = cm.nerve
+        maps.append(cm.wbar_map)
+    return maps
+
+
+@pytest.mark.parametrize("cover, xm, cut, probe, want", [
+    (circle_cover(3), xmod_trivial_base(symmetric_group(3)), None, 20_000,
+     (3, 465, 89_262, 0)),
+    (circle_cover(3), xmod_trivial_base(symmetric_group(3)), 60, 100,
+     (3, 173, 12_717, 19_854)),
+    (ball_cover(3), xmod_trivial_fiber(cyclic_group(3)), None, 20_000,
+     (1, 2, 1_092, 0)),
+], ids=["circle3-S3", "circle3-S3-probe100", "ball3-Z3"])
+def test_homotopy_nodes_are_pinned(monkeypatch, cover, xm, cut, probe, want):
+    # (classes, probes, probe nodes, full-search nodes): the node counts
+    # move with any change to the engine's pick order or pruning
+    made = []
+
+    class Counted(Budget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    maps = _gerbe_maps(cover, xm)[:cut]
+    monkeypatch.setattr(simplicial, "Budget", Counted)
+    full = Budget(what="homotopy")
+    classes, _ = homotopy_classes(maps, budget=full, probe=probe)
+    probes = [b.used for b in made if b.what == "homotopy probe"]
+    assert (len(classes), len(probes), sum(probes), full.used) == want
+
+
+def _assert_at_rest(search):
+    x, lo = search.spec.x, search.spec.lo
+    assert search.pending == [[n + 2] * x.sizes[n + 1] for n in range(lo, x.N)]
+    assert search.score == x.face_scores[0][lo:]
+    assert not search.domains and not any(search.values)
+
+
+def test_search_gives_back_every_count(monkeypatch):
+    # a search that ran to exhaustion or stopped at its limit leaves every
+    # pending count at n+2 and every score at its starting value, also when
+    # a check failed in the middle of _set's users
+    searches, failed = [], []
+
+    class Watched(_Search):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+        def _feasible_up(self, n1, w):
+            ok = super()._feasible_up(n1, w)
+            failed.append(not ok)
+            return ok
+
+        def _narrow(self, n, m, w, trail):
+            ok = super()._narrow(n, m, w, trail)
+            failed.append(not ok)
+            return ok
+
+    for x, y in _search_pairs():
+        s = Watched(_map_spec(x, y), Budget(what="maps"))
+        assert list(s.solutions())
+        _assert_at_rest(s)
+        s = Watched(_map_spec(x, y), Budget(what="maps"))
+        assert len(list(s.solutions(limit=1))) == 1
+        _assert_at_rest(s)
+    # a refutation: the two maps S1 -> W-bar(Z2) are not homotopic
+    monkeypatch.setattr(simplicial, "_Search", Watched)
+    maps = enumerate_simplicial_maps(circle(2), _search_pairs()[2][1])
+    searches.clear()
+    assert simplicially_homotopic(maps[0], maps[1]) is None
+    assert len(searches) == 1
+    _assert_at_rest(searches[0])
+    assert any(failed)
+
+
+def test_size_guards_refuse_before_building():
+    from xmodgerbe.fingroup import xmod_identity
+    from xmodgerbe.twist import build_wbar
+    from xmodgerbe.xnerve import build_duskin, build_nerve
+    for cover in (circle_cover(3), circle_cover(5), ball_cover(4),
+                  sphere_cover(4), sphere_cover(5)):
+        for N in (2, 3):
+            assert simplicial._cover_nerve_sizes(cover, N) == \
+                cover_nerve(cover, N).sizes
+    # sizes at the limit are built; one simplex more is refused, and the
+    # error names the level and its size
+    x = circle(2)
+    prism_top = x.sizes[2] * delta1(2).sizes[2]
+    sset_product(x, delta1(2), budget=Budget(prism_top))
+    with pytest.raises(BudgetError, match=f"level 2 has {prism_top} simplices"):
+        sset_product(x, delta1(2), budget=Budget(prism_top - 1))
+    with pytest.raises(BudgetError, match="level 3 has 232 simplices"):
+        cover_nerve(sphere_cover(4), 3, budget=Budget(231))
+    xm = xmod_identity(symmetric_group(3))
+    with pytest.raises(BudgetError, match="level 2 has 216 simplices"):
+        build_nerve(xm, 2, budget=Budget(215))
+    with pytest.raises(BudgetError, match="level 3 has 46656 simplices"):
+        build_duskin(xm, 3, budget=Budget(46655))
+    g = build_nerve(xm, 2)
+    with pytest.raises(BudgetError, match="level 3 has 46656 simplices"):
+        build_wbar(g, 3, budget=Budget(46655))
+    budget = Budget(46656)
+    assert build_wbar(g, 3, budget=budget)[0].sizes[3] == 46656
+    assert budget.used == 0
 
 
 def _table_objects():

@@ -116,6 +116,15 @@ def test_match_dimensions_agree():
     assert m.wbar.sizes == m.duskin.sizes
 
 
+def test_match_nodes_are_pinned():
+    # search nodes of the model match: they move with any change to the
+    # engine's pick order or pruning
+    for (n, k), nodes in (((8, 4), 32_908), ((4, 2), 533)):
+        budget = Budget(what="match")
+        assert match_wbar_duskin(xmod_mod(n, k), N=3, budget=budget).found
+        assert budget.used == nodes
+
+
 def test_homotopy_quotient_model():
     for xm in (xmod_mod(4, 2), xmod_identity(cyclic_group(3)),
                xmod_trivial_base(symmetric_group(3))):
