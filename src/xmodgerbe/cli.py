@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "numerical gauge-law checks.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, truncation: bool = False):
+    def common(sp, truncation: bool = False, residuals: bool = False):
         if truncation:
             sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
                             help="simplicial truncation level (2..4)")
@@ -474,6 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
             # not read here, so an explicit --truncation is a usage error;
             # the default still fills the config echo and the cache key
             sp.set_defaults(truncation=DEFAULT_TRUNCATION)
+        if residuals:
+            sp.add_argument("--fd-step", type=float, default=None,
+                            help="grid step for finite differences")
+            sp.add_argument("--tolerance", type=float, default=None,
+                            help="residual tolerance")
+        else:
+            # only the gauge checks read these; elsewhere they are a usage error
+            sp.set_defaults(fd_step=None, tolerance=None)
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="search node budget")
         sp.add_argument("--jobs", type=int, default=1,
@@ -485,10 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="table", dest="fmt")
         sp.add_argument("--force", action="store_true",
                         help="run past exhaustive-mode guards")
-        sp.add_argument("--fd-step", type=float, default=None,
-                        help="grid step for finite differences")
-        sp.add_argument("--tolerance", type=float, default=None,
-                        help="residual tolerance")
         sp.add_argument("--out", default=None,
                         help="directory for artifact files")
 
@@ -520,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run residual checks on a bundled gauge case")
     sp.add_argument("--case", required=True,
                     help="case name or 'all'")
-    common(sp)
+    common(sp, residuals=True)
 
     sp = sub.add_parser("lift", help="lift cocycles along a surjective "
                                      "fiber quotient and cross-check the "

@@ -511,19 +511,23 @@ def check_gerbe_cocycle_smooth(gcd: GaugeChartData) -> Residual:
     return res
 
 
-def check_connection(gcd: GaugeChartData) -> Residual:
-    """Both connection laws; derivative terms by central differences."""
+def check_connection(gcd: GaugeChartData, dinvs: list | None = None,
+                     hinvs: list | None = None) -> Residual:
+    """Both connection laws; derivative terms by central differences.
+
+    dinvs[k] / hinvs[k], when given, are inv(d) of overlap k / inv(h) of
+    triple k."""
     xm = gcd.xm
     res = Residual(f"connection {gcd.name}")
     table = _pair_maps(gcd)
-    for o in gcd.overlaps:
+    for k, o in enumerate(gcd.overlaps):
         ca, cb = gcd.charts[o.a], gcd.charts[o.b]
         if ca.A is None or cb.A is None:
             raise StructureError(f"charts ({o.a},{o.b}) lack connection "
                                  "samples")
         aa = ca.A[o.ia]
         ab = cb.A[o.ib]
-        dinv = np.linalg.inv(o.d)
+        dinv = np.linalg.inv(o.d) if dinvs is None else dinvs[k]
         for mu in range(gcd.dim):
             der, valid = _central_diff(dinv, o.shape, mu, ca.steps[mu],
                                        o.periodic[mu])
@@ -533,7 +537,7 @@ def check_connection(gcd: GaugeChartData) -> Residual:
             lhs = aa[:, mu]
             rhs = o.d @ ab[:, mu] @ dinv + o.d @ der + corr
             res.add(f"connection-overlap[{mu}]", (lhs - rhs)[valid])
-    for t in gcd.triples:
+    for k, t in enumerate(gcd.triples):
         what = f"triple({t.a},{t.b},{t.c})"
         a_ab = _pair_fetch(table, t.a, t.b, t.ia, "a_form", what)
         a_bc = _pair_fetch(table, t.b, t.c, t.ib, "a_form", what)
@@ -543,7 +547,7 @@ def check_connection(gcd: GaugeChartData) -> Residual:
         if ca.A is None:
             raise StructureError("triple law needs connection samples")
         aa = ca.A[t.ia]
-        hinv = np.linalg.inv(t.h)
+        hinv = np.linalg.inv(t.h) if hinvs is None else hinvs[k]
         for mu in range(gcd.dim):
             der, valid = _central_diff(hinv, t.shape, mu, ca.steps[mu],
                                        t.periodic[mu])
@@ -556,8 +560,9 @@ def check_connection(gcd: GaugeChartData) -> Residual:
     return res
 
 
-def check_bfield(gcd: GaugeChartData) -> Residual:
-    """Both B-field laws (algebraic: no grid derivatives involved)."""
+def check_bfield(gcd: GaugeChartData, hinvs: list | None = None) -> Residual:
+    """Both B-field laws (algebraic: no grid derivatives involved); hinvs
+    as for check_connection."""
     xm = gcd.xm
     res = Residual(f"bfield {gcd.name}")
     table = _pair_maps(gcd)
@@ -570,14 +575,14 @@ def check_bfield(gcd: GaugeChartData) -> Residual:
             lhs = ca.B[o.ia][:, c]
             rhs = xm.daction_of(o.d, cb.B[o.ib][:, c]) + o.delta[:, c]
             res.add(f"bfield-overlap[{c}]", lhs - rhs)
-    for t in gcd.triples:
+    for k, t in enumerate(gcd.triples):
         what = f"triple({t.a},{t.b},{t.c})"
         de_ab = _pair_fetch(table, t.a, t.b, t.ia, "delta", what)
         de_bc = _pair_fetch(table, t.b, t.c, t.ib, "delta", what)
         de_ac = _pair_fetch(table, t.a, t.c, t.ia, "delta", what)
         d_ab = _pair_fetch(table, t.a, t.b, t.ia, "d", what)
         ba = gcd.charts[t.a].B[t.ia]
-        hinv = np.linalg.inv(t.h)
+        hinv = np.linalg.inv(t.h) if hinvs is None else hinvs[k]
         for c in range(n2):
             lhs = de_ab[:, c] + xm.daction_of(d_ab, de_bc[:, c])
             rhs = (t.h @ de_ac[:, c] @ hinv
@@ -600,8 +605,10 @@ class CurvatureReport:
     gluing_asserted: bool
 
 
-def curvature_and_nu(gcd: GaugeChartData) -> CurvatureReport:
-    """F = dA + A ^ A per chart, nu = F + alpha(B), overlap gluing of nu."""
+def curvature_and_nu(gcd: GaugeChartData,
+                     dinvs: list | None = None) -> CurvatureReport:
+    """F = dA + A ^ A per chart, nu = F + alpha(B), overlap gluing of nu;
+    dinvs as for check_connection."""
     xm = gcd.xm
     n2 = gcd.dim * (gcd.dim - 1) // 2
     fs, nus, valids = [], [], []
@@ -633,9 +640,9 @@ def curvature_and_nu(gcd: GaugeChartData) -> CurvatureReport:
         nus.append(nu_val[:, :n2] if n2 else nu_val[:, :0])
         valids.append(valid)
     glue = Residual(f"nu-gluing {gcd.name}")
-    for o in gcd.overlaps:
+    for k, o in enumerate(gcd.overlaps):
         ok = valids[o.a][o.ia] & valids[o.b][o.ib]
-        dinv = np.linalg.inv(o.d)
+        dinv = np.linalg.inv(o.d) if dinvs is None else dinvs[k]
         for c in range(n2):
             lhs = nus[o.a][o.ia][:, c]
             rhs = o.d @ nus[o.b][o.ib][:, c] @ dinv
@@ -1047,11 +1054,16 @@ def run_case(name: str, step: float | None = None,
     if not rep.ok:
         raise StructureError(f"inconsistent chart data: {rep.summary()}")
     out = {"case": name, "tolerance": tol, "residuals": {}}
-    results = [check_gerbe_cocycle_smooth(gcd), check_connection(gcd)]
+    # each overlap's d and each triple's h stack is inverted once here and
+    # shared by the checks that need it
+    dinvs = [np.linalg.inv(o.d) for o in gcd.overlaps]
+    hinvs = [np.linalg.inv(t.h) for t in gcd.triples]
+    results = [check_gerbe_cocycle_smooth(gcd),
+               check_connection(gcd, dinvs, hinvs)]
     has_b = all(c.B is not None for c in gcd.charts) and gcd.dim >= 2
     if has_b:
-        results.append(check_bfield(gcd))
-    curv = curvature_and_nu(gcd)
+        results.append(check_bfield(gcd, hinvs))
+    curv = curvature_and_nu(gcd, dinvs)
     passed = True
     for res in results:
         out["residuals"][res.name.split(" ")[0]] = res.dictionary()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -105,8 +106,9 @@ class TruncatedSimplicialSet:
 
     # Search tables: built on first use from the face and degeneracy arrays,
     # which __post_init__ makes read-only, so a cached table cannot go stale.
-    # A search source only needs face_getters and face_slots, which are built
-    # from _face_rows directly so that it does not also hold face_tuples.
+    # A search source only needs face_getters, face_users and face_scores,
+    # which are built from the arrays directly so that it does not also hold
+    # face_tuples.
 
     def _face_rows(self, n: int):
         """(d_0 z, ..., d_n z) as Python ints, for z = 0, 1, ... at level n >= 1."""
@@ -148,27 +150,42 @@ class TruncatedSimplicialSet:
         degenerate simplices, so every other simplex is nondegenerate."""
         return [degeneracy_expressions(self, n) for n in range(self.N + 1)]
 
+    def _face_counts(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F, count, first) for the simplices w at level n >= 1: F[i] = d_i,
+        count[i][w] is how often d_i w occurs among the faces of w, and
+        first[i][w] says that no d_j w with j < i equals it."""
+        F = np.stack(self.faces[n])
+        same = F[:, None, :] == F[None, :, :]
+        earlier = np.tri(n + 1, k=-1, dtype=bool)[:, :, None]
+        return F, same.sum(axis=1), ~(same & earlier).any(axis=1)
+
     @cached_property
-    def face_slots(self) -> tuple[list, list]:
-        """(face_mult, users), one entry per level n = 0..N-1: for w at level
-        n+1, face_mult[n][w] counts how often each level-n simplex occurs
-        among the faces of w, and users[n][f] lists the w having f as a face.
-        """
-        face_mult: list[list[dict[int, int]]] = []
-        users_by_level: list[dict[int, list[int]]] = []
+    def face_users(self) -> list[tuple[list, list]]:
+        """(users, distinct), one pair per level n = 0..N-1, for the simplices
+        w at level n+1: users[f] = (ws, cs), where ws lists the w having f
+        as a face in ascending order and cs[i] counts how often f occurs
+        among the faces of ws[i]; distinct[w] holds the faces of w without
+        repeats, in order of first occurrence.  Every tuple refers to one
+        shared int object per simplex."""
+        ints = [list(range(s)) for s in self.sizes]
+        out: list[tuple[list, list]] = []
         for n in range(self.N):
-            mult: list[dict[int, int]] = []
-            users: dict[int, list[int]] = {}
-            for w, faces in enumerate(self._face_rows(n + 1)):
-                d: dict[int, int] = {}
-                for f in faces:
-                    d[f] = d.get(f, 0) + 1
-                mult.append(d)
-                for f in d:
-                    users.setdefault(f, []).append(w)
-            face_mult.append(mult)
-            users_by_level.append(users)
-        return face_mult, users_by_level
+            F, count, first = self._face_counts(n + 1)
+            below = ints[n].__getitem__
+            distinct = list(zip(*(map(below, row) for row in F.tolist())))
+            for w in np.flatnonzero(~first.all(axis=0)).tolist():
+                distinct[w] = tuple(dict.fromkeys(distinct[w]))
+            # one entry per (w, distinct face f) pair in w-major order; a
+            # stable sort by f keeps the w of each f ascending
+            fs, cs = F.T[first.T], count.T[first.T]
+            ws = np.repeat(np.arange(self.sizes[n + 1]), first.sum(axis=0))
+            order = np.argsort(fs, kind="stable")
+            ws = list(map(ints[n + 1].__getitem__, ws[order].tolist()))
+            cs = cs[order].tolist()
+            at = np.searchsorted(fs[order], np.arange(self.sizes[n] + 1)).tolist()
+            users = [(tuple(ws[a:b]), tuple(cs[a:b])) for a, b in zip(at, at[1:])]
+            out.append((users, distinct))
+        return out
 
     @cached_property
     def face_scores(self) -> tuple[list[list[int]], list[list[int]]]:
@@ -178,14 +195,11 @@ class TruncatedSimplicialSet:
         the largest multiplicity of a face of w."""
         scores: list[list[int]] = []
         maxmults: list[list[int]] = []
-        for n, mult in enumerate(self.face_slots[0]):
-            score = [0] * self.sizes[n]
-            for d in mult:
-                if len(d) == 1:
-                    for f in d:
-                        score[f] += 1
-            scores.append(score)
-            maxmults.append([max(d.values()) for d in mult])
+        for n in range(self.N):
+            F, count, _ = self._face_counts(n + 1)
+            alike = count[0] == n + 2
+            scores.append(np.bincount(F[0][alike], minlength=self.sizes[n]).tolist())
+            maxmults.append(count.max(axis=0).tolist())
         return scores, maxmults
 
     def __repr__(self):
@@ -671,41 +685,32 @@ def moore_homotopy(g: TruncatedSimplicialGroup, n: int) -> FiniteGroup:
 # is one level up) from blowing up the search.
 
 
+@dataclass(slots=True)
 class AssignmentSpec:
-    """Callback bundle describing one concrete search problem.
+    """Tables describing one concrete search problem.
 
-    lo:                lowest level carrying values.
-    pool(n):           candidate list when no face constraint applies.
-    required(n, z):    the face-tuple an image of z must have (uses values
-                       of lower-level simplices; None = unconstrained).
-    lookup(n, key):    candidate list for a face-tuple key.
-    image_faces(n, v): actual face-tuple of target value v.
+    x:           the source simplicial set.
+    lo:          lowest level carrying values.
+    pools[n]:    candidate list when no face constraint applies.
+    keys[n]:     None when level n has no face constraint; otherwise
+                 keys[n][z](below) is the face key an image of z must have,
+                 read from the level-(n-1) values `below`.
+    index[n]:    face key -> candidate list (keys without candidates are
+                 absent).
+    faces_of[n]: faces_of[n][v] is the face key of target value v.
     force(n, z, values): forced value for z, or None when z is free.  With
-                       values=None acts as a probe (-1 = forced).  Returns
-                       -2 when distinct forcing rules for z disagree, which
-                       the engine treats as a dead end.
+                 values=None acts as a probe (-1 = forced).  Returns -2 when
+                 distinct forcing rules for z disagree, which the engine
+                 treats as a dead end.
     """
 
-    def __init__(self, x, lo, pool, required, lookup, image_faces, force):
-        self.x = x
-        self.lo = lo
-        self.pool = pool
-        self.required = required
-        self.lookup = lookup
-        self.image_faces = image_faces
-        self.force = force
-
-
-def _lone_open(faces, vals) -> int:
-    """The one simplex among `faces` without a value in `vals`; -1 when
-    none or several are open."""
-    m = -1
-    for f in faces:
-        if f not in vals:
-            if m >= 0:
-                return -1
-            m = f
-    return m
+    x: TruncatedSimplicialSet
+    lo: int
+    pools: list
+    keys: list
+    index: list
+    faces_of: list
+    force: Callable
 
 
 class _Search:
@@ -715,12 +720,14 @@ class _Search:
         self.distinct = distinct
         x = spec.x
         self.N = x.N
-        self.values: list[dict[int, int]] = [dict() for _ in range(self.N + 1)]
-        self.used: list[set[int]] = [set() for _ in range(self.N + 1)]
-        # face slots: for w at level n+1, which level-n elements must be known
-        face_mult, users = x.face_slots
-        self.face_mult = face_mult[spec.lo:]
-        self.users = users[spec.lo:]
+        # values[n][z] is None while z has no value
+        self.values: list[list] = [[None] * s for s in x.sizes]
+        # the values in use per level, kept only for distinct (injective) searches
+        self.used: list[set[int]] | None = \
+            [set() for _ in x.sizes] if distinct else None
+        # narrowed candidate domains of still-unassigned simplices, one dict
+        # per level; every change is recorded on the trail
+        self.domains: list[dict[int, list[int]]] = [dict() for _ in x.sizes]
         # faces of each level-(n+1) simplex still without a value
         self.pending = [[n + 2] * x.sizes[n + 1] for n in range(spec.lo, self.N)]
         # score[k][f]: the users w of f whose only face without a value is f
@@ -729,43 +736,76 @@ class _Search:
         # and _set/_unset need not scan w's faces.
         scores, maxmult = x.face_scores
         self.score = [list(s) for s in scores[spec.lo:]]
-        self.maxmult = maxmult[spec.lo:]
-        # narrowed candidate domains for still-unassigned simplices, keyed
-        # (level, simplex); every change is recorded on the trail
-        self.domains: dict[tuple[int, int], list[int]] = {}
+        # what _set/_unset read for a value at level lo + k, in one bundle:
+        # (users, pending, distinct faces, score, maxmult)
+        self.level = [(users, pend, distinct_faces, score, top)
+                      for (users, distinct_faces), pend, score, top in zip(
+                          x.face_users[spec.lo:], self.pending, self.score,
+                          maxmult[spec.lo:])]
+        # the plan, per level from lo up: (n, forced, free in pick order).
+        # The pick order is the free simplices in set iteration order,
+        # which is not ascending; the engine has always followed it.
+        self.plan: list[tuple[int, list[int], list[int]]] = []
+        # forced_value[n][z], for each forced z at level n > lo: the value
+        # of z that _feasible_up last accepted
+        self.forced_value: list[dict[int, int | None]] = [dict() for _ in x.sizes]
+        for n in range(spec.lo, self.N + 1):
+            degenerate = x.degeneracy_table[n]
+            forced: list[int] = []
+            free: list[int] = []
+            for z in range(x.sizes[n]):
+                if z not in degenerate and spec.force(n, z, None) is None:
+                    free.append(z)
+                else:
+                    forced.append(z)
+            self.plan.append((n, forced, list(set(free))))
+            if n > spec.lo:
+                self.forced_value[n] = dict.fromkeys(forced)
 
     def _feasible_up(self, n1: int, w: int) -> bool:
-        """All faces of w (level n1) now have values; can w get an image?"""
+        """All faces of w (level n1) now have values; can w get an image?
+        A forced w keeps the value it was checked with (forced_value)."""
         spec = self.spec
-        req = spec.required(n1, w, self.values)
-        forced = spec.force(n1, w, self.values)
-        if forced is not None:
-            return forced >= 0 and spec.image_faces(n1, forced) == req
-        return bool(spec.lookup(n1, req))
+        key = spec.keys[n1][w](self.values[n1 - 1])
+        known = self.forced_value[n1]
+        if w in known:
+            v = spec.force(n1, w, self.values)
+            if v is None or v < 0 or spec.faces_of[n1][v] != key:
+                return False
+            known[w] = v
+            return True
+        return key in spec.index[n1]
 
     def _set(self, n: int, z: int, v: int, trail: list) -> bool:
-        if self.distinct and v in self.used[n]:
-            return False
+        if self.distinct:
+            used = self.used[n]
+            if v in used:
+                return False
+            used.add(v)
         vals = self.values[n]
         vals[z] = v
-        self.used[n].add(v)
         trail.append((n, z))
         if n >= self.N:
             return True
-        k = n - self.spec.lo
-        pend, mult = self.pending[k], self.face_mult[k]
-        score, top = self.score[k], self.maxmult[k]
+        users, pend, faces, score, top = self.level[n - self.spec.lo]
         # every count first, then the checks (which never read them), so a
         # failed check leaves exactly what _unset gives back
         checks = []
-        for w in self.users[k].get(z, ()):
-            p = pend[w] - mult[w][z]
+        ws, cs = users[z]
+        for w, c in zip(ws, cs):
+            p = pend[w] - c
             pend[w] = p
             if p == 0:
                 score[z] -= 1
                 checks.append((w, -1))
             elif p <= top[w]:
-                u = _lone_open(mult[w], vals)
+                u = -1  # the one face of w without a value, if only one
+                for f in faces[w]:
+                    if vals[f] is None:
+                        if u >= 0:
+                            u = -1
+                            break
+                        u = f
                 if u >= 0:
                     score[u] += 1
                     if p == 1:
@@ -782,89 +822,94 @@ class _Search:
         """m is the only face of w (level n+1) without a value, and occurs
         once among w's faces: intersect m's candidate domain with the values
         that leave w a compatible image."""
-        vals = self.values[n]
         spec = self.spec
-        key = (n, m)
-        dom = self.domains.get(key)
+        vals = self.values[n]
+        doms = self.domains[n]
+        dom = doms.get(m)
         if dom is None:
-            req = spec.required(n, m, self.values)
-            dom = spec.pool(n) if req is None else spec.lookup(n, req)
-        # probe each value through spec.required so twisted key schemes
+            keys = spec.keys[n]
+            dom = spec.pools[n] if keys is None else \
+                spec.index[n].get(keys[m](self.values[n - 1]), ())
+        # each value goes through w's key callable, so twisted key schemes
         # (anything beyond the plain face-value tuple) stay correct
-        lookup, required, values = spec.lookup, spec.required, self.values
+        key, index = spec.keys[n + 1][w], spec.index[n + 1]
         new = []
         for v in dom:
             vals[m] = v
-            if lookup(n + 1, required(n + 1, w, values)):
+            if key(vals) in index:
                 new.append(v)
-        del vals[m]
+        vals[m] = None
         if len(new) != len(dom):
-            trail.append((n, m, self.domains.get(key)))
-            self.domains[key] = new
+            trail.append((n, m, doms.get(m)))
+            doms[m] = new
         return bool(new)
 
     def _unset(self, trail: list, mark: int) -> None:
-        while len(trail) > mark:
+        lo, N = self.spec.lo, self.N
+        for _ in range(len(trail) - mark):
             e = trail.pop()
             if len(e) == 2:
                 n, z = e
                 vals = self.values[n]
-                if n < self.N:
+                if n < N:
                     # the mirror of _set, read while z still has its value
-                    k = n - self.spec.lo
-                    pend, mult = self.pending[k], self.face_mult[k]
-                    score, top = self.score[k], self.maxmult[k]
-                    for w in self.users[k].get(z, ()):
+                    users, pend, faces, score, top = self.level[n - lo]
+                    ws, cs = users[z]
+                    for w, c in zip(ws, cs):
                         p = pend[w]
-                        pend[w] = p + mult[w][z]
+                        pend[w] = p + c
                         if p == 0:
                             score[z] += 1
                         elif p <= top[w]:
-                            u = _lone_open(mult[w], vals)
+                            u = -1
+                            for f in faces[w]:
+                                if vals[f] is None:
+                                    if u >= 0:
+                                        u = -1
+                                        break
+                                    u = f
                             if u >= 0:
                                 score[u] -= 1
-                self.used[n].discard(vals.pop(z))
+                if self.distinct:
+                    self.used[n].discard(vals[z])
+                vals[z] = None
             else:
                 n, z, old = e
                 if old is None:
-                    del self.domains[(n, z)]
+                    del self.domains[n][z]
                 else:
-                    self.domains[(n, z)] = old
+                    self.domains[n][z] = old
 
     def solutions(self, limit: int | None = None):
-        """Yield complete value assignments (list of dicts), depth-first.
+        """Yield complete value assignments (one list per level), depth-first.
 
         Explicit-stack backtracker (one frame per free simplex) so the
         search depth is not bounded by the interpreter recursion limit.
         """
         spec = self.spec
-        x = spec.x
-
-        plan: list[tuple[int, list[int], list[int]]] = []
-        for n in range(spec.lo, self.N + 1):
-            degenerate = x.degeneracy_table[n]
-            forced_first: list[int] = []
-            free: list[int] = []
-            for z in range(x.sizes[n]):
-                if z not in degenerate and spec.force(n, z, None) is None:
-                    free.append(z)
-                else:
-                    forced_first.append(z)
-            # the pick order: the free simplices in set iteration order,
-            # which is not ascending; the engine has always followed it
-            plan.append((n, forced_first, list(set(free))))
-
+        plan = self.plan
         trail: list = []
         emitted = 0
 
         def run_forced(li: int) -> bool:
-            n, forced_first, _ = plan[li]
-            for z in forced_first:
+            n, forced, _ = plan[li]
+            if n > spec.lo:
+                # every face of every z here got its value before this
+                # level started, and the last of them ran _feasible_up on z,
+                # which checked the forced value on these same values
+                known = self.forced_value[n]
+                for z in forced:
+                    self.budget.spend()
+                    if not self._set(n, z, known[z], trail):
+                        return False
+                return True
+            keys = spec.keys[n]
+            for z in forced:
                 v = spec.force(n, z, self.values)
                 if v is None or v < 0:
                     return False
-                req = spec.required(n, z, self.values)
-                if req is not None and spec.image_faces(n, v) != req:
+                if keys is not None and \
+                        spec.faces_of[n][v] != keys[z](self.values[n - 1]):
                     return False
                 self.budget.spend()
                 if not self._set(n, z, v, trail):
@@ -895,11 +940,11 @@ class _Search:
             if n >= self.N or left[li] == 1:
                 return i
             score = self.score[n - spec.lo]
-            doms = self.domains
+            doms = self.domains[n]
             best, best_key = i, None
             for j in itertools.compress(range(i, len(order)), flags[i:]):
                 z = order[j]
-                d = doms.get((n, z))
+                d = doms.get(z)
                 size = len(d) if d is not None else 1 << 30
                 if size <= 1:
                     return j
@@ -909,11 +954,13 @@ class _Search:
             return best
 
         def candidates(n: int, z: int):
-            dom = self.domains.get((n, z))
+            dom = self.domains[n].get(z)
             if dom is not None:
                 return iter(dom)
-            req = spec.required(n, z, self.values)
-            return iter(spec.pool(n) if req is None else spec.lookup(n, req))
+            keys = spec.keys[n]
+            if keys is None:
+                return iter(spec.pools[n])
+            return iter(spec.index[n].get(keys[z](self.values[n - 1]), ()))
 
         # frame: [li, z, cand_iter, entry_mark, try_mark, i] where
         # entry_mark is the trail length when the frame (and, for the first
@@ -947,7 +994,7 @@ class _Search:
         while True:
             if state == "sol":
                 emitted += 1
-                yield [dict(v) for v in self.values]
+                yield [list(v) for v in self.values]
                 if limit is not None and emitted >= limit:
                     self._unset(trail, 0)
                     return
@@ -988,31 +1035,13 @@ class _Search:
 
 def _map_spec(x, y, boundary: dict | None = None) -> AssignmentSpec:
     """AssignmentSpec for plain simplicial maps x -> y (optional forcing)."""
-    x_faces = x.face_getters
     degex = x.degeneracy_table
-    y_faces = y.face_tuples
-    y_index = y.face_index
     y_degens = y.degen_lists
     pools = [list(range(y.sizes[n])) for n in range(y.N + 1)]
+    keys = [None] + x.face_getters[1:]
     bounds: list[dict[int, int]] = [dict() for _ in range(x.N + 1)]
     for (n, z), v in (boundary or {}).items():
         bounds[n][z] = int(v)
-
-    def pool(n):
-        return pools[n]
-
-    def required(n, z, values):
-        if n == 0:
-            return None
-        return x_faces[n][z](values[n - 1])
-
-    def lookup(n, key):
-        return y_index[n].get(key, ())
-
-    def image_faces(n, v):
-        if n == 0:
-            return None
-        return y_faces[n][v]
 
     def force(n, z, values):
         exprs = degex[n].get(z)
@@ -1032,7 +1061,7 @@ def _map_spec(x, y, boundary: dict | None = None) -> AssignmentSpec:
                     return -2  # two forcing rules disagree
         return v
 
-    return AssignmentSpec(x, 0, pool, required, lookup, image_faces, force)
+    return AssignmentSpec(x, 0, pools, keys, y.face_index, y.face_tuples, force)
 
 
 def enumerate_simplicial_maps(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -275,33 +276,26 @@ def build_wbar(g: TruncatedSimplicialGroup, N: int | None = None,
 # enumeration of twistings
 
 
+def _twisted_key(mul, inv, f0, f1, rest, below):
+    """Face key of a twisting value on z with faces (f0, f1, *rest):
+    (tau(d1 z) tau(d0 z)^-1, tau(d2 z), ...)."""
+    return (mul[below[f1]][inv[below[f0]]],) + tuple([below[f] for f in rest])
+
+
 def _twisting_spec(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup) -> AssignmentSpec:
     gs = g.sset()
-    g_index, g_faces, g_degens = gs.face_index, gs.face_tuples, gs.degen_lists
-    x_faces = x.face_tuples
+    g_degens = gs.degen_lists
     degex = x.degeneracy_table
-    pools = [None, list(range(g.sizes[0]))] + \
-        [list(range(g.sizes[n - 1])) for n in range(2, x.N + 1)]
-
-    def pool(n):
-        return pools[n]
-
-    def required(n, z, values):
-        if n == 1:
-            return None
+    pools = [None] + [list(range(g.sizes[n - 1])) for n in range(1, x.N + 1)]
+    keys = [None, None]
+    for n in range(2, x.N + 1):
         grp = g.groups[n - 2]
-        below = values[n - 1]
-        faces = x_faces[n][z]
-        first = grp.mul(below[faces[1]], grp.inv(below[faces[0]]))
-        return (first,) + tuple([below[f] for f in faces[2:]])
-
-    def lookup(n, key):
-        return g_index[n - 1].get(key, ())
-
-    def image_faces(n, v):
-        if n == 1:
-            return None
-        return g_faces[n - 1][v]
+        mul, inv = grp.table.tolist(), grp.inverses.tolist()
+        keys.append([partial(_twisted_key, mul, inv, f[0], f[1], f[2:])
+                     for f in x.face_tuples[n]])
+    # tau on level n takes values in G_{n-1}: the group set's tables, shifted
+    index = [None] + gs.face_index[:x.N]
+    faces_of = [None] + gs.face_tuples[:x.N]
 
     def force(n, z, values):
         exprs = degex[n].get(z)
@@ -317,7 +311,7 @@ def _twisting_spec(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup) -> As
                 vals.add(g_degens[n - 2][j - 1][values[n - 1][y]])
         return vals.pop() if len(vals) == 1 else -2
 
-    return AssignmentSpec(x, 1, pool, required, lookup, image_faces, force)
+    return AssignmentSpec(x, 1, pools, keys, index, faces_of, force)
 
 
 def enumerate_twistings(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup,
@@ -346,37 +340,27 @@ def enumerate_twistings(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup,
 # equivalence
 
 
+def _gauge_key(mul, t1, t2inv, f0, rest, below):
+    """Face key of a gauge value on z with faces (f0, *rest):
+    (tau1(z) psi(d0 z) tau2(z)^-1, psi(d1 z), ...)."""
+    return (mul[mul[t1][below[f0]]][t2inv],) + tuple([below[f] for f in rest])
+
+
 def _equivalence_spec(t1: Twisting, t2: Twisting) -> AssignmentSpec:
     """psi: X_n -> G_n with d0 psi(z) = tau1(z) psi(d0 z) tau2(z)^-1 and the
     untwisted conditions for the other faces and all degeneracies."""
     x, g = t1.base, t1.group
     gs = g.sset()
-    g_index, g_faces, g_degens = gs.face_index, gs.face_tuples, gs.degen_lists
-    x_faces = x.face_tuples
+    g_degens = gs.degen_lists
     degex = x.degeneracy_table
-    tau1 = [None] + [t1.values[n].tolist() for n in range(1, x.N + 1)]
-    tau2 = [None] + [t2.values[n].tolist() for n in range(1, x.N + 1)]
     pools = [list(range(g.sizes[n])) for n in range(x.N + 1)]
-
-    def pool(n):
-        return pools[n]
-
-    def required(n, z, values):
-        if n == 0:
-            return None
+    keys = [None]
+    for n in range(1, x.N + 1):
         grp = g.groups[n - 1]
-        below = values[n - 1]
-        faces = x_faces[n][z]
-        first = grp.mul(grp.mul(tau1[n][z], below[faces[0]]), grp.inv(tau2[n][z]))
-        return (first,) + tuple([below[f] for f in faces[1:]])
-
-    def lookup(n, key):
-        return g_index[n].get(key, ())
-
-    def image_faces(n, v):
-        if n == 0:
-            return None
-        return g_faces[n][v]
+        mul, inv = grp.table.tolist(), grp.inverses.tolist()
+        keys.append([partial(_gauge_key, mul, a, inv[b], f[0], f[1:])
+                     for f, a, b in zip(x.face_tuples[n], t1.values[n].tolist(),
+                                        t2.values[n].tolist())])
 
     def force(n, z, values):
         exprs = degex[n].get(z)
@@ -387,7 +371,7 @@ def _equivalence_spec(t1: Twisting, t2: Twisting) -> AssignmentSpec:
         vals = set(g_degens[n - 1][j][values[n - 1][y]] for j, y in exprs)
         return vals.pop() if len(vals) == 1 else -2
 
-    return AssignmentSpec(x, 0, pool, required, lookup, image_faces, force)
+    return AssignmentSpec(x, 0, pools, keys, gs.face_index, gs.face_tuples, force)
 
 
 def twistings_equivalent(t1: Twisting, t2: Twisting,

@@ -148,6 +148,31 @@ def test_truncation_rejected_where_unused_exit_2(argv):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [("--fd-step", "0.01"), ("--tolerance", "1e-3")],
+                         ids=["fd-step", "tolerance"])
+@pytest.mark.parametrize("argv", [
+    ("lift", "--cover", "sphere:4", "--xmod", "xmod_mod:4:2"),
+    ("gerbe-classify", "--cover", "circle:3", "--xmod", "xmod_base:cyclic:2"),
+    ("duskin-compare", "--xmod", "xmod_mod:4:2"),
+    ("classify-bundles", "--sset", "circle", "--group", "cyclic:2"),
+    ("xmod-check", "xmod_mod:4:2"),
+], ids=lambda argv: argv[0])
+def test_residual_flags_rejected_where_unused_exit_2(argv, flag):
+    # only gauge-verify reads --fd-step and --tolerance
+    with pytest.raises(SystemExit) as e:
+        main(list(argv) + list(flag))
+    assert e.value.code == 2
+
+
+def test_gauge_verify_reads_residual_flags(capsys):
+    argv = ("gauge-verify", "--case", "trivial", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv, "--fd-step", "0.05",
+                           "--tolerance", "1e-3")
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert (config["fd_step"], config["tolerance"]) == (0.05, 1e-3)
+
+
 def test_gerbe_classify_jobs_do_not_change_output(capsys):
     argv = ("gerbe-classify", "--cover", "circle:3", "--xmod", "xmod_base:symmetric:3",
             "--format", "json")

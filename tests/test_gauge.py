@@ -137,6 +137,23 @@ def test_torus_case_exact_except_curvature():
     assert 0 < out["residuals"]["nu-gluing"]["max"] <= DEFAULT_TOLS[2]
 
 
+def test_shared_inverses_give_the_standalone_residuals():
+    # run_case inverts each overlap's d and each triple's h once and hands
+    # the inverses to the checks; called alone, they invert as before
+    for build in (case_u1_circle_three, case_u1_torus_three):
+        gcd = build()
+        dinvs = [np.linalg.inv(o.d) for o in gcd.overlaps]
+        hinvs = [np.linalg.inv(t.h) for t in gcd.triples]
+        assert dinvs and hinvs
+        pairs = [(check_connection(gcd), check_connection(gcd, dinvs, hinvs)),
+                 (curvature_and_nu(gcd).gluing,
+                  curvature_and_nu(gcd, dinvs).gluing)]
+        if gcd.dim >= 2:
+            pairs.append((check_bfield(gcd), check_bfield(gcd, hinvs)))
+        for alone, shared in pairs:
+            assert alone.dictionary() == shared.dictionary(), alone.name
+
+
 def test_circle_cases_meet_tight_tolerance():
     for name in ("u1-circle-pair", "u1-circle-three"):
         out = run_case(name)

@@ -1,6 +1,7 @@
 """Truncated simplicial sets, covers, map search, and homotopy."""
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from xmodgerbe import simplicial
 from xmodgerbe.fingroup import (cyclic_group, symmetric_group,
                                 xmod_trivial_base, xmod_trivial_fiber)
-from xmodgerbe.simplicial import (_map_spec, _Search, ball_cover, circle,
-                                  circle_cover, constant_simplicial_group,
-                                  cover_nerve, degeneracy_expressions, delta1,
+from xmodgerbe.simplicial import (AssignmentSpec, _map_spec, _Search,
+                                  ball_cover, circle, circle_cover,
+                                  constant_simplicial_group, cover_nerve,
+                                  degeneracy_expressions, delta1,
                                   enumerate_simplicial_maps, homotopy_classes,
                                   load_sset, moore_homotopy, nondegenerate,
                                   simplicially_homotopic, sphere_cover,
@@ -185,18 +187,29 @@ def test_search_order_is_pinned():
         "1f342aab19bfc298b6121247226afce306e2c938d50cfe1d1dfbc67ea780b5f0"
 
 
-def _gerbe_maps(cover, xm):
+def _gerbe_maps(cover, xm, spent=None):
+    """The cocycle maps into W-bar; `spent` collects each extension's nodes."""
     from xmodgerbe.gerbe import classify_gerbes, cocycle_to_simplicial_map
     from xmodgerbe.xnerve import match_wbar_duskin
     cl = classify_gerbes(cover, xm, budget=Budget(what="gerbes"))
     match = match_wbar_duskin(xm, 3, budget=Budget(what="dictionary"))
     nerve, maps = None, []
     for c in cl.cocycles:
-        cm = cocycle_to_simplicial_map(c, match, nerve=nerve,
-                                       budget=Budget(what="extension"))
+        budget = Budget(what="extension")
+        cm = cocycle_to_simplicial_map(c, match, nerve=nerve, budget=budget)
         nerve = cm.nerve
         maps.append(cm.wbar_map)
+        if spent is not None:
+            spent.append(budget.used)
     return maps
+
+
+def test_extension_nodes_are_pinned():
+    # cocycle -> map extension over circle:3 into the S3 2-nerve: one
+    # search per cocycle, whose node counts move with any engine change
+    spent = []
+    _gerbe_maps(circle_cover(3), xmod_trivial_base(symmetric_group(3)), spent)
+    assert (len(spent), sum(spent)) == (216, 16_848)
 
 
 @pytest.mark.parametrize("cover, xm, cut, probe, want", [
@@ -229,7 +242,9 @@ def _assert_at_rest(search):
     x, lo = search.spec.x, search.spec.lo
     assert search.pending == [[n + 2] * x.sizes[n + 1] for n in range(lo, x.N)]
     assert search.score == x.face_scores[0][lo:]
-    assert not search.domains and not any(search.values)
+    assert search.values == [[None] * size for size in x.sizes]
+    assert search.domains == [{} for _ in x.sizes]
+    assert search.used is None or not any(search.used)
 
 
 def test_search_gives_back_every_count(monkeypatch):
@@ -268,6 +283,122 @@ def test_search_gives_back_every_count(monkeypatch):
     assert len(searches) == 1
     _assert_at_rest(searches[0])
     assert any(failed)
+
+
+class _Strict:
+    """A read-only view of one level's values that raises on a simplex
+    without a value, where the engine's list holds None."""
+
+    __slots__ = ("vals",)
+
+    def __init__(self, vals):
+        self.vals = vals
+
+    def __getitem__(self, z):
+        v = self.vals[z]
+        if v is None:
+            raise AssertionError(f"read simplex {z}, which has no value")
+        return v
+
+
+def _strict_key(key, below):
+    return key(_Strict(below))
+
+
+def _strict_spec(spec):
+    """The same spec, with key callables and force reading through _Strict."""
+    keys = [None if ks is None else [partial(_strict_key, k) for k in ks]
+            for ks in spec.keys]
+
+    def force(n, z, values):
+        if values is not None:
+            values = [_Strict(v) for v in values]
+        return spec.force(n, z, values)
+
+    return AssignmentSpec(spec.x, spec.lo, spec.pools, keys, spec.index,
+                          spec.faces_of, force)
+
+
+def _engine_searches(check_counts=False):
+    """Every search of the guard tests below: all maps of the search pairs,
+    the circle:3 x S3 prism probes and the twistings and bundles on
+    circle(3)."""
+    from xmodgerbe.twist import classify_bundles, enumerate_twistings
+    for x, y in _search_pairs():
+        assert enumerate_simplicial_maps(x, y, budget=Budget(what="maps"))
+    maps = _gerbe_maps(circle_cover(3), xmod_trivial_base(symmetric_group(3)))
+    probes = []
+    real = simplicial.Budget
+
+    class Counted(real):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.what == "homotopy probe":
+                probes.append(self)
+
+    simplicial.Budget = Counted
+    try:
+        classes, _ = homotopy_classes(maps)
+    finally:
+        simplicial.Budget = real
+    sg = constant_simplicial_group(symmetric_group(3), 3)
+    budget = Budget(what="bundles")
+    assert len(enumerate_twistings(circle(3), sg)) == 6
+    assert len(classify_bundles(circle(3), sg, budget=budget).map_classes) == 3
+    if check_counts:
+        assert (len(classes), len(probes), sum(b.used for b in probes),
+                budget.used) == (3, 465, 89_262, 99)
+
+
+def _engine_modules():
+    from xmodgerbe import gerbe, twist, xnerve
+    return simplicial, gerbe, twist, xnerve
+
+
+def test_forced_values_match_a_fresh_force(monkeypatch):
+    # run_forced above the lowest level sets the value _feasible_up stored
+    # when it accepted the simplex; it must be what force gives on the
+    # finished solution, and every value's faces must match its key
+    seen = []
+
+    class Recorded(_Search):
+        def solutions(self, limit=None):
+            for values in super().solutions(limit):
+                seen.append((self.spec, values))
+                yield values
+
+    for module in _engine_modules():
+        monkeypatch.setattr(module, "_Search", Recorded)
+    _engine_searches()
+    assert len(seen) > 450
+    forced = 0
+    for spec, values in seen:
+        x = spec.x
+        for n in range(spec.lo, x.N + 1):
+            degenerate, keys = x.degeneracy_table[n], spec.keys[n]
+            for z, v in enumerate(values[n]):
+                if z in degenerate or spec.force(n, z, None) is not None:
+                    assert v == spec.force(n, z, values), (x.name, n, z)
+                    forced += n > spec.lo
+                if keys is not None:
+                    assert spec.faces_of[n][v] == keys[z](values[n - 1]), \
+                        (x.name, n, z)
+    assert forced > 10_000
+
+
+def test_keys_never_read_an_unset_simplex(monkeypatch):
+    # the engine marks a simplex without a value by None; no key callable
+    # and no force rule may read one, and guarding them moves no count
+    from xmodgerbe import twist
+    for module in _engine_modules():
+        if hasattr(module, "_map_spec"):
+            monkeypatch.setattr(module, "_map_spec",
+                                lambda *a, **k: _strict_spec(_map_spec(*a, **k)))
+    for name in ("_twisting_spec", "_equivalence_spec"):
+        make = getattr(twist, name)
+        monkeypatch.setattr(twist, name,
+                            lambda *a, make=make: _strict_spec(make(*a)))
+    _engine_searches(check_counts=True)
 
 
 def test_size_guards_refuse_before_building():
@@ -336,12 +467,22 @@ def test_search_tables_match_the_arrays():
                 assert x.degen_lists[n] == [
                     [int(x.degens[n][i][y]) for y in range(x.sizes[n])]
                     for i in range(n + 1)], (x.name, n)
-        face_mult, users = x.face_slots
-        for n in range(x.N):
+        scores, maxmult = x.face_scores
+        for n, (users, distinct) in enumerate(x.face_users):
+            want = [([], []) for _ in range(x.sizes[n])]
+            score = [0] * x.sizes[n]
             for w in range(x.sizes[n + 1]):
                 fs = [int(x.faces[n + 1][i][w]) for i in range(n + 2)]
-                assert face_mult[n][w] == {f: fs.count(f) for f in fs}
-                assert all(w in users[n][f] for f in fs)
+                firsts = list(dict.fromkeys(fs))
+                assert distinct[w] == tuple(firsts), (x.name, n, w)
+                for f in firsts:
+                    want[f][0].append(w)
+                    want[f][1].append(fs.count(f))
+                assert maxmult[n][w] == max(map(fs.count, fs)), (x.name, n, w)
+                if len(firsts) == 1:
+                    score[fs[0]] += 1
+            assert users == [(tuple(ws), tuple(cs)) for ws, cs in want], (x.name, n)
+            assert scores[n] == score, (x.name, n)
         with pytest.raises(ValueError):
             x.faces[1][0][0] = 0
         with pytest.raises(ValueError):

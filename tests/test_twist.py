@@ -1,13 +1,16 @@
 """Twistings, twisted products, and bundle classification."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from xmodgerbe.fingroup import cyclic_group, symmetric_group, xmod_mod
-from xmodgerbe.simplicial import (SimplicialMap, circle,
+from xmodgerbe.simplicial import (SimplicialMap, _Search, circle,
                                   constant_simplicial_group, delta1,
                                   validate_simplicial)
-from xmodgerbe.twist import (Twisting, build_twisted_product, build_wbar,
+from xmodgerbe.twist import (Twisting, _twisting_spec, build_twisted_product,
+                             build_wbar,
                              classify_bundles, enumerate_twistings,
                              pullback_twisting, twistings_equivalent,
                              validate_twisting, witness_compose,
@@ -25,6 +28,31 @@ def test_enumerate_twistings_circle_s3():
     assert len(ts) == 6
     for t in ts:
         assert validate_twisting(t).ok
+
+
+@pytest.mark.parametrize("group, nodes, digest, bundle_nodes", [
+    (symmetric_group(3), 49,
+     "a556136db2fec21ee989f5b37f6c70d315aeb9b1b99a812feb5e158dec15c79e", 99),
+    (cyclic_group(4), 33,
+     "0a3e9967386f7bae8f041959edebb1c0e220a8640297b3e2a76c323bb477dd53", 67),
+], ids=["S3", "Z4"])
+def test_twisting_search_is_pinned(group, nodes, digest, bundle_nodes):
+    # node counts of the twisting enumeration and of the whole bundle
+    # classification on circle(3), and the unsorted solution sequence,
+    # which follows the engine's pick order
+    x = circle(3)
+    sg = constant_simplicial_group(group, 3)
+    budget = Budget(what="tw")
+    enumerate_twistings(x, sg, budget=budget)
+    assert budget.used == nodes
+    sha = hashlib.sha256()
+    for values in _Search(_twisting_spec(x, sg), Budget(what="tw")).solutions():
+        sha.update(repr([[values[n][z] for z in range(x.sizes[n])]
+                         for n in range(1, x.N + 1)]).encode())
+    assert sha.hexdigest() == digest
+    budget = Budget(what="bundles")
+    classify_bundles(x, sg, budget=budget)
+    assert budget.used == bundle_nodes
 
 
 def test_twisting_corpus_size_and_validity(twisting_corpus):
