@@ -47,14 +47,13 @@ HOMOTOPY_ORDER_CAP = 16
 
 @dataclass
 class RunConfig:
-    """Resolved knobs of one invocation; `jobs` and output options never
-    enter the report payload, so runs differing only in them match bytewise."""
+    """Resolved knobs of one invocation; output options never enter the
+    report payload, so runs differing only in them match bytewise."""
 
     command: str
     inputs: dict
     truncation: int = DEFAULT_TRUNCATION
     budget: int = DEFAULT_BUDGET
-    jobs: int = 1
     cache_dir: str | None = None
     fmt: str = "table"
     force: bool = False
@@ -246,8 +245,7 @@ def cmd_gerbe_classify(cfg: RunConfig) -> tuple[RunReport, int]:
 def _gerbe_classify(cfg: RunConfig, cover: CoverComplex,
                     xm: CrossedModule) -> tuple[RunReport, int]:
     budget = Budget(cfg.budget, what="gerbe classification")
-    cl = classify_gerbes(cover, xm, budget=budget, jobs=cfg.jobs,
-                         force=cfg.force)
+    cl = classify_gerbes(cover, xm, budget=budget, force=cfg.force)
     results = {
         "cover": cover.to_json(),
         "xmod": xm.name,
@@ -356,8 +354,7 @@ def cmd_lift(cfg: RunConfig) -> tuple[RunReport, int]:
         raise StructureError("--base-xmod does not match the image "
                              "module of the target")
     budget = Budget(cfg.budget, what="lift")
-    cocycles = enumerate_cocycles(cover, plan.base, budget=budget,
-                                  jobs=cfg.jobs)
+    cocycles = enumerate_cocycles(cover, plan.base, budget=budget)
     lifted = 0
     obstruction_zero = 0
     agree_all = True
@@ -485,8 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="search node budget")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers (results are identical "
-                             "for any value)")
+                        help="accepted for compatibility (N >= 1); every "
+                             "command runs serially")
         sp.add_argument("--cache-dir", default=None,
                         help="directory for the result cache")
         sp.add_argument("--format", choices=("table", "json"),
@@ -549,7 +546,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise StructureError("jobs must be >= 1")
     return RunConfig(command=args.command, inputs=inputs,
                      truncation=args.truncation, budget=args.budget,
-                     jobs=args.jobs, cache_dir=args.cache_dir, fmt=args.fmt,
+                     cache_dir=args.cache_dir, fmt=args.fmt,
                      force=args.force, fd_step=args.fd_step,
                      tolerance=args.tolerance, out=args.out)
 

@@ -22,18 +22,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .fingroup import (CrossedModule, FiniteGroup, abelian_invariants,
                        derived_crossed_modules, kernel,
                        validate_crossed_module, xmod_from_json, xmod_to_json)
-from .intlinalg import solve_mod, homology
+from .intlinalg import ModSolver, homology
 from .simplicial import (CoverComplex, SimplicialMap, TruncatedSimplicialSet,
                          _map_spec, _Search, cover_nerve)
 from .simplicial import validate_map
-from .util import Budget, BudgetError, Report, StructureError, pmap
+from .util import Budget, BudgetError, Report, StructureError
 
 __all__ = [
     "GerbeCocycle",
@@ -182,10 +181,9 @@ def _preimage_lists(xm: CrossedModule) -> list[list[int]]:
     return pre
 
 
-def _valid_h_assignments(dvals, xm, pairs, triples, quads, pre):
+def _valid_h_assignments(dvals, xm, triples, quads, pidx, tidx, pre):
     """All h-assignments completing the given d-assignment to a valid cocycle."""
     D, H = xm.D, xm.H
-    pidx = {p: i for i, p in enumerate(pairs)}
     cosets = []
     for (a, b, cc) in triples:
         target = D.mul(D.mul(dvals[pidx[(a, b)]], dvals[pidx[(b, cc)]]),
@@ -194,7 +192,6 @@ def _valid_h_assignments(dvals, xm, pairs, triples, quads, pre):
         if not cs:
             return []
         cosets.append(cs)
-    tidx = {t: i for i, t in enumerate(triples)}
     out = []
     for hvals in itertools.product(*cosets):
         ok = True
@@ -206,12 +203,12 @@ def _valid_h_assignments(dvals, xm, pairs, triples, quads, pre):
                 ok = False
                 break
         if ok:
-            out.append((tuple(int(v) for v in dvals), tuple(int(v) for v in hvals)))
+            out.append(tuple(int(v) for v in hvals))
     return out
 
 
 def enumerate_cocycles(cover: CoverComplex, xm: CrossedModule,
-                       budget: Budget | None = None, jobs: int = 1) -> list[GerbeCocycle]:
+                       budget: Budget | None = None) -> list[GerbeCocycle]:
     """All valid cocycles, in lexicographic (d, h) order.
 
     d runs over all assignments to increasing pairs; for each, the h values
@@ -226,13 +223,12 @@ def enumerate_cocycles(cover: CoverComplex, xm: CrossedModule,
     bound = xm.D.order ** len(pairs) * max(1, ker_size) ** len(triples)
     budget.spend(bound)
     pre = _preimage_lists(xm)
-    d_assignments = list(itertools.product(range(xm.D.order), repeat=len(pairs)))
-    worker = partial(_valid_h_assignments, xm=xm, pairs=pairs, triples=triples,
-                     quads=quads, pre=pre)
-    chunks = pmap(worker, d_assignments, jobs=jobs)
+    pidx = {p: i for i, p in enumerate(pairs)}
+    tidx = {t: i for i, t in enumerate(triples)}
     out = []
-    for block in chunks:
-        for dvals, hvals in block:
+    for dvals in itertools.product(range(xm.D.order), repeat=len(pairs)):
+        for hvals in _valid_h_assignments(dvals, xm, triples, quads, pidx,
+                                          tidx, pre):
             out.append(GerbeCocycle(cover, xm,
                                     dict(zip(pairs, dvals)),
                                     dict(zip(triples, hvals))))
@@ -283,7 +279,7 @@ GUARD_ORDER = 16
 
 
 def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
-                    budget: Budget | None = None, jobs: int = 1,
+                    budget: Budget | None = None,
                     force: bool = False) -> GerbeClassification:
     """Partition all valid cocycles into stable classes.
 
@@ -303,7 +299,7 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
             f"gerbe classification beyond the exhaustive guard "
             f"({cover.charts} charts, |H||D| = {xm.H.order * xm.D.order})",
             bound, budget.limit)
-    cocycles = enumerate_cocycles(cover, xm, budget=budget, jobs=jobs)
+    cocycles = enumerate_cocycles(cover, xm, budget=budget)
     index = {c.key(): c for c in cocycles}
     gens = _generator_witnesses(cover, xm)
     visited: set[tuple] = set()
@@ -461,8 +457,9 @@ class LiftPlan:
     the cocycle.  The plan holds the rest: the image module the cocycles
     live over, ker alpha with its centrality and action checks, the
     triple/quad index maps, and, when the obstruction is emitted, H^3 of the
-    cover in ker alpha, cyclic coordinates of ker alpha and the coboundary
-    matrix from triples to quads.
+    cover in ker alpha, cyclic coordinates of ker alpha, the coboundary
+    matrix from triples to quads and, when there are quads, one factored
+    solver of that matrix per cyclic modulus of ker alpha.
     """
 
     def __init__(self, cover: CoverComplex, xm: CrossedModule):
@@ -499,6 +496,8 @@ class LiftPlan:
                 self.mat[qi][self.tidx[(a, cc, dd)]] += 1
                 self.mat[qi][self.tidx[(a, b, dd)]] -= 1
                 self.mat[qi][self.tidx[(b, cc, dd)]] -= 1
+            self.solvers = ([ModSolver(self.mat, m) for m in self.moduli]
+                            if self.quads else [])
 
     @property
     def emitted(self) -> bool:
@@ -590,12 +589,11 @@ class LiftPlan:
                 defect_out[q] = tuple(int(e) for e in exps)
                 zrows.append(exps)
             obstruction_zero = True
-            if self.quads:
-                for ci, m in enumerate(self.moduli):
-                    rhs_vec = [(-row[ci]) % m for row in zrows]
-                    if solve_mod(self.mat, rhs_vec, m) is None:
-                        obstruction_zero = False
-                        break
+            for ci, solver in enumerate(self.solvers):
+                rhs_vec = [(-row[ci]) % solver.mod for row in zrows]
+                if solver.solve(rhs_vec) is None:
+                    obstruction_zero = False
+                    break
             agreement = (lifted is not None) == obstruction_zero
         return LiftResult(lifted, self.central, self.action_trivial,
                           obstruction_zero, agreement, self.oracle, defect_out)

@@ -3,10 +3,16 @@
 Pure-Python (arbitrary precision) Smith normal form with transformation
 matrices, which the stock libraries don't expose; sizes here are tiny
 (boundary matrices of small complexes), so clarity beats speed.
+
+`ModSolver(a, mod)` factors one system A x = b (mod m) once, so a caller
+with many right-hand sides against the same A (the lift obstruction: one
+per cocycle) pays for one Smith form per modulus; `solve_mod` is the
+one-shot form of it.  `homology` and `rank_z` read invariant factors.
 """
 from __future__ import annotations
 
-__all__ = ["smith_normal_form", "solve_mod", "homology", "rank_z"]
+__all__ = ["smith_normal_form", "ModSolver", "solve_mod", "homology",
+           "rank_z"]
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -106,38 +112,61 @@ def rank_z(a) -> int:
     return sum(1 for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i] != 0)
 
 
+class ModSolver:
+    """Solver for A x = b (mod `mod`) with A factored once.
+
+    The augmented system [A | mod*I] (A x + mod*t = b over Z) is brought to
+    Smith form U*[A | mod*I]*V = S when the solver is built; each `solve`
+    then costs a U*b product, a divisibility test per row and a V*y
+    back-substitution.  The mod*I block gives [A | mod*I] full row rank, so
+    every diagonal entry of S is nonzero.
+    """
+
+    def __init__(self, a, mod: int):
+        if mod < 1:
+            raise ValueError(f"modulus must be >= 1, got {mod}")
+        self.mod = mod
+        self.a = [[int(v) for v in row] for row in a]
+        n = len(self.a)
+        m = len(self.a[0]) if n else 0
+        aug = [row + [mod if k == i else 0 for k in range(n)]
+               for i, row in enumerate(self.a)]
+        u, s, v = smith_normal_form(aug)
+        self.u = u
+        self.diag = [s[i][i] for i in range(n)]
+        # y vanishes past column n, so only V's first n columns are read
+        self.v = [row[:n] for row in v[:m]]
+
+    def solve(self, b):
+        """One solution x of A x = b (mod `mod`) with entries in
+        0..mod-1, or None when there is none."""
+        mod = self.mod
+        b = [int(v) for v in b]
+        if len(b) != len(self.a):
+            raise ValueError(f"right-hand side has {len(b)} entries, "
+                             f"the system {len(self.a)} rows")
+        y = []
+        for urow, d in zip(self.u, self.diag):
+            r = sum(uk * bk for uk, bk in zip(urow, b))
+            if r % d:
+                return None
+            y.append(r // d)
+        x = [sum(vj * yj for vj, yj in zip(vrow, y)) % mod for vrow in self.v]
+        # paranoid check
+        for row, bi in zip(self.a, b):
+            if sum(aj * xj for aj, xj in zip(row, x)) % mod != bi % mod:
+                raise ArithmeticError("Smith-form solve returned a non-solution")
+        return x
+
+
 def solve_mod(a, b, mod: int):
     """One solution x of A x = b (mod `mod`), or None.
 
     A is n x m (list of lists), b length n, result length m with entries in
-    0..mod-1.
+    0..mod-1.  Factors A on every call; build a `ModSolver` to solve many
+    right-hand sides against one A.
     """
-    n = len(a)
-    m = len(a[0]) if n else 0
-    if mod == 1:
-        return [0] * m
-    # augment with mod * I so we solve A x + mod * t = b over Z
-    aug = [[int(a[i][j]) for j in range(m)] + [mod if k == i else 0 for k in range(n)]
-           for i in range(n)]
-    U, S, V = smith_normal_form(aug)
-    rhs = [sum(U[i][k] * int(b[k]) for k in range(n)) for i in range(n)]
-    cols = m + n
-    y = [0] * cols
-    for i in range(n):
-        d = S[i][i] if i < min(n, cols) else 0
-        if d == 0:
-            if rhs[i] != 0:
-                return None
-        else:
-            if rhs[i] % d != 0:
-                return None
-            y[i] = rhs[i] // d
-    x = [sum(V[j][i] * y[i] for i in range(cols)) % mod for j in range(m)]
-    # paranoid check
-    for i in range(n):
-        if sum(int(a[i][j]) * x[j] for j in range(m)) % mod != int(b[i]) % mod:
-            return None
-    return x
+    return ModSolver(a, mod).solve(b)
 
 
 def homology(d_out, d_in, n_here: int) -> tuple[int, list[int]]:

@@ -1,4 +1,4 @@
-"""Shared plumbing: error types, search budgets, deterministic worker pool."""
+"""Shared plumbing: error types, search budgets, check reports."""
 from __future__ import annotations
 
 import multiprocessing
@@ -43,6 +43,7 @@ class Budget:
             raise BudgetError(self.what, self.used, self.limit)
 
 
+# Uncalled: perfbench/tracer.py still hooks `util.pmap` by name; delete both together.
 def pmap(fn, items, jobs: int = 1, chunksize: int = 1):
     """Order-preserving map, optionally through a process pool.
 

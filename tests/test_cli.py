@@ -184,6 +184,28 @@ def test_gerbe_classify_jobs_do_not_change_output(capsys):
     assert payload["results"]["classes"] == 3
 
 
+def test_jobs_start_no_worker_pool(capsys, monkeypatch):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    runs = [(("lift", "--cover", "sphere:5", "--xmod", "xmod_mod:4:2"), "2"),
+            (("gerbe-classify", "--cover", "circle:3",
+              "--xmod", "xmod_fiber:cyclic:2"), "8")]
+    for argv, jobs in runs:
+        for fmt in ("table", "json"):
+            code1, out1, _ = run_cli(capsys, *argv, "--format", fmt,
+                                     "--jobs", "1")
+            code_n, out_n, _ = run_cli(capsys, *argv, "--format", fmt,
+                                       "--jobs", jobs)
+            assert code1 == code_n == 0
+            assert out1 == out_n and out1
+    code, out, err = run_cli(capsys, *runs[0][0], "--jobs", "0")
+    assert code == 2 and out == "" and "jobs must be >= 1" in err
+
+
 def test_gerbe_classify_guard_exit_3(capsys):
     code, out, err = run_cli(capsys, "gerbe-classify",
                              "--cover", "ball:6", "--xmod", "xmod_id:symmetric:3")

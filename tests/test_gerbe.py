@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xmodgerbe.fingroup import (cyclic_group, derived_crossed_modules,
+from xmodgerbe import intlinalg
+from xmodgerbe.fingroup import (cyclic_group, derived_crossed_modules, kernel,
                                 preset_corpus,
                                 symmetric_group, xmod_automorphism,
                                 xmod_identity, xmod_mod, xmod_trivial_base,
@@ -21,6 +22,7 @@ from xmodgerbe.gerbe import (CMBundleCocycle, CoverMap, GerbeCocycle,
                              identity_witness, lift_gerbe, map_to_cocycle,
                              pullback_cocycle, trivial_bundle, trivial_cocycle,
                              validate_bundle_cocycle, validate_cocycle)
+from xmodgerbe.intlinalg import solve_mod
 from xmodgerbe.simplicial import ball_cover, circle_cover, sphere_cover
 from xmodgerbe.util import Budget, BudgetError, StructureError
 from xmodgerbe.xnerve import match_wbar_duskin
@@ -263,6 +265,7 @@ def test_lift_solid_cover_all_lift():
 
 def test_lift_plan_matches_one_shot_lift():
     cases = [(sphere_cover(4), xmod_mod(4, 2)), (sphere_cover(5), xmod_mod(4, 2)),
+             (sphere_cover(5), xmod_mod(8, 2)),
              (sphere_cover(4), xmod_automorphism(cyclic_group(3)))]
     for cover, target in cases:
         plan = LiftPlan(cover, target)
@@ -288,6 +291,54 @@ def test_lift_plan_matches_one_shot_lift():
         plan.lift(enumerate_cocycles(sphere_cover(4), xmod_mod(4, 2))[1])
     with pytest.raises(StructureError):
         plan.lift(enumerate_cocycles(ball_cover(3), plan.base)[1])
+
+
+# sphere:4 has no quads; xmod_mod:8:2 has ker alpha = Z4, a non-prime modulus
+LIFT_CASES = pytest.mark.parametrize("cover, target", [
+    (sphere_cover(4), xmod_mod(4, 2)),
+    (sphere_cover(5), xmod_mod(4, 2)),
+    (sphere_cover(5), xmod_mod(8, 2)),
+], ids=["sphere4-4:2", "sphere5-4:2", "sphere5-8:2"])
+
+
+@LIFT_CASES
+def test_lift_plan_solvers_match_a_fresh_solve_per_cocycle(cover, target):
+    plan = LiftPlan(cover, target)
+    cocycles = enumerate_cocycles(cover, plan.base)
+    assert plan.emitted and cocycles
+    for c in cocycles:
+        r = plan.lift(c)
+        assert set(r.defect) == set(plan.quads)
+        fresh = all(
+            solve_mod(plan.mat, [(-r.defect[q][ci]) % m for q in plan.quads],
+                      m) is not None
+            for ci, m in enumerate(plan.moduli)) if plan.quads else True
+        assert r.obstruction_zero == fresh
+        assert (r.lifted is not None) == fresh
+        assert r.agreement is True
+
+
+@LIFT_CASES
+def test_lift_plan_factors_once_per_modulus(monkeypatch, cover, target):
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    ker_g, _ = kernel(target.alpha, name="ker")
+    abelian_oracle(cover, ker_g, 3)
+    oracle_calls = len(calls)
+    calls.clear()
+    plan = LiftPlan(cover, target)
+    solver_calls = len(calls) - oracle_calls
+    assert solver_calls == (len(plan.moduli) if plan.quads else 0)
+    calls.clear()
+    for c in enumerate_cocycles(cover, plan.base):
+        plan.lift(c)
+    assert calls == []
 
 
 def test_cocycle_json_round_trip(tmp_path):

@@ -1,8 +1,16 @@
 """Integer matrix layer against sympy and hand-checked homology."""
 
-import numpy as np
+import itertools
 
-from xmodgerbe.intlinalg import homology, rank_z, smith_normal_form, solve_mod
+import numpy as np
+import pytest
+
+from xmodgerbe import intlinalg
+from xmodgerbe.fingroup import xmod_mod
+from xmodgerbe.gerbe import LiftPlan
+from xmodgerbe.intlinalg import (ModSolver, homology, rank_z, smith_normal_form,
+                                 solve_mod)
+from xmodgerbe.simplicial import ball_cover, sphere_cover
 
 from _oracles import sympy_smith_invariants
 
@@ -58,6 +66,81 @@ def test_solve_mod_known_systems():
     assert x is not None
     got = (np.array(a) @ np.array(x)) % 6
     assert np.array_equal(got, np.array(b) % 6)
+
+
+def test_modulus_below_one_is_refused():
+    for mod in (0, -3):
+        with pytest.raises(ValueError, match=f"got {mod}"):
+            ModSolver([[1]], mod)
+        with pytest.raises(ValueError, match=f"got {mod}"):
+            solve_mod([[1]], [1], mod)
+
+
+def _reachable(a, mod: int) -> set[tuple]:
+    """Every value of A x (mod `mod`) over all x: the column span, closed
+    under addition of columns until nothing new appears."""
+    n = len(a)
+    cols = [tuple(row[j] % mod for row in a) for j in range(len(a[0]) if n else 0)]
+    seen = {(0,) * n}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for col in cols:
+                w = tuple((x + y) % mod for x, y in zip(v, col))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def _coboundary(cover) -> list[list[int]]:
+    """The triples -> quads matrix the lift obstruction is solved against."""
+    return LiftPlan(cover, xmod_mod(4, 2)).mat
+
+
+@pytest.mark.parametrize("a", [
+    pytest.param(_coboundary(sphere_cover(5)), id="sphere5"),
+    pytest.param(_coboundary(ball_cover(3)), id="ball3"),    # no quads, no rows
+    pytest.param(_coboundary(ball_cover(4)), id="ball4"),    # one quad
+    pytest.param([], id="empty"),
+    pytest.param([[], []], id="no-columns"),
+    pytest.param([[2]], id="2"),
+    pytest.param([[0]], id="0"),
+    pytest.param([[1, 2], [0, 2]], id="upper"),
+    pytest.param([[2, 4], [3, 6]], id="rank1"),
+    pytest.param([[3], [2]], id="column"),
+    pytest.param([[1, -1, 0], [0, 2, -2]], id="wide"),
+])
+@pytest.mark.parametrize("mod", [2, 3, 4, 6])
+def test_mod_solver_matches_exhaustive_search(a, mod):
+    solver = ModSolver(a, mod)
+    reach = _reachable(a, mod)
+    width = len(a[0]) if a else 0
+    for b in itertools.product(range(mod), repeat=len(a)):
+        x = solver.solve(list(b))
+        assert (x is not None) == (b in reach), (a, mod, b)
+        if x is not None:
+            assert len(x) == width and all(0 <= v < mod for v in x)
+            got = tuple(sum(r * v for r, v in zip(row, x)) % mod for row in a)
+            assert got == b
+
+
+def test_mod_solver_factors_once(monkeypatch):
+    calls = []
+    real = intlinalg.smith_normal_form
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    a = _coboundary(sphere_cover(5))
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
+    solver = ModSolver(a, 4)
+    for b in itertools.product(range(4), repeat=3):
+        solver.solve(list(b) + [0, 0])
+    assert len(calls) == 1
 
 
 def test_homology_hand_cases():
