@@ -10,26 +10,23 @@ parse error, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import math
 import os
 import re
 import sys
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .fingroup import (CrossedModule, load_xmod, preset_library,
-                       validate_crossed_module, xmod_to_json)
-from .gauge import DEFAULT_TOLS, builtin_cases, run_case
-from .gerbe import (LiftPlan, abelian_oracle, classify_gerbes,
-                    cocycle_to_json, cocycle_to_simplicial_map,
-                    enumerate_cocycles)
-from .simplicial import (CoverComplex, ball_cover, circle, circle_cover,
-                         constant_simplicial_group, delta1, homotopy_classes,
-                         load_sset, sphere_cover)
-from .twist import classify_bundles
+# Package modules beyond util are imported inside the command that runs
+# them, so a process loads only what its command needs (and no numpy
+# unless the command uses it).
 from .util import DEFAULT_BUDGET, Budget, BudgetError, StructureError
-from .xnerve import match_wbar_duskin
+
+if TYPE_CHECKING:
+    from .fingroup import CrossedModule
+    from .simplicial import CoverComplex
 
 __all__ = ["RunConfig", "RunReport", "main"]
 
@@ -113,25 +110,50 @@ def _short(v) -> str:
 # ---------------------------------------------------------------------------
 # input parsing
 
+# the form of each spec that takes parameters, one per colon
+GROUP_FORMS = {"cyclic": "cyclic:n", "dihedral": "dihedral:n",
+               "symmetric": "symmetric:n"}
+XMOD_FORMS = {"xmod_mod": "xmod_mod:m:n", "xmod_id": "xmod_id:<group>",
+              "xmod_aut": "xmod_aut:<group>",
+              "xmod_fiber": "xmod_fiber:<group>",
+              "xmod_base": "xmod_base:<group>"}
+COVER_FORMS = {"circle": "circle:n", "ball": "ball:k", "sphere": "sphere:k"}
+
+
+def _spec_parts(spec: str, forms: dict) -> list[str]:
+    """`spec` split at its colons; a usage error naming the expected form
+    when the spec stops before its last parameter."""
+    parts = spec.split(":")
+    form = forms.get(parts[0])
+    if form is not None and len(parts) < len(form.split(":")):
+        raise StructureError(f"'{spec}' lacks a parameter; use {form}")
+    return parts
+
 
 def parse_xmod(spec: str) -> CrossedModule:
+    from .fingroup import load_xmod, preset_library
     if os.path.isfile(spec):
         return load_xmod(spec)
-    parts = spec.split(":")
+    parts = _spec_parts(spec, XMOD_FORMS)
     if parts[0] in ("xmod_id", "xmod_aut", "xmod_fiber", "xmod_base"):
-        return preset_library(parts[0], ":".join(parts[1:]))
+        group = ":".join(parts[1:])
+        _spec_parts(group, GROUP_FORMS)
+        return preset_library(parts[0], group)
     return preset_library(parts[0], *parts[1:])
 
 
 def parse_group(spec: str):
-    return preset_library(*spec.split(":"))
+    from .fingroup import preset_library
+    return preset_library(*_spec_parts(spec, GROUP_FORMS))
 
 
 def parse_cover(spec: str) -> CoverComplex:
+    from .simplicial import (CoverComplex, ball_cover, circle_cover,
+                             sphere_cover)
     if os.path.isfile(spec):
         with open(spec) as fh:
             return CoverComplex.from_json(json.load(fh))
-    parts = spec.split(":")
+    parts = _spec_parts(spec, COVER_FORMS)
     makers = {"circle": circle_cover, "ball": ball_cover,
               "sphere": sphere_cover}
     if parts[0] not in makers:
@@ -141,6 +163,7 @@ def parse_cover(spec: str) -> CoverComplex:
 
 
 def parse_sset(spec: str, n: int):
+    from .simplicial import circle, delta1, load_sset
     if os.path.isfile(spec):
         return load_sset(spec)
     if spec == "circle":
@@ -162,6 +185,7 @@ def _slug(name: str) -> str:
 
 
 def _cocycle_json(c) -> dict:
+    from .gerbe import cocycle_to_json
     d = cocycle_to_json(c)
     d.pop("cover", None)
     d.pop("xmod", None)
@@ -173,6 +197,7 @@ def _cocycle_json(c) -> dict:
 
 
 def cmd_xmod_check(cfg: RunConfig) -> tuple[RunReport, int]:
+    from .fingroup import validate_crossed_module
     xm = parse_xmod(cfg.inputs["xmod"])
     rep = validate_crossed_module(xm)
     results = {
@@ -199,6 +224,9 @@ def _action_trivial(xm: CrossedModule) -> bool:
 def _homotopy_crosscheck(cover, xm, cl, budget_limit: int) -> dict:
     """Independent class count: extend each cocycle to a simplicial map
     into the classifying-space model and count homotopy classes."""
+    from .gerbe import cocycle_to_simplicial_map
+    from .simplicial import homotopy_classes
+    from .xnerve import match_wbar_duskin
     order = xm.H.order * xm.D.order
     if order > HOMOTOPY_ORDER_CAP:
         return {"checked": False, "reason": f"|H||D| = {order} beyond "
@@ -244,6 +272,7 @@ def cmd_gerbe_classify(cfg: RunConfig) -> tuple[RunReport, int]:
 
 def _gerbe_classify(cfg: RunConfig, cover: CoverComplex,
                     xm: CrossedModule) -> tuple[RunReport, int]:
+    from .gerbe import abelian_oracle, classify_gerbes
     budget = Budget(cfg.budget, what="gerbe classification")
     cl = classify_gerbes(cover, xm, budget=budget, force=cfg.force)
     results = {
@@ -283,6 +312,7 @@ def _gerbe_classify(cfg: RunConfig, cover: CoverComplex,
 
 
 def cmd_duskin_compare(cfg: RunConfig) -> tuple[RunReport, int]:
+    from .xnerve import match_wbar_duskin
     _check_truncation(cfg.truncation)
     xm = parse_xmod(cfg.inputs["xmod"])
     match = match_wbar_duskin(xm, N=cfg.truncation,
@@ -308,6 +338,8 @@ def cmd_duskin_compare(cfg: RunConfig) -> tuple[RunReport, int]:
 
 
 def cmd_classify_bundles(cfg: RunConfig) -> tuple[RunReport, int]:
+    from .simplicial import constant_simplicial_group
+    from .twist import classify_bundles
     _check_truncation(cfg.truncation)
     x = parse_sset(cfg.inputs["sset"], cfg.truncation)
     g = constant_simplicial_group(parse_group(cfg.inputs["group"]),
@@ -331,6 +363,7 @@ def cmd_classify_bundles(cfg: RunConfig) -> tuple[RunReport, int]:
 
 
 def cmd_gauge_verify(cfg: RunConfig) -> tuple[RunReport, int]:
+    from .gauge import builtin_cases, run_case
     name = cfg.inputs["case"]
     names = ([name] if name != "all"
              else sorted(builtin_cases()) + ["so3-conjugation-T"])
@@ -346,6 +379,7 @@ def cmd_gauge_verify(cfg: RunConfig) -> tuple[RunReport, int]:
 
 
 def cmd_lift(cfg: RunConfig) -> tuple[RunReport, int]:
+    from .gerbe import LiftPlan, enumerate_cocycles
     cover = parse_cover(cfg.inputs["cover"])
     target = parse_xmod(cfg.inputs["xmod"])
     plan = LiftPlan(cover, target)
@@ -409,6 +443,8 @@ def _cache_path(cfg: RunConfig, cover: CoverComplex,
     resolved inputs, so an edited input file never serves the old result."""
     if not cfg.cache_dir:
         return None
+    import hashlib
+    from .fingroup import xmod_to_json
     key = {"format": CACHE_FORMAT, "run": cfg.semantic_key(),
            "cover": cover.to_json(),
            "xmod": dict(xmod_to_json(xm), name=xm.name)}
@@ -544,6 +580,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise StructureError("budget must be positive")
     if args.jobs < 1:
         raise StructureError("jobs must be >= 1")
+    if args.fd_step is not None and not (math.isfinite(args.fd_step)
+                                         and args.fd_step > 0):
+        raise StructureError(f"fd-step must be a positive number, not "
+                             f"{args.fd_step}")
+    if args.tolerance is not None and not (math.isfinite(args.tolerance)
+                                           and args.tolerance >= 0):
+        raise StructureError(f"tolerance must be a number >= 0, not "
+                             f"{args.tolerance}")
     return RunConfig(command=args.command, inputs=inputs,
                      truncation=args.truncation, budget=args.budget,
                      cache_dir=args.cache_dir, fmt=args.fmt,

@@ -25,7 +25,6 @@ leading axes (inputs are stacks of matrices).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -188,16 +187,19 @@ class MatrixCrossedModule:
 
 
 def compute_T(a_value: np.ndarray, h: np.ndarray, xm: MatrixCrossedModule,
-              t_step: float | None = None) -> np.ndarray:
+              t_step: float | None = None,
+              hinv: np.ndarray | None = None) -> np.ndarray:
     """Tangent at the identity of t -> h * (exp(t a_value) |> h^-1).
 
     a_value is a Lie(D) matrix (or a stack of them); h an H element (or a
     matching stack).  By linearity in the algebra argument this evaluates
     the basis-wise extension of the single-generator tangent map.  Central
-    differences in the curve parameter give O(t_step^2) accuracy.
+    differences in the curve parameter give O(t_step^2) accuracy.  hinv,
+    when given, is inv(h), so a caller with many a_value per h inverts once.
     """
     t = xm.t_step if t_step is None else t_step
-    hinv = np.linalg.inv(np.asarray(h, dtype=np.complex128))
+    if hinv is None:
+        hinv = np.linalg.inv(np.asarray(h, dtype=np.complex128))
     plus = h @ xm.action(matrix_exp(t * a_value), hinv)
     minus = h @ xm.action(matrix_exp(-t * a_value), hinv)
     return (plus - minus) / (2.0 * t)
@@ -460,11 +462,15 @@ def validate_chart_data(gcd: GaugeChartData, tol: float = 1e-9) -> Report:
 
     def match(pa, pb):
         diff = np.abs(np.asarray(pa) - np.asarray(pb)).reshape(-1, gcd.dim)
+        raw = float(diff.max()) if diff.size else 0.0
+        if raw <= tol:
+            # reducing by the periods never makes a distance larger
+            return raw
         for ax, per in enumerate(periods):
             if per:
                 diff[:, ax] = np.minimum(diff[:, ax] % per,
                                          (-diff[:, ax]) % per)
-        return float(diff.max()) if diff.size else 0.0
+        return float(diff.max())
 
     for o in gcd.overlaps:
         ca, cb = gcd.charts[o.a], gcd.charts[o.b]
@@ -489,11 +495,13 @@ def validate_chart_data(gcd: GaugeChartData, tol: float = 1e-9) -> Report:
 # the residual checks
 
 
-def check_gerbe_cocycle_smooth(gcd: GaugeChartData) -> Residual:
-    """Triangle and tetrahedron conditions of the sampled cocycle."""
+def check_gerbe_cocycle_smooth(gcd: GaugeChartData,
+                               table: dict | None = None) -> Residual:
+    """Triangle and tetrahedron conditions of the sampled cocycle; table,
+    when given, is _pair_maps(gcd)."""
     xm = gcd.xm
     res = Residual(f"cocycle {gcd.name}")
-    table = _pair_maps(gcd)
+    table = _pair_maps(gcd) if table is None else table
     for t in gcd.triples:
         what = f"triple({t.a},{t.b},{t.c})"
         d_ab = _pair_fetch(table, t.a, t.b, t.ia, "d", what)
@@ -512,14 +520,15 @@ def check_gerbe_cocycle_smooth(gcd: GaugeChartData) -> Residual:
 
 
 def check_connection(gcd: GaugeChartData, dinvs: list | None = None,
-                     hinvs: list | None = None) -> Residual:
+                     hinvs: list | None = None,
+                     table: dict | None = None) -> Residual:
     """Both connection laws; derivative terms by central differences.
 
     dinvs[k] / hinvs[k], when given, are inv(d) of overlap k / inv(h) of
-    triple k."""
+    triple k, and table is _pair_maps(gcd)."""
     xm = gcd.xm
     res = Residual(f"connection {gcd.name}")
-    table = _pair_maps(gcd)
+    table = _pair_maps(gcd) if table is None else table
     for k, o in enumerate(gcd.overlaps):
         ca, cb = gcd.charts[o.a], gcd.charts[o.b]
         if ca.A is None or cb.A is None:
@@ -548,24 +557,28 @@ def check_connection(gcd: GaugeChartData, dinvs: list | None = None,
             raise StructureError("triple law needs connection samples")
         aa = ca.A[t.ia]
         hinv = np.linalg.inv(t.h) if hinvs is None else hinvs[k]
+        # compute_T is evaluated at hinv and needs its inverse: once per
+        # triple, not once per axis
+        hinv_inv = np.linalg.inv(np.asarray(hinv, dtype=np.complex128))
         for mu in range(gcd.dim):
             der, valid = _central_diff(hinv, t.shape, mu, ca.steps[mu],
                                        t.periodic[mu])
             lhs = a_ab[:, mu] + xm.daction_of(d_ab, a_bc[:, mu])
             rhs = (t.h @ a_ac[:, mu] @ hinv + t.h @ der
-                   + compute_T(aa[:, mu], hinv, xm, gcd.t_step))
+                   + compute_T(aa[:, mu], hinv, xm, gcd.t_step, hinv_inv))
             res.add(f"connection-triple[{mu}]", (lhs - rhs)[valid])
     if not gcd.overlaps:
         res.add("connection-overlap[0]", np.zeros(0))
     return res
 
 
-def check_bfield(gcd: GaugeChartData, hinvs: list | None = None) -> Residual:
+def check_bfield(gcd: GaugeChartData, hinvs: list | None = None,
+                 table: dict | None = None) -> Residual:
     """Both B-field laws (algebraic: no grid derivatives involved); hinvs
-    as for check_connection."""
+    and table as for check_connection."""
     xm = gcd.xm
     res = Residual(f"bfield {gcd.name}")
-    table = _pair_maps(gcd)
+    table = _pair_maps(gcd) if table is None else table
     n2 = gcd.dim * (gcd.dim - 1) // 2
     for o in gcd.overlaps:
         ca, cb = gcd.charts[o.a], gcd.charts[o.b]
@@ -743,7 +756,7 @@ def _matched_runs(grids: list, m: int) -> list:
     pos = np.full((len(grids), m), -1, dtype=np.int64)
     for row, g in zip(pos, grids):
         row[g] = np.arange(len(g))
-    common = functools.reduce(np.intersect1d, grids)
+    common = np.flatnonzero((pos >= 0).all(axis=0))
     return [(run, pos[:, run]) for run in _runs_cyclic(common, m)]
 
 
@@ -768,7 +781,8 @@ def _overlap_1d(charts_idx: list, a: int, b: int, theta: np.ndarray,
 
 def case_trivial(step: float | None = None) -> GaugeChartData:
     """Two charts on a segment; every field identically trivial."""
-    step = step or DEFAULT_STEPS[1]
+    if step is None:
+        step = DEFAULT_STEPS[1]
     n = max(int(round(1.0 / step)), 16)
     xs = np.arange(n) * step
     half = n // 2
@@ -797,7 +811,8 @@ def case_u1_circle_pair(k: int = 1, step: float | None = None) -> GaugeChartData
     on chart 0 is defined exactly by the overlap law (whose derivative term
     is exp-closed), so the checked residual is pure discretization error.
     """
-    step = step or DEFAULT_STEPS[1]
+    if step is None:
+        step = DEFAULT_STEPS[1]
     m = int(round(2 * np.pi / step))
     step = 2 * np.pi / m
     theta = np.arange(m) * step
@@ -830,7 +845,8 @@ def case_u1_circle_three(step: float | None = None) -> GaugeChartData:
     triple connection law holds exactly for a_ab = i c_ab cos(theta) dtheta;
     the triangle condition holds since alpha is constant-identity.
     """
-    step = step or DEFAULT_STEPS[1]
+    if step is None:
+        step = DEFAULT_STEPS[1]
     m = int(round(2 * np.pi / step))
     step = 2 * np.pi / m
     theta = np.arange(m) * step
@@ -887,7 +903,8 @@ def case_u1_torus_three(step: float | None = None) -> GaugeChartData:
     the fiber being abelian).  Triple labels h are identically 1 and all
     triple laws hold exactly.
     """
-    step = step or DEFAULT_STEPS[2]
+    if step is None:
+        step = DEFAULT_STEPS[2]
     m1 = int(round(2 * np.pi / step))
     step = 2 * np.pi / m1
     m2 = m1
@@ -951,7 +968,8 @@ def case_u1_sphere_monopole(k: int = 1,
     F computed independently on each chart from its own samples must agree
     on the overlap band up to discretization error.
     """
-    step = step or DEFAULT_STEPS[2]
+    if step is None:
+        step = DEFAULT_STEPS[2]
     mphi = int(round(2 * np.pi / step))
     step_phi = 2 * np.pi / mphi
     phis = np.arange(mphi) * step_phi
@@ -1048,21 +1066,25 @@ def run_case(name: str, step: float | None = None,
         raise StructureError(f"unknown gauge case '{name}'; have "
                              f"{sorted(cases) + ['so3-conjugation-T']}")
     builder = cases[name]
-    gcd = builder() if step is None else builder(step=step)
+    gcd = builder(step=step)
     tol = tolerance if tolerance is not None else DEFAULT_TOLS[gcd.dim]
     rep = validate_chart_data(gcd)
     if not rep.ok:
         raise StructureError(f"inconsistent chart data: {rep.summary()}")
     out = {"case": name, "tolerance": tol, "residuals": {}}
-    # each overlap's d and each triple's h stack is inverted once here and
-    # shared by the checks that need it
+    # each overlap's d and each triple's h stack is inverted once here, and
+    # the pair table built once, and shared by the checks that need them
     dinvs = [np.linalg.inv(o.d) for o in gcd.overlaps]
     hinvs = [np.linalg.inv(t.h) for t in gcd.triples]
-    results = [check_gerbe_cocycle_smooth(gcd),
-               check_connection(gcd, dinvs, hinvs)]
+    table = _pair_maps(gcd)
+    results = [check_gerbe_cocycle_smooth(gcd, table),
+               check_connection(gcd, dinvs, hinvs, table)]
     has_b = all(c.B is not None for c in gcd.charts) and gcd.dim >= 2
     if has_b:
-        results.append(check_bfield(gcd, hinvs))
+        results.append(check_bfield(gcd, hinvs, table))
+    # freed here: held through curvature_and_nu, where a case's memory
+    # peaks, it raised the torus case's peak RSS by about 40 MB
+    del table
     curv = curvature_and_nu(gcd, dinvs)
     passed = True
     for res in results:

@@ -1,7 +1,6 @@
 """Shared plumbing: error types, search budgets, check reports."""
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 
 
@@ -50,6 +49,7 @@ def pmap(fn, items, jobs: int = 1, chunksize: int = 1):
     Results are returned in the order of `items` regardless of `jobs`, so a
     parallel run is byte-for-byte reproducible against a serial one.
     """
+    import multiprocessing  # here, so that importing util stays cheap
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]

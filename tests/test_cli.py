@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import xmodgerbe
 from xmodgerbe.cli import main
 
 
@@ -173,6 +176,48 @@ def test_gauge_verify_reads_residual_flags(capsys):
     assert (config["fd_step"], config["tolerance"]) == (0.05, 1e-3)
 
 
+@pytest.mark.parametrize("argv", [
+    ("gauge-verify", "--case", "u1-circle-pair", "--fd-step", "0"),
+    ("gauge-verify", "--case", "trivial", "--fd-step", "-1"),
+    ("gauge-verify", "--case", "u1-torus-three", "--fd-step", "-0.5"),
+    ("gauge-verify", "--case", "trivial", "--fd-step", "nan"),
+    ("gauge-verify", "--case", "trivial", "--fd-step", "inf"),
+    ("gauge-verify", "--case", "trivial", "--tolerance", "-1"),
+    ("gauge-verify", "--case", "trivial", "--tolerance", "nan"),
+    ("gauge-verify", "--case", "trivial", "--tolerance", "inf"),
+], ids=lambda argv: f"{argv[2]}{argv[3]}={argv[4]}")
+def test_bad_residual_flags_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + argv[3][2:])
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    # the trivial case's residuals are exactly zero
+    code, out, _ = run_cli(capsys, "gauge-verify", "--case", "trivial",
+                           "--tolerance", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("argv, form", [
+    (("gerbe-classify", "--cover", "circle", "--xmod", "xmod_fiber:cyclic:2"),
+     "circle:n"),
+    (("lift", "--cover", "sphere", "--xmod", "xmod_mod:4:2"), "sphere:k"),
+    (("xmod-check", "xmod_mod:4"), "xmod_mod:m:n"),
+    (("xmod-check", "xmod_id"), "xmod_id:<group>"),
+    (("xmod-check", "xmod_id:cyclic"), "cyclic:n"),
+    (("classify-bundles", "--sset", "circle", "--group", "cyclic"),
+     "cyclic:n"),
+], ids=["cover-circle", "cover-sphere", "xmod-mod", "xmod-id", "xmod-id-group",
+        "group-cyclic"])
+def test_spec_missing_a_parameter_exit_2(capsys, argv, form):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"use {form}" in err
+
+
 def test_gerbe_classify_jobs_do_not_change_output(capsys):
     argv = ("gerbe-classify", "--cover", "circle:3", "--xmod", "xmod_base:symmetric:3",
             "--format", "json")
@@ -300,3 +345,63 @@ def test_table_format_has_no_json(capsys):
     assert code == 0
     assert not out.lstrip().startswith("{")
     assert "valid" in out
+
+
+# ---------------------------------------------------------------------------
+# each command loads only the package modules it runs
+
+
+def _fresh(tmp_path, *argv: str) -> subprocess.CompletedProcess:
+    """`python *argv` in a new interpreter that finds this package."""
+    src = os.path.dirname(os.path.dirname(xmodgerbe.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def _modules_after(tmp_path, code: str) -> set:
+    """The sys.modules of a new interpreter after it has run `code`."""
+    script = ("import contextlib, io, json, sys\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    {code}\n"
+              "print(json.dumps(sorted(sys.modules)))")
+    return set(json.loads(_fresh(tmp_path, "-c", script).stdout))
+
+
+def _package(modules: set) -> set:
+    return {m for m in modules if m.startswith("xmodgerbe.")}
+
+
+def test_importing_the_cli_loads_no_numpy(tmp_path):
+    loaded = _modules_after(tmp_path, "import xmodgerbe.cli")
+    assert "numpy" not in loaded and "multiprocessing" not in loaded
+    assert _package(loaded) == {"xmodgerbe.cli", "xmodgerbe.util"}
+
+
+def test_lift_loads_no_gauge_or_model_modules(tmp_path):
+    loaded = _modules_after(tmp_path, "from xmodgerbe import cli; cli.main("
+                            "['lift', '--cover', 'sphere:4', '--xmod', "
+                            "'xmod_mod:4:2'])")
+    assert "xmodgerbe.gerbe" in loaded
+    assert not loaded & {"xmodgerbe.gauge", "xmodgerbe.twist",
+                         "xmodgerbe.xnerve"}
+
+
+def test_gauge_verify_loads_only_gauge(tmp_path):
+    loaded = _modules_after(tmp_path, "from xmodgerbe import cli; cli.main("
+                            "['gauge-verify', '--case', 'trivial'])")
+    assert _package(loaded) == {"xmodgerbe.cli", "xmodgerbe.gauge",
+                                "xmodgerbe.util"}
+
+
+def test_cache_written_and_hit_in_fresh_processes(tmp_path):
+    argv = ("-m", "xmodgerbe.cli", "gerbe-classify", "--cover", "circle:3",
+            "--xmod", "xmod_base:cyclic:2", "--format", "json",
+            "--cache-dir", "cache")
+    first = _fresh(tmp_path, *argv)
+    assert "cache hit" not in first.stderr
+    assert len(list((tmp_path / "cache").iterdir())) == 1
+    second = _fresh(tmp_path, *argv)
+    assert "cache hit" in second.stderr
+    assert second.stdout == first.stdout

@@ -5,8 +5,9 @@ import pytest
 
 from xmodgerbe.gauge import (DEFAULT_TOLS, GaugeChartData, MatrixCrossedModule,
                              MatrixGroupDesc, QuadOverlap, Residual,
-                             _central_diff, builtin_cases, case_trivial,
-                             case_u1_circle_three, case_u1_torus_three,
+                             _central_diff, _pair_maps, builtin_cases, case_trivial,
+                             case_u1_circle_three, case_u1_sphere_monopole,
+                             case_u1_torus_three,
                              check_bfield, check_connection,
                              check_gerbe_cocycle_smooth, compute_T,
                              conjugation_T_samples, curvature_and_nu,
@@ -138,20 +139,35 @@ def test_torus_case_exact_except_curvature():
 
 
 def test_shared_inverses_give_the_standalone_residuals():
-    # run_case inverts each overlap's d and each triple's h once and hands
-    # the inverses to the checks; called alone, they invert as before
+    # run_case inverts each overlap's d and each triple's h once, builds the
+    # pair table once and hands them to the checks; called alone, the checks
+    # build their own, with the same results
     for build in (case_u1_circle_three, case_u1_torus_three):
         gcd = build()
         dinvs = [np.linalg.inv(o.d) for o in gcd.overlaps]
         hinvs = [np.linalg.inv(t.h) for t in gcd.triples]
+        table = _pair_maps(gcd)
         assert dinvs and hinvs
-        pairs = [(check_connection(gcd), check_connection(gcd, dinvs, hinvs)),
+        pairs = [(check_gerbe_cocycle_smooth(gcd),
+                  check_gerbe_cocycle_smooth(gcd, table)),
+                 (check_connection(gcd),
+                  check_connection(gcd, dinvs, hinvs, table)),
                  (curvature_and_nu(gcd).gluing,
                   curvature_and_nu(gcd, dinvs).gluing)]
         if gcd.dim >= 2:
-            pairs.append((check_bfield(gcd), check_bfield(gcd, hinvs)))
+            pairs.append((check_bfield(gcd),
+                          check_bfield(gcd, hinvs, table)))
         for alone, shared in pairs:
             assert alone.dictionary() == shared.dictionary(), alone.name
+        # check_connection hands compute_T the inverse of its argument,
+        # computed once per triple rather than once per axis
+        for t, hinv in zip(gcd.triples, hinvs):
+            aa = gcd.charts[t.a].A[t.ia]
+            for mu in range(gcd.dim):
+                assert np.array_equal(
+                    compute_T(aa[:, mu], hinv, gcd.xm, gcd.t_step,
+                              np.linalg.inv(hinv)),
+                    compute_T(aa[:, mu], hinv, gcd.xm, gcd.t_step))
 
 
 def test_circle_cases_meet_tight_tolerance():
@@ -246,6 +262,34 @@ def test_chart_data_validation_catches_mismatched_points():
     o.ib[0] = (o.ib[0] + 1) % len(gcd.charts[o.b].grid)
     rep = validate_chart_data(gcd)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("build, axis", [(case_u1_circle_three, 0),
+                                         (case_u1_torus_three, 1),
+                                         (case_u1_sphere_monopole, 1)])
+def test_chart_data_validation_matches_points_a_period_apart(build, axis):
+    # the built-in charts share exact coordinates; a chart moved by a whole
+    # period on a periodic axis only matches after reducing by the period
+    gcd = build()
+    period = gcd.periods[axis]
+    assert period > 0
+    moved = gcd.charts[1]
+    moved.grid = moved.grid.copy()
+    moved.grid[:, axis] += period
+    assert validate_chart_data(gcd).ok
+    moved.grid[:, axis] += 0.5 * period
+    assert not validate_chart_data(gcd).ok
+
+
+def test_chart_data_validation_does_not_wrap_an_open_axis():
+    gcd = case_u1_sphere_monopole()
+    assert gcd.periods[0] == 0.0
+    moved = gcd.charts[1]
+    moved.grid = moved.grid.copy()
+    moved.grid[:, 0] += 2 * np.pi
+    rep = validate_chart_data(gcd)
+    assert not rep.ok
+    assert "u1-sphere-monopole:overlap(0,1)-points" in rep.violations
 
 
 # ---------------------------------------------------------------------------
