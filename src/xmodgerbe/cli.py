@@ -370,7 +370,8 @@ def cmd_gauge_verify(cfg: RunConfig) -> tuple[RunReport, int]:
     results = {}
     passed = True
     for nm in names:
-        rep = run_case(nm, step=cfg.fd_step, tolerance=cfg.tolerance)
+        rep = run_case(nm, step=cfg.fd_step, tolerance=cfg.tolerance,
+                       budget=Budget(cfg.budget, what="gauge grids"))
         results[nm] = rep
         passed = passed and rep["passed"]
     report = RunReport(cfg.command, _config_echo(cfg),

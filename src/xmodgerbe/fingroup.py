@@ -585,7 +585,7 @@ def _generating_sequence(g: FiniteGroup) -> list[int]:
 
 
 def _hom_from_gen_images(g1: FiniteGroup, g2: FiniteGroup,
-                         gens: list[int], imgs: list[int]):
+                         gens: list[int], imgs: tuple[int, ...]):
     """Extend gens |-> imgs to a map on all of g1, or None on conflict."""
     val = {g1.identity: g2.identity}
     frontier = [g1.identity]
@@ -607,38 +607,33 @@ def _hom_from_gen_images(g1: FiniteGroup, g2: FiniteGroup,
     return np.array([val[a] for a in g1.elements()], dtype=np.int64)
 
 
-def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup):
-    """A GroupHom isomorphism g1 -> g2, or None.
+def _isomorphisms(g1: FiniteGroup, g2: FiniteGroup):
+    """Every isomorphism g1 -> g2, as value arrays, in backtracking order.
 
-    Backtracks over generator images, filtered by element order; fine for
-    the orders this package works at (<= 48).
+    Generator images run over the elements of g2 of the same order, the
+    first generator slowest; fine for the orders this package works at
+    (<= 48).
     """
     if g1.order != g2.order:
-        return None
+        return
     o1, o2 = element_orders(g1), element_orders(g2)
     if sorted(o1) != sorted(o2):
-        return None
+        return
     gens = _generating_sequence(g1)
     by_order: dict[int, list[int]] = {}
     for a, o in enumerate(o2):
         by_order.setdefault(o, []).append(a)
-    candidates = [by_order[o1[s]] for s in gens]
+    for imgs in itertools.product(*(by_order[o1[s]] for s in gens)):
+        m = _hom_from_gen_images(g1, g2, gens, imgs)
+        if (m is not None and len(set(m.tolist())) == g1.order
+                and GroupHom(g1, g2, m).is_hom()):
+            yield m
 
-    def backtrack(k: int, imgs: list[int]):
-        if k == len(gens):
-            m = _hom_from_gen_images(g1, g2, gens, imgs)
-            if m is not None and len(set(int(x) for x in m)) == g1.order:
-                f = GroupHom(g1, g2, m, name="iso")
-                if f.is_hom():
-                    return f
-            return None
-        for c in candidates[k]:
-            got = backtrack(k + 1, imgs + [c])
-            if got is not None:
-                return got
-        return None
 
-    return backtrack(0, [])
+def find_isomorphism(g1: FiniteGroup, g2: FiniteGroup):
+    """The first isomorphism g1 -> g2 of `_isomorphisms` as a GroupHom, or None."""
+    m = next(_isomorphisms(g1, g2), None)
+    return None if m is None else GroupHom(g1, g2, m, name="iso")
 
 
 def groups_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
@@ -647,28 +642,7 @@ def groups_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> bool:
 
 def automorphisms(g: FiniteGroup) -> list[np.ndarray]:
     """All automorphisms of g, as value arrays sorted lexicographically."""
-    gens = _generating_sequence(g)
-    orders = element_orders(g)
-    by_order: dict[int, list[int]] = {}
-    for a, o in enumerate(orders):
-        by_order.setdefault(o, []).append(a)
-    found: list[np.ndarray] = []
-
-    def backtrack(k: int, imgs: list[int]):
-        if k == len(gens):
-            m = _hom_from_gen_images(g, g, gens, imgs)
-            if m is not None and len(set(int(x) for x in m)) == g.order:
-                if GroupHom(g, g, m).is_hom():
-                    found.append(m)
-            return
-        for c in by_order[orders[gens[k]]]:
-            backtrack(k + 1, imgs + [c])
-
-    if not gens:  # trivial group
-        return [np.array([0], dtype=np.int64)[:g.order]]
-    backtrack(0, [])
-    found.sort(key=lambda m: tuple(int(x) for x in m))
-    return found
+    return sorted(_isomorphisms(g, g), key=lambda m: m.tolist())
 
 
 def abelian_invariants(g: FiniteGroup) -> list[int]:

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .util import Report, StructureError
+from .util import DEFAULT_BUDGET, Budget, BudgetError, Report, StructureError
 
 __all__ = [
     "MatrixGroupDesc",
@@ -331,12 +331,18 @@ class Residual:
 
     name: str
     equations: dict = field(default_factory=dict)
+    absent: set = field(default_factory=set)
 
     def add(self, equation: str, values: np.ndarray) -> None:
         mags = _mags(values)
         if equation in self.equations:
             mags = np.concatenate([self.equations[equation], mags])
         self.equations[equation] = mags
+
+    def add_absent(self, equation: str) -> None:
+        """Report a law the data does not set up, with no samples."""
+        self.add(equation, np.zeros(0))
+        self.absent.add(equation)
 
     def max(self) -> float:
         tops = [float(v.max()) for v in self.equations.values() if v.size]
@@ -515,7 +521,7 @@ def check_gerbe_cocycle_smooth(gcd: GaugeChartData,
         rhs = xm.action(q.d_ab, q.h_bcd) @ q.h_abd
         res.add("cocycle-tetra", lhs - rhs)
     if not gcd.triples and not gcd.quads:
-        res.add("cocycle-triangle", np.zeros(0))
+        res.add_absent("cocycle-triangle")
     return res
 
 
@@ -568,7 +574,7 @@ def check_connection(gcd: GaugeChartData, dinvs: list | None = None,
                    + compute_T(aa[:, mu], hinv, xm, gcd.t_step, hinv_inv))
             res.add(f"connection-triple[{mu}]", (lhs - rhs)[valid])
     if not gcd.overlaps:
-        res.add("connection-overlap[0]", np.zeros(0))
+        res.add_absent("connection-overlap[0]")
     return res
 
 
@@ -602,7 +608,7 @@ def check_bfield(gcd: GaugeChartData, hinvs: list | None = None,
                    + ba[:, c] - t.h @ ba[:, c] @ hinv)
             res.add(f"bfield-triple[{c}]", lhs - rhs)
     if not gcd.overlaps or n2 == 0:
-        res.add("bfield-overlap[0]", np.zeros(0))
+        res.add_absent("bfield-overlap[0]")
     return res
 
 
@@ -661,7 +667,7 @@ def curvature_and_nu(gcd: GaugeChartData,
             rhs = o.d @ nus[o.b][o.ib][:, c] @ dinv
             glue.add(f"nu-gluing[{c}]", (lhs - rhs)[ok])
     if n2 == 0 or not gcd.overlaps:
-        glue.add("nu-gluing[0]", np.zeros(0))
+        glue.add_absent("nu-gluing[0]")
     return CurvatureReport(fs, nus, valids, glue, gcd.xm.h_abelian)
 
 
@@ -779,14 +785,34 @@ def _overlap_1d(charts_idx: list, a: int, b: int, theta: np.ndarray,
     return out
 
 
-def case_trivial(step: float | None = None) -> GaugeChartData:
+def _guard_points(case: str, step: float, points: int,
+                  budget: Budget | None) -> None:
+    """Raise BudgetError, before a case allocates its chart grids, when they
+    hold more points than the budget's limit; nothing is charged."""
+    limit = DEFAULT_BUDGET if budget is None else budget.limit
+    if points > limit:
+        raise BudgetError(f"gauge case {case} at step {step:g} has {points} "
+                          f"grid points", points, limit)
+
+
+def _require_points(case: str, step: float, **parts: list) -> None:
+    """Refuse a step that leaves overlaps or triples the case sets up empty."""
+    for what, items in parts.items():
+        if not items:
+            raise StructureError(f"gauge case {case}: step {step:g} leaves "
+                                 f"no {what} point")
+
+
+def case_trivial(step: float | None = None,
+                 budget: Budget | None = None) -> GaugeChartData:
     """Two charts on a segment; every field identically trivial."""
     if step is None:
         step = DEFAULT_STEPS[1]
     n = max(int(round(1.0 / step)), 16)
-    xs = np.arange(n) * step
     half = n // 2
     quarter = n // 4
+    _guard_points("trivial", step, 2 * (half + quarter), budget)
+    xs = np.arange(n) * step
     ia0 = np.arange(quarter, half + quarter)
     charts = []
     for lo in (0, quarter):
@@ -804,7 +830,8 @@ def case_trivial(step: float | None = None) -> GaugeChartData:
                           periods=(0.0,))
 
 
-def case_u1_circle_pair(k: int = 1, step: float | None = None) -> GaugeChartData:
+def case_u1_circle_pair(k: int = 1, step: float | None = None,
+                        budget: Budget | None = None) -> GaugeChartData:
     """Two arcs on the circle, H = D = U(1) with identity alpha.
 
     d_01 = exp(i k theta); A on chart 1 is an arbitrary smooth sample and A
@@ -813,10 +840,11 @@ def case_u1_circle_pair(k: int = 1, step: float | None = None) -> GaugeChartData
     """
     if step is None:
         step = DEFAULT_STEPS[1]
-    m = int(round(2 * np.pi / step))
-    step = 2 * np.pi / m
-    theta = np.arange(m) * step
+    m = max(int(round(2 * np.pi / step)), 1)
     arc = int(m * 0.58)
+    _guard_points("u1-circle-pair", step, 2 * arc, budget)
+    dx = 2 * np.pi / m
+    theta = np.arange(m) * dx
     idx0 = _arc_indices(0, arc, m)
     idx1 = _arc_indices(m // 2, arc, m)
 
@@ -826,18 +854,20 @@ def case_u1_circle_pair(k: int = 1, step: float | None = None) -> GaugeChartData
     def a0(th):
         return a1(th) - 1j * k
 
-    c0 = Chart(theta[idx0].reshape(-1, 1), (arc,), (step,), (False,),
+    c0 = Chart(theta[idx0].reshape(-1, 1), (arc,), (dx,), (False,),
                A=a0(theta[idx0]).reshape(-1, 1, 1, 1))
-    c1 = Chart(theta[idx1].reshape(-1, 1), (arc,), (step,), (False,),
+    c1 = Chart(theta[idx1].reshape(-1, 1), (arc,), (dx,), (False,),
                A=a1(theta[idx1]).reshape(-1, 1, 1, 1))
     overlaps = _overlap_1d([idx0, idx1], 0, 1, theta, m,
                            lambda th: np.exp(1j * k * th),
                            lambda th: np.zeros_like(th) * 1j)
+    _require_points("u1-circle-pair", step, overlap=overlaps)
     return GaugeChartData("u1-circle-pair", u1_id_xmod(), 1, [c0, c1],
                           overlaps, periods=(2 * np.pi,))
 
 
-def case_u1_circle_three(step: float | None = None) -> GaugeChartData:
+def case_u1_circle_three(step: float | None = None,
+                         budget: Budget | None = None) -> GaugeChartData:
     """Three wide arcs with nonempty triple overlaps; null alpha.
 
     Levels: d_ab = exp(i k_ab theta) with k an exact integer coboundary
@@ -847,10 +877,11 @@ def case_u1_circle_three(step: float | None = None) -> GaugeChartData:
     """
     if step is None:
         step = DEFAULT_STEPS[1]
-    m = int(round(2 * np.pi / step))
-    step = 2 * np.pi / m
-    theta = np.arange(m) * step
+    m = max(int(round(2 * np.pi / step)), 1)
     arc = int(m * 0.8)
+    _guard_points("u1-circle-three", step, 3 * arc, budget)
+    dx = 2 * np.pi / m
+    theta = np.arange(m) * dx
     starts = [0, m // 3, (2 * m) // 3]
     idx = [_arc_indices(s, arc, m) for s in starts]
     # integer coboundary k_ab = m_a - m_b with |k| <= 1 keeps the
@@ -877,7 +908,7 @@ def case_u1_circle_three(step: float | None = None) -> GaugeChartData:
     charts = []
     for a in range(3):
         pts = theta[idx[a]].reshape(-1, 1)
-        charts.append(Chart(pts, (arc,), (step,), (False,),
+        charts.append(Chart(pts, (arc,), (dx,), (False,),
                             A=a_chart(a)(pts[:, 0]).reshape(-1, 1, 1, 1)))
     overlaps = []
     for (a, b) in [(0, 1), (1, 2), (0, 2)]:
@@ -888,11 +919,13 @@ def case_u1_circle_three(step: float | None = None) -> GaugeChartData:
         h = np.exp(1j * phi(0, 1, 2)(theta[run])).reshape(-1, 1, 1)
         triples.append(TripleOverlap(0, 1, 2, ia, ib, ic, (len(run),),
                                      (False,), h))
+    _require_points("u1-circle-three", step, overlap=overlaps, triple=triples)
     return GaugeChartData("u1-circle-three", u1_null_xmod(), 1, charts,
                           overlaps, triples, periods=(2 * np.pi,))
 
 
-def case_u1_torus_three(step: float | None = None) -> GaugeChartData:
+def case_u1_torus_three(step: float | None = None,
+                        budget: Budget | None = None) -> GaugeChartData:
     """Three x-bands on the torus (y periodic); full B-field coverage.
 
     Transitions are trivial and the chart connections differ by exact
@@ -905,12 +938,13 @@ def case_u1_torus_three(step: float | None = None) -> GaugeChartData:
     """
     if step is None:
         step = DEFAULT_STEPS[2]
-    m1 = int(round(2 * np.pi / step))
-    step = 2 * np.pi / m1
+    m1 = max(int(round(2 * np.pi / step)), 1)
     m2 = m1
-    xs = np.arange(m1) * step
-    ys = np.arange(m2) * step
     arc = int(m1 * 0.8)
+    _guard_points("u1-torus-three", step, 3 * arc * m2, budget)
+    dx = 2 * np.pi / m1
+    xs = np.arange(m1) * dx
+    ys = np.arange(m2) * dx
     starts = [0, m1 // 3, (2 * m1) // 3]
     bands = [_arc_indices(s, arc, m1) for s in starts]
     ms = {0: 2.0, 1: 1.0, 2: 0.0}
@@ -933,7 +967,7 @@ def case_u1_torus_three(step: float | None = None) -> GaugeChartData:
     charts = []
     for a in range(3):
         pts = grid_of(bands[a])
-        charts.append(Chart(pts, (arc, m2), (step, step), (False, True),
+        charts.append(Chart(pts, (arc, m2), (dx, dx), (False, True),
                             A=a_fields(a, pts), B=b_field(a, pts)))
     overlaps = []
     for (a, b) in [(0, 1), (1, 2), (0, 2)]:
@@ -956,12 +990,13 @@ def case_u1_torus_three(step: float | None = None) -> GaugeChartData:
         h = np.ones((len(ia), 1, 1), dtype=np.complex128)
         triples.append(TripleOverlap(0, 1, 2, ia, ib, ic, (len(run), m2),
                                      (False, True), h))
+    _require_points("u1-torus-three", step, overlap=overlaps, triple=triples)
     return GaugeChartData("u1-torus-three", u1_id_xmod(), 2, charts,
                           overlaps, triples, periods=(2 * np.pi, 2 * np.pi))
 
 
-def case_u1_sphere_monopole(k: int = 1,
-                            step: float | None = None) -> GaugeChartData:
+def case_u1_sphere_monopole(k: int = 1, step: float | None = None,
+                            budget: Budget | None = None) -> GaugeChartData:
     """Two polar-cap charts in shared band coordinates; monopole charge k.
 
     A differs between the caps by the exact transition derivative term, and
@@ -970,15 +1005,17 @@ def case_u1_sphere_monopole(k: int = 1,
     """
     if step is None:
         step = DEFAULT_STEPS[2]
-    mphi = int(round(2 * np.pi / step))
-    step_phi = 2 * np.pi / mphi
-    phis = np.arange(mphi) * step_phi
+    mphi = max(int(round(2 * np.pi / step)), 1)
     th_lo, th_hi = 0.45, np.pi - 0.45
-    mth = int(round((th_hi - th_lo) / step))
-    step_th = (th_hi - th_lo) / mth
-    thetas = th_lo + np.arange(mth + 1) * step_th
+    mth = max(int(round((th_hi - th_lo) / step)), 1)
     cut_n = int(0.70 * mth)
     cut_s = int(0.30 * mth)
+    _guard_points("u1-sphere-monopole", step,
+                  (cut_n + 1 + mth - cut_s + 1) * mphi, budget)
+    step_phi = 2 * np.pi / mphi
+    phis = np.arange(mphi) * step_phi
+    step_th = (th_hi - th_lo) / mth
+    thetas = th_lo + np.arange(mth + 1) * step_th
     rows_n = np.arange(0, cut_n + 1)
     rows_s = np.arange(cut_s, mth + 1)
 
@@ -1050,8 +1087,12 @@ def builtin_cases() -> dict:
 
 
 def run_case(name: str, step: float | None = None,
-             tolerance: float | None = None) -> dict:
-    """Build a named case, run every applicable check, report verdicts."""
+             tolerance: float | None = None,
+             budget: Budget | None = None) -> dict:
+    """Build a named case, run every applicable check, report verdicts.
+
+    Refuses a step at which a law the case sets up has no valid sample
+    point, and grids larger than the budget's limit (see _guard_points)."""
     if name == "so3-conjugation-T":
         res = conjugation_T_samples()
         tol = tolerance if tolerance is not None else 1e-6
@@ -1066,7 +1107,7 @@ def run_case(name: str, step: float | None = None,
         raise StructureError(f"unknown gauge case '{name}'; have "
                              f"{sorted(cases) + ['so3-conjugation-T']}")
     builder = cases[name]
-    gcd = builder(step=step)
+    gcd = builder(step=step, budget=budget)
     tol = tolerance if tolerance is not None else DEFAULT_TOLS[gcd.dim]
     rep = validate_chart_data(gcd)
     if not rep.ok:
@@ -1086,6 +1127,13 @@ def run_case(name: str, step: float | None = None,
     # peaks, it raised the torus case's peak RSS by about 40 MB
     del table
     curv = curvature_and_nu(gcd, dinvs)
+    vacuous = [eq for res in results + [curv.gluing]
+               for eq, v in sorted(res.equations.items())
+               if not v.size and eq not in res.absent]
+    if vacuous:
+        shown = DEFAULT_STEPS[gcd.dim] if step is None else step
+        raise StructureError(f"gauge case {name}: step {shown:g} leaves no "
+                             f"valid sample point for {', '.join(vacuous)}")
     passed = True
     for res in results:
         out["residuals"][res.name.split(" ")[0]] = res.dictionary()

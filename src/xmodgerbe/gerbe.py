@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,15 +118,24 @@ def validate_cocycle(c: GerbeCocycle) -> Report:
             and all(0 <= v < H.order for v in c.h.values()))
     if not rep.ok:
         return rep
+    dmul, alpha = D.table.tolist(), xm.alpha.mapping.tolist()
+    hmul, act = H.table.tolist(), xm.action.table.tolist()
     for (a, b, cc) in triples:
-        lhs = D.mul(c.d[(a, b)], c.d[(b, cc)])
-        rhs = D.mul(xm.alpha(c.h[(a, b, cc)]), c.d[(a, cc)])
-        rep.add(f"edge@{a},{b},{cc}", lhs == rhs)
+        rep.add(f"edge@{a},{b},{cc}",
+                dmul[c.d[(a, b)]][c.d[(b, cc)]]
+                == dmul[alpha[c.h[(a, b, cc)]]][c.d[(a, cc)]])
     for (a, b, cc, dd) in c.cover.simplices(3):
-        lhs = H.mul(c.h[(a, b, cc)], c.h[(a, cc, dd)])
-        rhs = H.mul(xm.act(c.d[(a, b)], c.h[(b, cc, dd)]), c.h[(a, b, dd)])
+        lhs, rhs = _tetra_sides(hmul, act, c.d, c.h, (a, b), (a, b, cc),
+                                (a, cc, dd), (b, cc, dd), (a, b, dd))
         rep.add(f"tetra@{a},{b},{cc},{dd}", lhs == rhs)
     return rep
+
+
+def _tetra_sides(hmul, act, d, h, ab, abc, acd, bcd, abd) -> tuple[int, int]:
+    """Both sides, h_abc h_acd and (d_ab . h_bcd) h_abd, of the tetrahedron
+    law, with H's product and the action as lists and d, h read at the
+    positions (or keys) ab, abc, acd, bcd, abd of a quad's pair and triples."""
+    return hmul[h[abc]][h[acd]], hmul[act[d[ab]][h[bcd]]][h[abd]]
 
 
 def apply_witness(c: GerbeCocycle, w: StableWitness) -> GerbeCocycle:
@@ -174,37 +183,70 @@ def compose_witness(w2: StableWitness, w1: StableWitness,
 # enumeration and classification
 
 
-def _preimage_lists(xm: CrossedModule) -> list[list[int]]:
-    pre: list[list[int]] = [[] for _ in range(xm.D.order)]
-    for hval in range(xm.H.order):
-        pre[int(xm.alpha.mapping[hval])].append(hval)
-    return pre
+class _HCompletions:
+    """The search for the h-values completing a d-assignment, built once
+    per (cover, crossed module).
+
+    d and h are read by position in the cover's pair and triple lists:
+    `edges` holds each triple's (ab, bc, ac) pairs, `quads` each quad's
+    (ab, abc, acd, bcd, abd) positions in the cover's quad order, and
+    `by_depth[i]` the quads whose lexicographically last triple is triple
+    i, which the search checks as soon as it sets that triple.
+    """
+
+    def __init__(self, cover: CoverComplex, xm: CrossedModule):
+        pidx = {p: i for i, p in enumerate(cover.simplices(1))}
+        tidx = {t: i for i, t in enumerate(cover.simplices(2))}
+        self.dmul, self.dinv = xm.D.table.tolist(), xm.D.inverses.tolist()
+        self.hmul, self.act = xm.H.table.tolist(), xm.action.table.tolist()
+        self.pre: list[list[int]] = [[] for _ in range(xm.D.order)]
+        for hval, dval in enumerate(xm.alpha.mapping.tolist()):
+            self.pre[dval].append(hval)
+        self.edges = [(pidx[a, b], pidx[b, c], pidx[a, c]) for (a, b, c) in tidx]
+        self.quads = [(pidx[a, b], tidx[a, b, c], tidx[a, c, d], tidx[b, c, d],
+                       tidx[a, b, d]) for (a, b, c, d) in cover.simplices(3)]
+        self.by_depth: list[list[tuple]] = [[] for _ in tidx]
+        for q in self.quads:
+            self.by_depth[max(q[1:])].append(q)
+
+    def cosets(self, d) -> list[list[int]]:
+        """Per triple, the alpha-preimage of d_ab d_bc d_ac^-1: the values
+        the edge condition leaves h_abc."""
+        dmul, dinv, pre = self.dmul, self.dinv, self.pre
+        return [pre[dmul[dmul[d[ab]][d[bc]]][dinv[d[ac]]]]
+                for ab, bc, ac in self.edges]
+
+    def completions(self, d, budget: Budget | None = None):
+        """Every h completing the d-assignment to a cocycle, in lexicographic
+        order, each as a list over the triples; each value tried is charged
+        to `budget` when one is given."""
+        cosets = self.cosets(d)
+        hmul, act, by_depth = self.hmul, self.act, self.by_depth
+        h = [0] * len(cosets)
+
+        def extend(i: int):
+            if i == len(h):
+                yield list(h)
+                return
+            for v in cosets[i]:
+                if budget is not None:
+                    budget.spend()
+                h[i] = v
+                for q in by_depth[i]:
+                    lhs, rhs = _tetra_sides(hmul, act, d, h, *q)
+                    if lhs != rhs:
+                        break
+                else:
+                    yield from extend(i + 1)
+
+        yield from extend(0)
 
 
-def _valid_h_assignments(dvals, xm, triples, quads, pidx, tidx, pre):
-    """All h-assignments completing the given d-assignment to a valid cocycle."""
-    D, H = xm.D, xm.H
-    cosets = []
-    for (a, b, cc) in triples:
-        target = D.mul(D.mul(dvals[pidx[(a, b)]], dvals[pidx[(b, cc)]]),
-                       D.inv(dvals[pidx[(a, cc)]]))
-        cs = pre[target]
-        if not cs:
-            return []
-        cosets.append(cs)
-    out = []
-    for hvals in itertools.product(*cosets):
-        ok = True
-        for (a, b, cc, dd) in quads:
-            lhs = H.mul(hvals[tidx[(a, b, cc)]], hvals[tidx[(a, cc, dd)]])
-            rhs = H.mul(xm.act(dvals[pidx[(a, b)]], hvals[tidx[(b, cc, dd)]]),
-                        hvals[tidx[(a, b, dd)]])
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
-            out.append(tuple(int(v) for v in hvals))
-    return out
+def _exhaustive_bound(cover: CoverComplex, xm: CrossedModule) -> int:
+    """|D|^pairs * |ker alpha|^triples, charged up front by the enumeration."""
+    ker_size = sum(1 for v in xm.alpha.mapping if v == xm.D.identity)
+    return (xm.D.order ** len(cover.simplices(1))
+            * max(1, ker_size) ** len(cover.simplices(2)))
 
 
 def enumerate_cocycles(cover: CoverComplex, xm: CrossedModule,
@@ -216,22 +258,15 @@ def enumerate_cocycles(cover: CoverComplex, xm: CrossedModule,
     filtered by the tetrahedron condition.
     """
     budget = budget or Budget(what="cocycle enumeration")
+    budget.spend(_exhaustive_bound(cover, xm))
     pairs = cover.simplices(1)
     triples = cover.simplices(2)
-    quads = cover.simplices(3)
-    ker_size = sum(1 for v in xm.alpha.mapping if v == xm.D.identity)
-    bound = xm.D.order ** len(pairs) * max(1, ker_size) ** len(triples)
-    budget.spend(bound)
-    pre = _preimage_lists(xm)
-    pidx = {p: i for i, p in enumerate(pairs)}
-    tidx = {t: i for i, t in enumerate(triples)}
+    search = _HCompletions(cover, xm)
     out = []
-    for dvals in itertools.product(range(xm.D.order), repeat=len(pairs)):
-        for hvals in _valid_h_assignments(dvals, xm, triples, quads, pidx,
-                                          tidx, pre):
-            out.append(GerbeCocycle(cover, xm,
-                                    dict(zip(pairs, dvals)),
-                                    dict(zip(triples, hvals))))
+    for d in itertools.product(range(xm.D.order), repeat=len(pairs)):
+        for h in search.completions(d):
+            out.append(GerbeCocycle(cover, xm, dict(zip(pairs, d)),
+                                    dict(zip(triples, h))))
     return out
 
 
@@ -292,13 +327,10 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
     guard = cover.charts > GUARD_CHARTS or xm.H.order * xm.D.order > GUARD_ORDER
     budget = budget or Budget(what="gerbe classification")
     if guard and not force:
-        ker_size = sum(1 for v in xm.alpha.mapping if v == xm.D.identity)
-        bound = (xm.D.order ** len(cover.simplices(1))
-                 * max(1, ker_size) ** len(cover.simplices(2)))
         raise BudgetError(
             f"gerbe classification beyond the exhaustive guard "
             f"({cover.charts} charts, |H||D| = {xm.H.order * xm.D.order})",
-            bound, budget.limit)
+            _exhaustive_bound(cover, xm), budget.limit)
     cocycles = enumerate_cocycles(cover, xm, budget=budget)
     index = {c.key(): c for c in cocycles}
     gens = _generator_witnesses(cover, xm)
@@ -453,13 +485,13 @@ class LiftResult:
 class LiftPlan:
     """Lifting data of a (cover, target) pair, built once for all cocycles.
 
-    Only the preimage cosets, the search and the defect 3-cochain depend on
-    the cocycle.  The plan holds the rest: the image module the cocycles
-    live over, ker alpha with its centrality and action checks, the
-    triple/quad index maps, and, when the obstruction is emitted, H^3 of the
-    cover in ker alpha, cyclic coordinates of ker alpha, the coboundary
-    matrix from triples to quads and, when there are quads, one factored
-    solver of that matrix per cyclic modulus of ker alpha.
+    Only the search and the defect 3-cochain depend on the cocycle.  The
+    plan holds the rest: the image module the cocycles live over, ker alpha
+    with its centrality and action checks, the h-completion search of the
+    target and, when the obstruction is emitted, H^3 of the cover in ker
+    alpha, cyclic coordinates of ker alpha, the coboundary matrix from
+    triples to quads and, when there are quads, one factored solver of that
+    matrix per cyclic modulus of ker alpha.
     """
 
     def __init__(self, cover: CoverComplex, xm: CrossedModule):
@@ -475,27 +507,21 @@ class LiftPlan:
 
         self.triples = cover.simplices(2)
         self.quads = cover.simplices(3)
-        self.tidx = {t: i for i, t in enumerate(self.triples)}
-        self.pre = _preimage_lists(xm)
-        # quads become checkable once their lexicographically last triple is set
-        self.by_depth: list[list[tuple]] = [[] for _ in self.triples]
-        for q in self.quads:
-            a, b, cc, dd = q
-            parts = [(a, b, cc), (a, b, dd), (a, cc, dd), (b, cc, dd)]
-            self.by_depth[max(self.tidx[t] for t in parts)].append(q)
+        self.search = _HCompletions(cover, xm)
 
         self.oracle: CohomologyResult | None = None
         if self.emitted:
             self.oracle = abelian_oracle(cover, ker_g, 3)
             _, self.moduli, self.coord = _abelian_coordinates(ker_g)
             self.ker_back = {int(v): i for i, v in enumerate(ker_inc.mapping)}
+            self.hinv = H.inverses.tolist()
             # coboundary from triples to quads, one row per quad
             self.mat = [[0] * len(self.triples) for _ in self.quads]
-            for qi, (a, b, cc, dd) in enumerate(self.quads):
-                self.mat[qi][self.tidx[(a, b, cc)]] += 1
-                self.mat[qi][self.tidx[(a, cc, dd)]] += 1
-                self.mat[qi][self.tidx[(a, b, dd)]] -= 1
-                self.mat[qi][self.tidx[(b, cc, dd)]] -= 1
+            for row, (_ab, abc, acd, bcd, abd) in zip(self.mat, self.search.quads):
+                row[abc] += 1
+                row[acd] += 1
+                row[abd] -= 1
+                row[bcd] -= 1
             self.solvers = ([ModSolver(self.mat, m) for m in self.moduli]
                             if self.quads else [])
 
@@ -513,11 +539,12 @@ class LiftPlan:
     def lift(self, c: GerbeCocycle, budget: Budget | None = None) -> LiftResult:
         """Lift a cocycle over `self.base` to one for the target, if possible.
 
-        The h-values are lifted triple by triple within alpha-preimage cosets
-        by exhaustive backtracking against the tetrahedron condition.  When
-        the obstruction is emitted, the defect 3-cochain of an arbitrary
-        set-level lift is computed and its class is tested for triviality by
-        linear algebra; the two verdicts are cross-checked.
+        The lift is the first h-completion of c's d-values for the target:
+        each h_abc runs over the alpha-preimage coset the edge condition
+        forces, against the tetrahedron condition.  When the obstruction is
+        emitted, the defect 3-cochain of an arbitrary set-level lift is
+        computed and its class is tested for triviality by linear algebra;
+        the two verdicts are cross-checked.
         """
         budget = budget or Budget(what="gerbe lift")
         if not self.is_base(c.xm):
@@ -528,42 +555,13 @@ class LiftPlan:
         if not rep.ok:
             raise StructureError(f"cannot lift an invalid cocycle: {rep.summary()}")
         xm = self.xm
-        H, D = xm.H, xm.D
-        triples, tidx, by_depth = self.triples, self.tidx, self.by_depth
-        # the image module's alpha is the inclusion im alpha -> D
-        im_inc = self.base.alpha.mapping
-        cosets = [self.pre[int(im_inc[c.h[t]])] for t in triples]
-
-        def quad_ok(q, vals) -> bool:
-            a, b, cc, dd = q
-            lhs = H.mul(vals[tidx[(a, b, cc)]], vals[tidx[(a, cc, dd)]])
-            rhs = H.mul(xm.act(c.d[(a, b)], vals[tidx[(b, cc, dd)]]),
-                        vals[tidx[(a, b, dd)]])
-            return lhs == rhs
-
-        lifted_vals: list[int] | None = None
-        stack_vals: list[int] = []
-
-        def dfs(i: int) -> bool:
-            if i == len(triples):
-                return True
-            for v in cosets[i]:
-                budget.spend()
-                stack_vals.append(v)
-                if all(quad_ok(q, stack_vals) for q in by_depth[i]) and dfs(i + 1):
-                    return True
-                stack_vals.pop()
-            return False
-
-        if not triples:
-            lifted_vals = []
-        elif dfs(0):
-            lifted_vals = list(stack_vals)
+        search = self.search
+        d, _ = c.key()
 
         lifted = None
-        if lifted_vals is not None:
-            lifted = GerbeCocycle(c.cover, xm, dict(c.d),
-                                  {t: lifted_vals[i] for i, t in enumerate(tidx)},
+        h = next(search.completions(d, budget), None)
+        if h is not None:
+            lifted = GerbeCocycle(c.cover, xm, dict(c.d), dict(zip(self.triples, h)),
                                   name=f"{c.name}-lift")
             lrep = validate_cocycle(lifted)
             if not lrep.ok:
@@ -574,16 +572,13 @@ class LiftPlan:
         agreement = None
         defect_out = None
         if self.emitted:
-            ref = [cs[0] for cs in cosets]          # arbitrary set-level lift
+            ref = [cs[0] for cs in search.cosets(d)]     # arbitrary set-level lift
             defect_out = {}
             zrows = []
-            for q in self.quads:
-                a, b, cc, dd = q
-                lhs = H.mul(ref[tidx[(a, b, cc)]], ref[tidx[(a, cc, dd)]])
-                rhs = H.mul(xm.act(c.d[(a, b)], ref[tidx[(b, cc, dd)]]),
-                            ref[tidx[(a, b, dd)]])
-                z = H.mul(H.inv(rhs), lhs)
-                if int(xm.alpha.mapping[z]) != D.identity:
+            for q, pos in zip(self.quads, search.quads):
+                lhs, rhs = _tetra_sides(search.hmul, search.act, d, ref, *pos)
+                z = search.hmul[self.hinv[rhs]][lhs]
+                if z not in self.ker_back:
                     raise StructureError("lift defect landed outside ker alpha")
                 exps = self.coord[self.ker_back[z]]
                 defect_out[q] = tuple(int(e) for e in exps)

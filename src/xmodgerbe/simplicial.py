@@ -383,8 +383,8 @@ def _radix_digits(radix: list[int]) -> np.ndarray:
     return np.indices(radix).reshape(len(radix), math.prod(radix))
 
 
-def _radix_encode(digits: list, radix: list[int], size: int) -> np.ndarray:
-    """Inverse of _radix_digits on `size` columns; a digit may be a scalar."""
+def _radix_encode(digits: list, radix: list[int], size) -> np.ndarray:
+    """Inverse of _radix_digits on `size` columns (or shape); a digit may be a scalar."""
     out = np.zeros(size, dtype=np.int64)
     for dig, r in zip(digits, radix, strict=True):
         out *= r

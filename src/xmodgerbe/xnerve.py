@@ -41,8 +41,6 @@ from .util import Budget, Report, StructureError
 __all__ = [
     "NerveGroup",
     "build_nerve",
-    "nerve_decompose",
-    "nerve_encode",
     "nerve_homotopy",
     "build_duskin",
     "MatchResult",
@@ -66,79 +64,62 @@ class NerveGroup(TruncatedSimplicialGroup):
     xm: CrossedModule | None = None
 
 
-def nerve_decompose(xm: CrossedModule, n: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Arrays (d_of, [h1_of, ..., hn_of]) decoding every level-n index."""
-    oh, od = xm.H.order, xm.D.order
-    idx = np.arange(od * oh ** n)
-    d = idx // oh ** n
-    hs = [(idx // oh ** (n - i)) % oh for i in range(1, n + 1)]
-    return d, hs
-
-
-def nerve_encode(xm: CrossedModule, d, hs) -> np.ndarray:
-    """Inverse of nerve_decompose on arrays."""
-    oh = xm.H.order
-    out = np.asarray(d, dtype=np.int64).copy()
-    for h in hs:
-        out = out * oh + h
-    return out
-
-
-def _anchors(xm: CrossedModule, d: np.ndarray, hs: list[np.ndarray]) -> list[np.ndarray]:
-    """Vertex chain v_0 = d, v_i = alpha(h_i) v_{i-1}."""
-    dt = xm.D.table
-    al = xm.alpha.mapping
-    vs = [d]
-    for h in hs:
-        vs.append(dt[al[h], vs[-1]])
-    return vs
+def _nerve_radix(xm: CrossedModule, n: int) -> list[int]:
+    """Digit radices of the level-n nerve index d |H|^n + sum h_i |H|^(n-i)."""
+    return [xm.D.order] + [xm.H.order] * n
 
 
 def build_nerve(xm: CrossedModule, N: int, validate: bool = True,
                 budget: Budget | None = None) -> NerveGroup:
     """The nerve simplicial group of a crossed module, truncated at N.
 
-    Level-n elements are (d; h_1..h_n) encoded d * |H|^n + sum h_i |H|^(n-i);
-    the product acts as horizontal composition: anchors multiply in D and
-    h-slots combine as h_i * (v_{i-1} acting on h_i') with v from the left
-    factor.  All faces and degeneracies are homomorphisms.
+    Level-n elements are (d; h_1..h_n) encoded d * |H|^n + sum h_i |H|^(n-i),
+    the mixed-radix index of `_nerve_radix`.  The product acts as horizontal
+    composition: anchors multiply in D and h-slots combine as
+    h_i * (v_{i-1} acting on h_i') with v from the left factor.  The face d_0
+    drops h_1 and moves the anchor to alpha(h_1) d; d_i for 0 < i < n
+    replaces h_i, h_{i+1} by the product h_{i+1} h_i; d_n drops h_n.  The
+    degeneracy s_i inserts the identity of H after the first i slots.  All
+    faces and degeneracies are homomorphisms.
     """
     rep = validate_crossed_module(xm)
     if not rep.ok:
         raise StructureError(f"invalid crossed module: {rep.summary()}")
-    oh, od = xm.H.order, xm.D.order
-    _guard_sizes([od * oh ** n for n in range(N + 1)], budget, f"N({xm.name})")
+    radix = [_nerve_radix(xm, n) for n in range(N + 1)]
+    sizes = [math.prod(r) for r in radix]
+    _guard_sizes(sizes, budget, f"N({xm.name})")
     ht, dt = xm.H.table, xm.D.table
     act = xm.action.table
     al = xm.alpha.mapping
 
     groups: list[FiniteGroup] = []
     for n in range(N + 1):
-        order = od * oh ** n
-        d, hs = nerve_decompose(xm, n)
-        vs = _anchors(xm, d, hs)
-        tab = dt[d[:, None], d[None, :]]
-        for i in range(1, n + 1):
-            hi = ht[hs[i - 1][:, None], act[vs[i - 1][:, None], hs[i - 1][None, :]]]
-            tab = tab * oh + hi
+        d, *hs = _radix_digits(radix[n])
+        vs = [d]                # vertex chain v_i = alpha(h_i) v_{i-1}
+        for h in hs:
+            vs.append(dt[al[h], vs[-1]])
+        slots = [ht[hs[i][:, None], act[vs[i][:, None], hs[i][None, :]]]
+                 for i in range(n)]
+        tab = _radix_encode([dt[d[:, None], d[None, :]]] + slots, radix[n],
+                            (sizes[n], sizes[n]))
         groups.append(FiniteGroup(tab, name=f"N({xm.name})_{n}"))
 
     faces: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
     degens: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
     for n in range(1, N + 1):
-        d, hs = nerve_decompose(xm, n)
+        d, *hs = _radix_digits(radix[n])
+        down = radix[n - 1]
         # d_0: drop the first 2-cell, advance the anchor along it
-        faces[n].append(nerve_encode(xm, dt[al[hs[0]], d], hs[1:]))
+        faces[n].append(_radix_encode([dt[al[hs[0]], d]] + hs[1:], down, sizes[n]))
         for i in range(1, n):
             merged = hs[:i - 1] + [ht[hs[i], hs[i - 1]]] + hs[i + 1:]
-            faces[n].append(nerve_encode(xm, d, merged))
-        faces[n].append(nerve_encode(xm, d, hs[:-1]))
-    e_h = xm.H.identity
+            faces[n].append(_radix_encode([d] + merged, down, sizes[n]))
+        faces[n].append(_radix_encode([d] + hs[:-1], down, sizes[n]))
     for n in range(N):
-        d, hs = nerve_decompose(xm, n)
-        eh = np.full(od * oh ** n, e_h, dtype=np.int64)
+        d, *hs = _radix_digits(radix[n])
         for i in range(n + 1):
-            degens[n].append(nerve_encode(xm, d, hs[:i] + [eh] + hs[i:]))
+            degens[n].append(_radix_encode([d] + hs[:i] + [xm.H.identity] + hs[i:],
+                                           radix[n + 1], sizes[n]))
 
     nerve = NerveGroup(N, groups, faces, degens, name=f"N({xm.name})", xm=xm)
     if validate:
@@ -363,26 +344,30 @@ def homotopy_quotient(xm: CrossedModule, N: int = 2) -> HomotopyQuotient:
     eh = build_nerve(exm, N)
     nerve = build_nerve(xm, N)
     rep = Report()
-    oh, od = xm.H.order, xm.D.order
+    od = xm.D.order
     dt = xm.D.table
     al = xm.alpha.mapping
 
     def canon(n: int, p: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Class index (in nerve level-n coordinates) of (p, d) in E_n x D."""
-        x = p // oh ** n          # anchor of the (H -> H)-nerve element
-        hs = [(p // oh ** (n - i)) % oh for i in range(1, n + 1)]
-        return nerve_encode(xm, dt[al[x], d], hs)
+        x, *hs = _radix_digits(_nerve_radix(exm, n))[:, p]
+        return _radix_encode([dt[al[x], d]] + hs, _nerve_radix(xm, n), len(p))
+
+    def representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Anchor and, at anchor e, the (H -> H)-nerve representative of
+        every level-n nerve element."""
+        dbar, *hs = _radix_digits(_nerve_radix(xm, n))
+        return dbar, _radix_encode([xm.H.identity] + hs, _nerve_radix(exm, n),
+                                   len(dbar))
 
     faces: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
     degens: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
     for n in range(1, N + 1):
-        dbar, hs = nerve_decompose(xm, n)
-        p_rep = nerve_encode(exm, np.full(od * oh ** n, xm.H.identity), hs)
+        dbar, p_rep = representatives(n)
         for i in range(n + 1):
             faces[n].append(canon(n - 1, eh.faces[n][i][p_rep], dbar))
     for n in range(N):
-        dbar, hs = nerve_decompose(xm, n)
-        p_rep = nerve_encode(exm, np.full(od * oh ** n, xm.H.identity), hs)
+        dbar, p_rep = representatives(n)
         for i in range(n + 1):
             degens[n].append(canon(n + 1, eh.degens[n][i][p_rep], dbar))
 
@@ -432,7 +417,7 @@ def semidirect_model(xm: CrossedModule, N: int = 2) -> SemidirectModel:
     exm = xmod_identity(xm.H)
     eh = build_nerve(exm, N)
     nerve = build_nerve(xm, N)
-    oh, od = xm.H.order, xm.D.order
+    od = xm.D.order
     dt = xm.D.table
     act = xm.action.table
     al = xm.alpha.mapping
@@ -441,15 +426,10 @@ def semidirect_model(xm: CrossedModule, N: int = 2) -> SemidirectModel:
     # D-action on each level of the (H -> H)-nerve, slot-wise
     actE: list[np.ndarray] = []
     for n in range(N + 1):
-        x = np.arange(eh.sizes[n])
-        digits = [(x // oh ** (n - i)) % oh for i in range(n + 1)]  # anchor + h's
-        out = np.zeros((od, eh.sizes[n]), dtype=np.int64)
-        for d in range(od):
-            acc = act[d][digits[0]]
-            for dig in digits[1:]:
-                acc = acc * oh + act[d][dig]
-            out[d] = acc
-        actE.append(out)
+        radix = _nerve_radix(exm, n)
+        digits = _radix_digits(radix)               # anchor + h's
+        actE.append(np.stack([_radix_encode(act[d][digits], radix, eh.sizes[n])
+                              for d in range(od)]))
 
     groups: list[FiniteGroup] = []
     phis: list[np.ndarray] = []
@@ -463,8 +443,8 @@ def semidirect_model(xm: CrossedModule, N: int = 2) -> SemidirectModel:
             + dt[d[:, None], d[None, :]]
         g = FiniteGroup(tab, name=f"E{n}:D")
         groups.append(g)
-        hs = [(p // oh ** (n - i)) % oh for i in range(1, n + 1)]
-        phi = nerve_encode(xm, dt[al[p // oh ** n], d], hs)
+        x, *hs = _radix_digits(_nerve_radix(exm, n))[:, p]
+        phi = _radix_encode([dt[al[x], d]] + hs, _nerve_radix(xm, n), order)
         phis.append(phi)
         ok_hom = np.array_equal(phi[tab], nerve.groups[n].table[np.ix_(phi, phi)])
         rep.add(f"phi-hom@{n}", ok_hom)
@@ -545,9 +525,10 @@ def exactness_check(xm: CrossedModule, N: int = 2) -> Report:
     okr = ker_g.order
     for n in range(N + 1):
         # A: include (H -> im)-chains, project anchors to the cokernel
-        d_s, hs_s = nerve_decompose(derived["to-image"], n)
-        inj_a = nerve_encode(xm, im_inc.mapping[d_s], hs_s)
-        d_m, _hs_m = nerve_decompose(xm, n)
+        radix = _nerve_radix(xm, n)
+        d_s, *hs_s = _radix_digits(_nerve_radix(derived["to-image"], n))
+        inj_a = _radix_encode([im_inc.mapping[d_s]] + hs_s, radix, len(d_s))
+        d_m, *hs_m = _radix_digits(radix)
         # coker-base nerve has trivial fiber: its level-n index is the anchor
         proj_a = cok_proj.mapping[d_m]
         rep.add(f"A-inj-hom@{n}",
@@ -563,13 +544,12 @@ def exactness_check(xm: CrossedModule, N: int = 2) -> Report:
         rep.add(f"A-exact@{n}", ker_mid == set(int(v) for v in inj_a))
 
         # B: include (ker -> 1)-chains, push fibers forward along alpha
-        d_k, hs_k = nerve_decompose(derived["kernel-fiber"], n)
-        inj_b = nerve_encode(xm, np.full(okr ** n, xm.D.identity, dtype=np.int64),
-                             [ker_inc.mapping[h] for h in hs_k])
+        _d_k, *hs_k = _radix_digits(_nerve_radix(derived["kernel-fiber"], n))
+        inj_b = _radix_encode([xm.D.identity] + [ker_inc.mapping[h] for h in hs_k],
+                              radix, okr ** n)
         al_im = np.array([im_back[int(v)] for v in xm.alpha.mapping], dtype=np.int64)
-        d_m2, hs_m2 = nerve_decompose(xm, n)
-        proj_b = nerve_encode(derived["image-in-base"], d_m2,
-                              [al_im[h] for h in hs_m2])
+        proj_b = _radix_encode([d_m] + [al_im[h] for h in hs_m],
+                               _nerve_radix(derived["image-in-base"], n), len(d_m))
         rep.add(f"B-inj-hom@{n}",
                 np.array_equal(inj_b[n_ker.groups[n].table],
                                main.groups[n].table[np.ix_(inj_b, inj_b)]))

@@ -344,3 +344,95 @@ def naive_wbar(g, N):
     degens = [[[index[n + 1][degen(n, j, t)] for t in labels[n]]
                for j in range(n + 1)] if n < N else [] for n in range(N + 1)]
     return [len(lvl) for lvl in labels], faces, degens, labels
+
+
+def brute_cocycles(cover, xm) -> list[tuple]:
+    """(d, h) keys of every gerbe cocycle, by brute force.
+
+    Runs over the whole product D^pairs x H^triples in itertools.product
+    order, d first, and keeps the assignments satisfying the two laws of
+    the gerbe module docstring:
+        d_ab d_bc = alpha(h_abc) d_ac
+        h_abc h_acd = (d_ab . h_bcd) h_abd
+    Only usable on very small instances.
+    """
+    import itertools
+    pairs = cover.simplices(1)
+    triples = cover.simplices(2)
+    quads = cover.simplices(3)
+    dt, ht = xm.D.table, xm.H.table
+    al, act = xm.alpha.mapping, xm.action.table
+    out = []
+    for dvals in itertools.product(range(xm.D.order), repeat=len(pairs)):
+        d = dict(zip(pairs, dvals))
+        for hvals in itertools.product(range(xm.H.order), repeat=len(triples)):
+            h = dict(zip(triples, hvals))
+            edges = all(int(dt[d[(a, b)]][d[(b, c)]])
+                        == int(dt[al[h[(a, b, c)]]][d[(a, c)]])
+                        for (a, b, c) in triples)
+            tetras = all(int(ht[h[(a, b, c)]][h[(a, c, e)]])
+                         == int(ht[act[d[(a, b)]][h[(b, c, e)]]][h[(a, b, e)]])
+                         for (a, b, c, e) in quads)
+            if edges and tetras:
+                out.append((dvals, hvals))
+    return out
+
+
+def naive_nerve(xm, N):
+    """(tables, faces, degens) of the nerve of a crossed module, one element
+    at a time.
+
+    Level n lists the chains (d; h_1, ..., h_n) in itertools.product order,
+    so that the index of a chain is d |H|^n + sum h_i |H|^(n-i).  The
+    vertices of a chain are v_0 = d, v_i = alpha(h_i) v_{i-1}; the product
+    of two chains multiplies the anchors and puts h_i (v_{i-1} . h'_i) in
+    slot i, v taken from the left factor.  d_0 drops h_1 and moves the
+    anchor to alpha(h_1) d, d_i (0 < i < n) puts h_{i+1} h_i in place of
+    h_i, h_{i+1}, d_n drops h_n, and s_i inserts the identity of H after the
+    first i slots.  Every result is found by looking the chain up in a dict.
+    """
+    import itertools
+    dt, ht = xm.D.table.tolist(), xm.H.table.tolist()
+    al, act = xm.alpha.mapping.tolist(), xm.action.table.tolist()
+    eh = xm.H.identity
+    chains = [list(itertools.product(range(len(dt)), *[range(len(ht))] * n))
+              for n in range(N + 1)]
+    index = [{c: i for i, c in enumerate(lvl)} for lvl in chains]
+    tables = []
+    for n in range(N + 1):
+        table = []
+        for c in chains[n]:
+            v = [c[0]]
+            for hi in c[1:]:
+                v.append(dt[al[hi]][v[-1]])
+            row = []
+            for c2 in chains[n]:
+                prod = (dt[c[0]][c2[0]],) + tuple(
+                    ht[c[i]][act[v[i - 1]][c2[i]]] for i in range(1, n + 1))
+                row.append(index[n][prod])
+            table.append(row)
+        tables.append(table)
+
+    def face(n, i, c):
+        if i == 0:
+            return (dt[al[c[1]]][c[0]],) + c[2:]
+        if i < n:
+            return c[:i] + (ht[c[i + 1]][c[i]],) + c[i + 2:]
+        return c[:-1]
+
+    faces = [[[index[n - 1][face(n, i, c)] for c in chains[n]]
+              for i in range(n + 1)] if n else [] for n in range(N + 1)]
+    degens = [[[index[n + 1][c[:i + 1] + (eh,) + c[i + 1:]] for c in chains[n]]
+               for i in range(n + 1)] if n < N else [] for n in range(N + 1)]
+    return tables, faces, degens
+
+
+def brute_automorphisms(g) -> list[list[int]]:
+    """Value lists of every automorphism of g, in lexicographic order: the
+    permutations of its elements that preserve the multiplication table."""
+    import itertools
+    t = g.table.tolist()
+    n = len(t)
+    return [list(p) for p in itertools.permutations(range(n))
+            if all(p[t[a][b]] == t[p[a]][p[b]]
+                   for a in range(n) for b in range(n))]

@@ -316,6 +316,34 @@ def test_classify_bundles_s3(capsys):
     assert payload["results"]["bijection"] is True
 
 
+@pytest.mark.parametrize("case, step, missing", [
+    ("u1-torus-three", "10", "no overlap point"),
+    ("u1-circle-pair", "3", "no overlap point"),
+    ("u1-circle-pair", "20", "no overlap point"),     # once divided by 0
+    ("u1-circle-three", "1.5",
+     "no valid sample point for connection-overlap[0], connection-triple[0]"),
+])
+def test_gauge_verify_refuses_a_step_without_samples_exit_2(capsys, case,
+                                                           step, missing):
+    # each of these runs checked a law of the case on no sample point at
+    # all, and passed
+    code, out, err = run_cli(capsys, "gauge-verify", "--case", case,
+                             "--fd-step", step)
+    assert code == 2 and out == ""
+    assert err == f"error: gauge case {case}: step {step} leaves {missing}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--fd-step", "1e-5"),          # about 9.5e11 points: never allocated
+    ("--budget", "1000"),           # the default step's 945,768 points
+], ids=["fd-step", "budget"])
+def test_gauge_verify_grids_over_budget_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, "gauge-verify", "--case",
+                             "u1-torus-three", *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("budget exhausted: gauge case u1-torus-three")
+
+
 def test_gauge_verify_known_and_unknown(capsys):
     code, out, err = run_cli(capsys, "gauge-verify", "--case",
                              "so3-conjugation-T", "--format", "json")

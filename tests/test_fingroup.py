@@ -18,6 +18,8 @@ from xmodgerbe.fingroup import (CrossedModule, FiniteGroup, GroupAction,
                                 xmod_to_json, xmod_automorphism)
 from xmodgerbe.util import StructureError
 
+from _oracles import brute_automorphisms
+
 from _oracles import scan_group_axioms, scan_xmod_axioms
 
 
@@ -73,6 +75,30 @@ def test_automorphism_counts():
     assert len(automorphisms(symmetric_group(3))) == 6
     assert len(automorphisms(product_group(cyclic_group(2),
                                            cyclic_group(2)))) == 6
+
+
+@pytest.mark.parametrize("g", [
+    trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+    product_group(cyclic_group(2), cyclic_group(2)), cyclic_group(5),
+    cyclic_group(6), symmetric_group(3), dihedral_group(3),
+], ids=lambda g: g.name)
+def test_automorphisms_match_brute_force(g):
+    assert [m.tolist() for m in automorphisms(g)] == brute_automorphisms(g)
+
+
+@pytest.mark.parametrize("g1, g2, mapping", [
+    (symmetric_group(3), dihedral_group(3), [0, 3, 4, 1, 2, 5]),
+    (cyclic_group(6), product_group(cyclic_group(2), cyclic_group(3)),
+     [0, 4, 2, 3, 1, 5]),
+    (dihedral_group(4), dihedral_group(4), list(range(8))),
+    (product_group(cyclic_group(2), symmetric_group(3)), dihedral_group(6),
+     [0, 6, 10, 4, 2, 8, 3, 9, 7, 1, 5, 11]),
+], ids=["S3-D3", "Z6-Z2xZ3", "D4-D4", "Z2xS3-D6"])
+def test_find_isomorphism_pinned(g1, g2, mapping):
+    # the first isomorphism of the shared backtrack, pinned before
+    # find_isomorphism and automorphisms shared it
+    f = find_isomorphism(g1, g2)
+    assert f.mapping.tolist() == mapping and f.name == "iso"
 
 
 def test_subgroup_quotient_kernel_image():

@@ -124,6 +124,16 @@ def test_all_builtin_cases_pass():
         assert out["passed"], (name, out["residuals"])
 
 
+def test_absent_laws_keep_their_empty_entries():
+    # a law a case does not set up is reported with no samples, not refused
+    pair = run_case("u1-circle-pair")
+    eqs = pair["residuals"]["cocycle"]["equations"]
+    assert eqs["cocycle-triangle"]["samples"] == 0
+    glue = pair["residuals"]["nu-gluing"]["equations"]
+    assert glue["nu-gluing[0]"]["samples"] == 0
+    assert pair["passed"]
+
+
 def test_trivial_case_is_exact():
     out = run_case("trivial")
     assert out["residuals"]["cocycle"]["max"] == 0.0

@@ -1,6 +1,7 @@
 """Cocycle enumeration, stable equivalence, products, pullback, lifting."""
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from xmodgerbe.simplicial import ball_cover, circle_cover, sphere_cover
 from xmodgerbe.util import Budget, BudgetError, StructureError
 from xmodgerbe.xnerve import match_wbar_duskin
 
-from _oracles import brute_cech_h2_order, relabel
+from _oracles import brute_cech_h2_order, brute_cocycles, relabel
 
 
 def test_cocycle_counts_trivial_base_modules():
@@ -354,3 +355,39 @@ def test_trivial_cocycle_validates():
     for cover in (circle_cover(3), sphere_cover(4)):
         c = trivial_cocycle(cover, xmod_mod(4, 2))
         assert validate_cocycle(c).ok
+
+
+# enumeration and lifting run one h-completion search; a brute force and
+# figures pinned before the two searches were merged hold both to the old ones
+
+
+@pytest.mark.parametrize("cover, xm", [
+    (sphere_cover(4), xmod_mod(4, 2)),
+    (ball_cover(4), xmod_identity(cyclic_group(2))),
+    (sphere_cover(4), xmod_automorphism(cyclic_group(3))),
+    (circle_cover(3), xmod_trivial_base(symmetric_group(3))),
+    (ball_cover(4), xmod_automorphism(cyclic_group(3))),
+], ids=["sphere4-mod4:2", "ball4-id:Z2", "sphere4-aut:Z3", "circle3-base:S3",
+        "ball4-aut:Z3"])
+def test_enumeration_matches_brute_force(cover, xm):
+    want = brute_cocycles(cover, xm)
+    assert want
+    assert [c.key() for c in enumerate_cocycles(cover, xm)] == want
+
+
+@pytest.mark.parametrize("k, used", [(5, 12_288), (4, 320)])
+def test_lift_budget_use_pinned(k, used):
+    plan = LiftPlan(sphere_cover(k), xmod_mod(4, 2))
+    budget = Budget(what="lift")
+    for c in enumerate_cocycles(plan.cover, plan.base, budget=budget):
+        plan.lift(c, budget=budget)
+    assert budget.used == used
+
+
+def test_lift_defects_pinned():
+    plan = LiftPlan(sphere_cover(5), xmod_mod(4, 2))
+    defects = [sorted(plan.lift(c).defect.items())
+               for c in enumerate_cocycles(plan.cover, plan.base)]
+    assert len(defects) == 1024
+    assert hashlib.sha256(repr(defects).encode()).hexdigest() == (
+        "8cb13b977342bac1c8c3ed28165c1d072402ce6f664c36df0b365a376015006e")

@@ -15,7 +15,7 @@ from xmodgerbe.xnerve import (build_duskin, build_nerve, exactness_check,
                               homotopy_quotient, match_wbar_duskin,
                               nerve_homotopy, semidirect_model)
 
-from _oracles import naive_duskin, relabel
+from _oracles import naive_duskin, naive_nerve, relabel
 
 
 def test_nerve_level_sizes(corpus):
@@ -25,6 +25,17 @@ def test_nerve_level_sizes(corpus):
         n = build_nerve(xm, 3)
         want = [xm.D.order * xm.H.order ** k for k in range(4)]
         assert [g.order for g in n.groups] == want, xm.name
+
+
+def test_nerve_matches_naive_nerve(corpus):
+    # the builder reads and writes its indices through the shared mixed-radix
+    # helpers; the oracle walks the chains of its docstring one at a time
+    for xm in corpus:
+        tables, faces, degens = naive_nerve(xm, 3)
+        n = build_nerve(xm, 3)
+        assert [g.table.tolist() for g in n.groups] == tables, xm.name
+        assert [[f.tolist() for f in lvl] for lvl in n.faces] == faces, xm.name
+        assert [[s.tolist() for s in lvl] for lvl in n.degens] == degens, xm.name
 
 
 def test_nerve_underlying_sset_validates(corpus):
