@@ -184,14 +184,6 @@ def _slug(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
-def _cocycle_json(c) -> dict:
-    from .gerbe import cocycle_to_json
-    d = cocycle_to_json(c)
-    d.pop("cover", None)
-    d.pop("xmod", None)
-    return d
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -272,7 +264,7 @@ def cmd_gerbe_classify(cfg: RunConfig) -> tuple[RunReport, int]:
 
 def _gerbe_classify(cfg: RunConfig, cover: CoverComplex,
                     xm: CrossedModule) -> tuple[RunReport, int]:
-    from .gerbe import abelian_oracle, classify_gerbes
+    from .gerbe import abelian_oracle, classify_gerbes, cocycle_to_json
     budget = Budget(cfg.budget, what="gerbe classification")
     cl = classify_gerbes(cover, xm, budget=budget, force=cfg.force)
     results = {
@@ -281,7 +273,7 @@ def _gerbe_classify(cfg: RunConfig, cover: CoverComplex,
         "cocycles": len(cl.cocycles),
         "classes": len(cl.classes),
         "orbit_sizes": [c.orbit_size for c in cl.classes],
-        "representatives": [_cocycle_json(c.representative)
+        "representatives": [cocycle_to_json(c.representative)
                             for c in cl.classes],
     }
     oracles = {}

@@ -126,15 +126,6 @@ class FiniteGroup:
         """a b a^-1"""
         return int(self.table[self.table[a, b], self.inverses[a]])
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        r = self.identity
-        while k:
-            r = self.mul(r, a)
-            k -= 1
-        return r
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:
@@ -673,8 +664,7 @@ def _parse_spec(spec):
 def preset_library(name: str, *args):
     """Named presets for groups and crossed modules.
 
-    Groups: cyclic:n, dihedral:n, symmetric:n, trivial,
-    product:<spec>:<spec> (specs like "cyclic:2").
+    Groups: cyclic:n, dihedral:n, symmetric:n, trivial.
     Crossed modules: xmod_id:<group spec>, xmod_mod:m:n, xmod_aut:<group spec>,
     xmod_fiber:<group spec> for (H -> 1), xmod_base:<group spec> for (1 -> D).
     """
@@ -686,8 +676,6 @@ def preset_library(name: str, *args):
         return symmetric_group(int(args[0]))
     if name == "trivial":
         return trivial_group()
-    if name == "product":
-        return product_group(_parse_spec(args[0]), _parse_spec(args[1]))
     if name == "xmod_id":
         return xmod_identity(_parse_spec(args[0]))
     if name == "xmod_mod":

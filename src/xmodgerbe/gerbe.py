@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fingroup import (CrossedModule, FiniteGroup, abelian_invariants,
-                       derived_crossed_modules, kernel,
-                       validate_crossed_module, xmod_from_json, xmod_to_json)
+                       derived_crossed_modules, kernel)
 from .intlinalg import ModSolver, homology
 from .simplicial import (CoverComplex, SimplicialMap, TruncatedSimplicialSet,
                          _map_spec, _Search, cover_nerve)
@@ -37,12 +36,9 @@ from .util import Budget, BudgetError, Report, StructureError
 __all__ = [
     "GerbeCocycle",
     "StableWitness",
-    "CMBundleCocycle",
     "validate_cocycle",
-    "trivial_cocycle",
     "identity_witness",
     "apply_witness",
-    "compose_witness",
     "enumerate_cocycles",
     "GerbeClass",
     "GerbeClassification",
@@ -55,13 +51,7 @@ __all__ = [
     "CocycleMaps",
     "cocycle_to_simplicial_map",
     "map_to_cocycle",
-    "validate_bundle_cocycle",
-    "trivial_bundle",
-    "bundle_product",
-    "CoverMap",
-    "pullback_cocycle",
     "cocycle_to_json",
-    "cocycle_from_json",
 ]
 
 
@@ -91,13 +81,6 @@ class StableWitness:
 
     r: dict[int, int]
     s: dict[tuple[int, int], int]
-
-
-def trivial_cocycle(cover: CoverComplex, xm: CrossedModule) -> GerbeCocycle:
-    return GerbeCocycle(cover, xm,
-                        {p: xm.D.identity for p in cover.simplices(1)},
-                        {t: xm.H.identity for t in cover.simplices(2)},
-                        name="trivial")
 
 
 def identity_witness(cover: CoverComplex, xm: CrossedModule) -> StableWitness:
@@ -167,16 +150,6 @@ def apply_witness(c: GerbeCocycle, w: StableWitness) -> GerbeCocycle:
         raise StructureError(
             f"witness action broke the cocycle conditions: {rep.summary()}")
     return out
-
-
-def compose_witness(w2: StableWitness, w1: StableWitness,
-                    cover: CoverComplex, xm: CrossedModule) -> StableWitness:
-    """Witness with apply(c, w3) = apply(apply(c, w1), w2)."""
-    D, H = xm.D, xm.H
-    r3 = {a: D.mul(w2.r[a], w1.r[a]) for a in range(cover.charts)}
-    s3 = {p: H.mul(xm.act(D.inv(w1.r[p[0]]), w2.s[p]), w1.s[p])
-          for p in cover.simplices(1)}
-    return StableWitness(r3, s3)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +570,10 @@ class LiftPlan:
 def lift_gerbe(c: GerbeCocycle, xm: CrossedModule,
                budget: Budget | None = None) -> LiftResult:
     """One-shot `LiftPlan(c.cover, xm).lift(c, budget)`; build the plan
-    yourself to lift many cocycles on one cover."""
+    yourself to lift many cocycles on one cover.
+
+    No command calls it; `perfbench/tracer.py` hooks it by name, and the
+    suite checks `LiftPlan` against it."""
     return LiftPlan(c.cover, xm).lift(c, budget)
 
 
@@ -678,7 +654,10 @@ def map_to_cocycle(f: SimplicialMap, cover: CoverComplex, xm: CrossedModule,
     """Read (d, h) off the increasing tuples of a cover-nerve map.
 
     Accepts a map into the 2-nerve, or into the classifying space when
-    `match` provides the translation."""
+    `match` provides the translation.  This is the map -> cocycle direction
+    of the classification H^1(X; H -> D) = [X, B|N(H -> D)|]; the suite's
+    round trip through it is the only check that `cocycle_to_simplicial_map`
+    lands on the map of its own cocycle."""
     levels = f.levels
     target = f.target
     if match is not None and getattr(target, "wbar_of", None) is not None:
@@ -702,122 +681,14 @@ def map_to_cocycle(f: SimplicialMap, cover: CoverComplex, xm: CrossedModule,
 
 
 # ---------------------------------------------------------------------------
-# principal-bundle cocycles and their product
-
-
-@dataclass
-class CMBundleCocycle:
-    """Chart-wise objects d_a plus morphism labels g_ab trivializing them."""
-
-    cover: CoverComplex
-    xm: CrossedModule
-    d: dict[int, int]
-    g: dict[tuple[int, int], int]
-    name: str = "bundle"
-
-
-def validate_bundle_cocycle(b: CMBundleCocycle) -> Report:
-    rep = Report()
-    xm = b.xm
-    rep.add("d-domain", set(b.d) == set(range(b.cover.charts)))
-    rep.add("g-domain", set(b.g) == set(b.cover.simplices(1)))
-    if not rep.ok:
-        return rep
-    for (a, bb) in b.cover.simplices(1):
-        rep.add(f"source@{a},{bb}",
-                xm.D.mul(xm.alpha(b.g[(a, bb)]), b.d[bb]) == b.d[a])
-    for (a, bb, cc) in b.cover.simplices(2):
-        rep.add(f"cocycle@{a},{bb},{cc}",
-                xm.H.mul(b.g[(a, bb)], b.g[(bb, cc)]) == b.g[(a, cc)])
-    return rep
-
-
-def trivial_bundle(cover: CoverComplex, xm: CrossedModule) -> CMBundleCocycle:
-    return CMBundleCocycle(cover, xm,
-                           {a: xm.D.identity for a in range(cover.charts)},
-                           {p: xm.H.identity for p in cover.simplices(1)},
-                           name="trivial")
-
-
-def bundle_product(b1: CMBundleCocycle, b2: CMBundleCocycle) -> CMBundleCocycle:
-    """Chart-wise horizontal composition (g, d)(g', d') = (g (d . g'), d d')."""
-    if b1.cover is not b2.cover and b1.cover.sets != b2.cover.sets:
-        raise StructureError("bundle product needs a common cover")
-    xm = b1.xm
-    d3 = {a: xm.D.mul(b1.d[a], b2.d[a]) for a in range(b1.cover.charts)}
-    g3 = {p: xm.H.mul(b1.g[p], xm.act(b1.d[p[1]], b2.g[p]))
-          for p in b1.cover.simplices(1)}
-    out = CMBundleCocycle(b1.cover, xm, d3, g3, name=f"{b1.name}*{b2.name}")
-    rep = validate_bundle_cocycle(out)
-    if not rep.ok:
-        raise StructureError(f"bundle product failed validation: {rep.summary()}")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pullback along cover maps
-
-
-@dataclass
-class CoverMap:
-    """Chart map source -> target carrying admissible sets to admissible sets."""
-
-    source: CoverComplex
-    target: CoverComplex
-    chart_map: list[int]
-
-    def __post_init__(self):
-        if len(self.chart_map) != self.source.charts:
-            raise StructureError("chart map length mismatch")
-        if any(v < 0 or v >= self.target.charts for v in self.chart_map):
-            raise StructureError("chart map out of range")
-        for s in self.source.sets:
-            img = frozenset(self.chart_map[a] for a in s)
-            if not self.target.admissible(img):
-                raise StructureError(f"image of {sorted(s)} is not admissible")
-
-
-def pullback_cocycle(c: GerbeCocycle, f: CoverMap) -> GerbeCocycle:
-    """Pull a cocycle on f.target back to f.source (monotone chart maps)."""
-    if c.cover.sets != f.target.sets or c.cover.charts != f.target.charts:
-        raise StructureError("cocycle does not live on the map's target cover")
-    rho = f.chart_map
-    if any(rho[i] > rho[j] for i in range(len(rho)) for j in range(i + 1, len(rho))):
-        raise StructureError("pullback implemented for monotone chart maps")
-    xm = c.xm
-    d = {}
-    for (a, b) in f.source.simplices(1):
-        d[(a, b)] = (xm.D.identity if rho[a] == rho[b]
-                     else c.d[(rho[a], rho[b])])
-    h = {}
-    for (a, b, cc) in f.source.simplices(2):
-        i, j, k = rho[a], rho[b], rho[cc]
-        h[(a, b, cc)] = (xm.H.identity if i == j or j == k
-                         else c.h[(i, j, k)])
-    out = GerbeCocycle(f.source, xm, d, h, name=f"{c.name}-pullback")
-    rep = validate_cocycle(out)
-    if not rep.ok:
-        raise StructureError(f"pullback failed validation: {rep.summary()}")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
 def cocycle_to_json(c: GerbeCocycle) -> dict:
+    """The d and h values, keyed "a,b" and "a,b,c", and the name: the form
+    the reports print and `gerbe-classify --out` writes."""
     return {
-        "cover": c.cover.to_json(),
-        "xmod": xmod_to_json(c.xm),
         "d": {f"{a},{b}": int(v) for (a, b), v in sorted(c.d.items())},
         "h": {f"{a},{b},{cc}": int(v) for (a, b, cc), v in sorted(c.h.items())},
         "name": c.name,
     }
-
-
-def cocycle_from_json(d: dict) -> GerbeCocycle:
-    cover = CoverComplex.from_json(d["cover"])
-    xm = xmod_from_json(d["xmod"])
-    dd = {tuple(int(x) for x in k.split(",")): int(v) for k, v in d["d"].items()}
-    hh = {tuple(int(x) for x in k.split(",")): int(v) for k, v in d["h"].items()}
-    return GerbeCocycle(cover, xm, dd, hh, name=d.get("name", "cocycle"))

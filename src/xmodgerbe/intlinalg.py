@@ -164,7 +164,9 @@ def solve_mod(a, b, mod: int):
 
     A is n x m (list of lists), b length n, result length m with entries in
     0..mod-1.  Factors A on every call; build a `ModSolver` to solve many
-    right-hand sides against one A.
+    right-hand sides against one A.  No command calls it;
+    `perfbench/tracer.py` hooks it by name, and the suite checks the lift
+    plan's solvers against it.
     """
     return ModSolver(a, mod).solve(b)
 

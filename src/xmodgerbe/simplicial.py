@@ -557,9 +557,6 @@ class CoverComplex:
             by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))
         return {k: sorted(v) for k, v in by_dim.items()}
 
-    def max_dim(self) -> int:
-        return max(len(s) for s in self.sets) - 1
-
     def to_json(self) -> dict:
         return {"charts": self.charts,
                 "intersections": sorted([sorted(s) for s in self.sets if len(s) > 1])}
@@ -1196,6 +1193,9 @@ def homotopy_classes(maps: list[SimplicialMap],
 
 
 def sset_to_json(x: TruncatedSimplicialSet) -> dict:
+    """The `--sset FILE` format that `load_sset` reads; no command writes
+    it, and the suite's round trip through it is the only test of
+    `load_sset`."""
     return {
         "N": x.N,
         "sizes": list(x.sizes),

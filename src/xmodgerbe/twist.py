@@ -35,8 +35,6 @@ __all__ = [
     "build_wbar",
     "enumerate_twistings",
     "twistings_equivalent",
-    "witness_compose",
-    "witness_invert",
     "pullback_twisting",
     "classify_bundles",
     "BundleClassification",
@@ -415,22 +413,6 @@ def _check_witness(t1: Twisting, t2: Twisting, psi: SimplicialMap) -> None:
             if not np.array_equal(g.degens[n][i][psi.levels[n]],
                                   psi.levels[n + 1][x.degens[n][i]]):
                 raise StructureError(f"equivalence witness fails s{i} at level {n}")
-
-
-def witness_compose(t1: Twisting, psi12: SimplicialMap,
-                    psi23: SimplicialMap) -> SimplicialMap:
-    """Pointwise product witness for transitivity: (t1->t2) then (t2->t3)."""
-    g = t1.group
-    arrs = [g.groups[n].table[psi12.levels[n], psi23.levels[n]]
-            for n in range(t1.base.N + 1)]
-    return SimplicialMap(psi12.source, psi12.target, arrs, name="psi-composed")
-
-
-def witness_invert(t1: Twisting, psi: SimplicialMap) -> SimplicialMap:
-    """Pointwise inverse witness for symmetry."""
-    g = t1.group
-    arrs = [g.groups[n].inverses[psi.levels[n]] for n in range(t1.base.N + 1)]
-    return SimplicialMap(psi.source, psi.target, arrs, name="psi-inverse")
 
 
 def pullback_twisting(t: Twisting, f: SimplicialMap, name: str | None = None) -> Twisting:

@@ -14,10 +14,18 @@ H x D.  Two simplicial objects encode it here:
 
 `match_wbar_duskin` searches for a level-wise isomorphism between the
 classifying space of the first and the second — the machine-checkable form
-of the statement that both model the same homotopy type.  The remaining
-operations build the homotopy quotient and semidirect models of the nerve
-and verify the two level-wise short exact sequences relating the nerves of
-the derived crossed modules.
+of the statement that both model the same homotopy type.  The commands use
+these three.  The rest states facts about N that the suite checks against
+independent routes; no command runs them:
+
+* `nerve_homotopy`: pi_0 N = coker alpha and pi_1 N = ker alpha, checked
+  against the kernel and cokernel of `fingroup`;
+* `homotopy_quotient`: N is (the nerve of H -> H) x D modulo the diagonal
+  H-action, and `semidirect_model`: N is the quotient of (the nerve of
+  H -> H) semidirect D by a copy of H; both are checked against
+  `build_nerve`, through the collapse ((x; h..), d) -> (alpha(x) d; h..);
+* `exactness_check`: the nerves of the derived crossed modules form two
+  level-wise short exact sequences around N.
 """
 from __future__ import annotations
 
@@ -67,6 +75,15 @@ class NerveGroup(TruncatedSimplicialGroup):
 def _nerve_radix(xm: CrossedModule, n: int) -> list[int]:
     """Digit radices of the level-n nerve index d |H|^n + sum h_i |H|^(n-i)."""
     return [xm.D.order] + [xm.H.order] * n
+
+
+def _collapse(xm: CrossedModule, n: int, p: np.ndarray,
+              d: np.ndarray) -> np.ndarray:
+    """Level-n index in the nerve of xm of (alpha(x) d; h..), for each p,
+    the level-n index (x; h..) in the nerve of (H -> H), and d in D."""
+    x, *hs = _radix_digits([xm.H.order] * (n + 1))[:, p]
+    return _radix_encode([xm.D.table[xm.alpha.mapping[x], d]] + hs,
+                         _nerve_radix(xm, n), len(p))
 
 
 def build_nerve(xm: CrossedModule, N: int, validate: bool = True,
@@ -130,7 +147,8 @@ def build_nerve(xm: CrossedModule, N: int, validate: bool = True,
 
 
 def nerve_homotopy(xm: CrossedModule, N: int = 2) -> tuple[FiniteGroup, FiniteGroup]:
-    """(pi_0, pi_1) of the nerve via its Moore complex (needs N >= 2)."""
+    """(pi_0, pi_1) of the nerve via its Moore complex (needs N >= 2): the
+    groups coker alpha and ker alpha, as the suite checks."""
     nerve = build_nerve(xm, N)
     return moore_homotopy(nerve, 0), moore_homotopy(nerve, 1)
 
@@ -338,20 +356,15 @@ def homotopy_quotient(xm: CrossedModule, N: int = 2) -> HomotopyQuotient:
 
     Classes are canonicalized to anchor e; the class of ((x; h..), d) maps to
     (alpha(x) d; h..), and the induced faces/degeneracies are checked to be
-    well-defined on every representative, not only the canonical ones.
+    well-defined on every representative, not only the canonical ones.  The
+    report says whether identity indexing is then an isomorphism onto the
+    nerve's underlying simplicial set.
     """
     exm = xmod_identity(xm.H)
     eh = build_nerve(exm, N)
     nerve = build_nerve(xm, N)
     rep = Report()
     od = xm.D.order
-    dt = xm.D.table
-    al = xm.alpha.mapping
-
-    def canon(n: int, p: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Class index (in nerve level-n coordinates) of (p, d) in E_n x D."""
-        x, *hs = _radix_digits(_nerve_radix(exm, n))[:, p]
-        return _radix_encode([dt[al[x], d]] + hs, _nerve_radix(xm, n), len(p))
 
     def representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
         """Anchor and, at anchor e, the (H -> H)-nerve representative of
@@ -365,11 +378,11 @@ def homotopy_quotient(xm: CrossedModule, N: int = 2) -> HomotopyQuotient:
     for n in range(1, N + 1):
         dbar, p_rep = representatives(n)
         for i in range(n + 1):
-            faces[n].append(canon(n - 1, eh.faces[n][i][p_rep], dbar))
+            faces[n].append(_collapse(xm, n - 1, eh.faces[n][i][p_rep], dbar))
     for n in range(N):
         dbar, p_rep = representatives(n)
         for i in range(n + 1):
-            degens[n].append(canon(n + 1, eh.degens[n][i][p_rep], dbar))
+            degens[n].append(_collapse(xm, n + 1, eh.degens[n][i][p_rep], dbar))
 
     total = TruncatedSimplicialSet(N, list(nerve.sizes), faces, degens,
                                    name=f"E({xm.H.name})x_aD")
@@ -380,9 +393,9 @@ def homotopy_quotient(xm: CrossedModule, N: int = 2) -> HomotopyQuotient:
     for n in range(1, N + 1):
         p = np.repeat(np.arange(eh.sizes[n]), od)
         d = np.tile(np.arange(od), eh.sizes[n])
-        cls = canon(n, p, d)
+        cls = _collapse(xm, n, p, d)
         for i in range(n + 1):
-            direct = canon(n - 1, eh.faces[n][i][p], d)
+            direct = _collapse(xm, n - 1, eh.faces[n][i][p], d)
             rep.add(f"well-defined-d{i}@{n}",
                     np.array_equal(direct, faces[n][i][cls]))
     # identity indexing is an isomorphism onto the nerve's underlying sset
@@ -420,7 +433,6 @@ def semidirect_model(xm: CrossedModule, N: int = 2) -> SemidirectModel:
     od = xm.D.order
     dt = xm.D.table
     act = xm.action.table
-    al = xm.alpha.mapping
     rep = Report()
 
     # D-action on each level of the (H -> H)-nerve, slot-wise
@@ -443,8 +455,7 @@ def semidirect_model(xm: CrossedModule, N: int = 2) -> SemidirectModel:
             + dt[d[:, None], d[None, :]]
         g = FiniteGroup(tab, name=f"E{n}:D")
         groups.append(g)
-        x, *hs = _radix_digits(_nerve_radix(exm, n))[:, p]
-        phi = _radix_encode([dt[al[x], d]] + hs, _nerve_radix(xm, n), order)
+        phi = _collapse(xm, n, p, d)
         phis.append(phi)
         ok_hom = np.array_equal(phi[tab], nerve.groups[n].table[np.ix_(phi, phi)])
         rep.add(f"phi-hom@{n}", ok_hom)

