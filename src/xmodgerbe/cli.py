@@ -215,7 +215,8 @@ def _action_trivial(xm: CrossedModule) -> bool:
 
 def _homotopy_crosscheck(cover, xm, cl, budget_limit: int) -> dict:
     """Independent class count: extend each cocycle to a simplicial map
-    into the classifying-space model and count homotopy classes."""
+    into the classifying-space model and count homotopy classes.  The
+    witness orbits only order the probes; see `homotopy_classes`."""
     from .gerbe import cocycle_to_simplicial_map
     from .simplicial import homotopy_classes
     from .xnerve import match_wbar_duskin
@@ -235,7 +236,8 @@ def _homotopy_crosscheck(cover, xm, cl, budget_limit: int) -> dict:
             nerve = cm.nerve
             maps.append(cm.wbar_map)
         classes, _ = homotopy_classes(
-            maps, budget=Budget(budget_limit, what="homotopy"))
+            maps, budget=Budget(budget_limit, what="homotopy"),
+            hint=cl.orbit_of)
     except BudgetError as e:
         return {"checked": False, "reason": f"budget: {e}"}
     return {"checked": True, "classes": len(classes),

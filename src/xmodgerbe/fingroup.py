@@ -657,8 +657,18 @@ def abelian_invariants(g: FiniteGroup) -> list[int]:
 def _parse_spec(spec):
     if isinstance(spec, FiniteGroup):
         return spec
-    parts = str(spec).split(":")
-    return preset_library(parts[0], *[int(x) for x in parts[1:]])
+    return preset_library(*str(spec).split(":"))
+
+
+def _ints(name: str, args, count: int) -> list[int]:
+    """The first `count` parameters of preset `name` as ints; a
+    StructureError naming the spec when one is not an integer."""
+    try:
+        return [int(a) for a in args[:count]]
+    except ValueError:
+        spec = ":".join(map(str, (name, *args)))
+        raise StructureError(
+            f"'{spec}' has a parameter that is not an integer") from None
 
 
 def preset_library(name: str, *args):
@@ -669,17 +679,17 @@ def preset_library(name: str, *args):
     xmod_fiber:<group spec> for (H -> 1), xmod_base:<group spec> for (1 -> D).
     """
     if name == "cyclic":
-        return cyclic_group(int(args[0]))
+        return cyclic_group(*_ints(name, args, 1))
     if name == "dihedral":
-        return dihedral_group(int(args[0]))
+        return dihedral_group(*_ints(name, args, 1))
     if name == "symmetric":
-        return symmetric_group(int(args[0]))
+        return symmetric_group(*_ints(name, args, 1))
     if name == "trivial":
         return trivial_group()
     if name == "xmod_id":
         return xmod_identity(_parse_spec(args[0]))
     if name == "xmod_mod":
-        return xmod_mod(int(args[0]), int(args[1]))
+        return xmod_mod(*_ints(name, args, 2))
     if name == "xmod_aut":
         return xmod_automorphism(_parse_spec(args[0]))
     if name == "xmod_fiber":

@@ -277,6 +277,8 @@ class GerbeClassification:
     classes: list[GerbeClass]
     exhaustive: bool
     guard_exceeded: bool
+    # orbit_of[i] is the index in `classes` of the orbit of cocycles[i]
+    orbit_of: list[int]
 
     def counts(self) -> tuple[int, int]:
         return len(self.cocycles), len(self.classes)
@@ -293,9 +295,9 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
 
     Orbits are computed by BFS from the lexicographically least unvisited
     cocycle, applying generator witnesses and hashing canonical key forms;
-    classes are listed by their least member.  Instances beyond the
-    exhaustive-mode guard (> 5 charts or |H|*|D| > 16) require `force` and
-    are flagged non-exhaustive.
+    classes are listed by their least member, and `orbit_of` names each
+    cocycle's class.  Instances beyond the exhaustive-mode guard (> 5
+    charts or |H|*|D| > 16) require `force` and are flagged non-exhaustive.
     """
     guard = cover.charts > GUARD_CHARTS or xm.H.order * xm.D.order > GUARD_ORDER
     budget = budget or Budget(what="gerbe classification")
@@ -305,12 +307,13 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
             f"({cover.charts} charts, |H||D| = {xm.H.order * xm.D.order})",
             _exhaustive_bound(cover, xm), budget.limit)
     cocycles = enumerate_cocycles(cover, xm, budget=budget)
-    index = {c.key(): c for c in cocycles}
+    keys = [c.key() for c in cocycles]
+    index = dict(zip(keys, cocycles))
     gens = _generator_witnesses(cover, xm)
-    visited: set[tuple] = set()
+    least: dict[tuple, tuple] = {}     # cocycle key -> its orbit's least key
     classes: list[GerbeClass] = []
     for k in sorted(index):
-        if k in visited:
+        if k in least:
             continue
         orbit = {k}
         frontier = [index[k]]
@@ -326,12 +329,15 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
                 if nk not in orbit:
                     orbit.add(nk)
                     frontier.append(nxt)
-        visited |= orbit
         mk = min(orbit)
+        least.update(dict.fromkeys(orbit, mk))
         classes.append(GerbeClass(index[mk], mk, len(orbit)))
     classes.sort(key=lambda cl: cl.key)
+    position = {cl.key: i for i, cl in enumerate(classes)}
+    orbit_of = [position[least[k]] for k in keys]
     return GerbeClassification(cover, xm, cocycles, classes,
-                               exhaustive=not guard, guard_exceeded=guard)
+                               exhaustive=not guard, guard_exceeded=guard,
+                               orbit_of=orbit_of)
 
 
 # ---------------------------------------------------------------------------

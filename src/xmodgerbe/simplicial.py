@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -1130,7 +1130,8 @@ def simplicially_homotopic(f: SimplicialMap, g: SimplicialMap,
 
 def homotopy_classes(maps: list[SimplicialMap],
                      budget: Budget | None = None,
-                     probe: int = 20_000) -> tuple[list[list[int]], dict]:
+                     probe: int = 20_000,
+                     hint: list | None = None) -> tuple[list[list[int]], dict]:
     """Partition `maps` into homotopy classes; returns (classes, witnesses).
 
     Only classifying-space targets (marked `wbar_of`) are accepted: for
@@ -1143,7 +1144,20 @@ def homotopy_classes(maps: list[SimplicialMap],
     pairs whose probe was cut off by the cap are retried without it, so
     the expensive full refutations happen once per new class, not once per
     map.
+
+    `hint`, one label per map (say, the witness orbit of the cocycle it
+    extends), only orders the probes: a map is probed first against the
+    classes whose representative has its label, then against the rest in
+    the order the classes were made, and cut probes are retried in the
+    same order.  Without a hint every map meets the classes in creation
+    order.  The result cannot depend on the hint: a map joins a class only
+    with a validated prism witness, and it starts a new class only once
+    every representative is refuted, so since homotopy is an equivalence
+    any probe order gives the same classes with the same first members.  A
+    wrong hint costs probes, never a verdict.
     """
+    if hint is not None and len(hint) != len(maps):
+        raise ValueError(f"hint has {len(hint)} labels for {len(maps)} maps")
     if not maps:
         return [], {}
     y = maps[0].target
@@ -1159,7 +1173,9 @@ def homotopy_classes(maps: list[SimplicialMap],
     for i, f in enumerate(maps):
         placed = False
         undecided: list[list[int]] = []
-        for cls in classes:
+        order = classes if hint is None else sorted(
+            classes, key=lambda cls: hint[cls[0]] != hint[i])
+        for cls in order:
             rep = maps[cls[0]]
             try:
                 h = simplicially_homotopic(

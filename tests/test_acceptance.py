@@ -5,20 +5,13 @@ Each test prints `ACCEPTANCE k: PASS/FAIL (detail)` on the real stdout
 Tolerances and time caps are pinned in the assertions themselves.
 """
 
-import json
-import sys
 import time
 
-import numpy as np
-import pytest
-
 from xmodgerbe.fingroup import (cokernel, cyclic_group, groups_isomorphic,
-                                kernel, preset_corpus, symmetric_group,
+                                kernel, symmetric_group,
                                 validate_crossed_module, xmod_mod,
-                                xmod_trivial_base, xmod_trivial_fiber,
                                 derived_crossed_modules)
-from xmodgerbe.gauge import (DEFAULT_TOLS, builtin_cases,
-                             conjugation_T_samples, run_case)
+from xmodgerbe.gauge import conjugation_T_samples, run_case
 from xmodgerbe.gerbe import (abelian_oracle, classify_gerbes,
                              cocycle_to_simplicial_map, enumerate_cocycles,
                              lift_gerbe)

@@ -72,6 +72,24 @@ def test_product_spec_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("xmod-check", "xmod_id:product:cyclic:2:cyclic:3"),
+     "error: unknown preset 'product'"),
+    (("xmod-check", "xmod_fiber:nonsense:x"), "error: unknown preset 'nonsense'"),
+    (("xmod-check", "xmod_id:cyclic:x"),
+     "error: 'cyclic:x' has a parameter that is not an integer"),
+    (("xmod-check", "xmod_mod:4:x"),
+     "error: 'xmod_mod:4:x' has a parameter that is not an integer"),
+    (("classify-bundles", "--sset", "circle", "--group", "symmetric:3.0"),
+     "error: 'symmetric:3.0' has a parameter that is not an integer"),
+], ids=["nested-unknown", "nested-unknown-word", "nested-not-int",
+        "xmod-not-int", "group-not-int"])
+def test_bad_spec_names_itself(capsys, argv, line):
+    # a nested unknown name once read as "invalid literal for int()"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", line + "\n")
+
+
 def test_every_exported_name_is_defined():
     for info in pkgutil.iter_modules(xmodgerbe.__path__):
         module = importlib.import_module(f"xmodgerbe.{info.name}")

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from xmodgerbe.gauge import (DEFAULT_TOLS, MatrixCrossedModule, Residual,
-                             _central_diff, _pair_maps, builtin_cases, case_trivial,
+                             _central_diff, _pair_maps, builtin_cases,
                              case_u1_circle_three, case_u1_sphere_monopole,
                              case_u1_torus_three,
                              check_bfield, check_connection,
                              check_gerbe_cocycle_smooth, compute_T,
                              conjugation_T_samples,
                              matrix_exp, run_case, so3_conjugation_xmod,
-                             so3_group, u1_group, u1_id_xmod, u1_null_xmod,
+                             so3_group, u1_id_xmod, u1_null_xmod,
                              validate_chart_data, validate_matrix_xmod)
 from xmodgerbe.util import StructureError
 

@@ -1,0 +1,79 @@
+"""No module of the package or of the suite imports a name it never reads."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """Names read by annotations, quoted ones included."""
+    notes = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes.append(node.returns)
+        elif isinstance(node, ast.arg):
+            notes.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            notes.append(node.annotation)
+    names = set()
+    for note in filter(None, notes):
+        for sub in ast.walk(note):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                try:
+                    sub = ast.parse(sub.value, mode="eval")
+                except SyntaxError:     # a Literal["..."] value, not a name
+                    continue
+            names |= {n.id for n in ast.walk(sub) if isinstance(n, ast.Name)}
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def unused_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, name) of each name `path` imports but never reads, neither
+    in code, nor in an annotation, nor through `__all__`."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= _annotation_names(tree) | _exported(tree)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_no_unused_imports():
+    paths = sorted([*ROOT.glob("src/xmodgerbe/*.py"), *ROOT.glob("tests/*.py")])
+    assert paths
+    assert [f"{p.relative_to(ROOT)}:{line}: {name}"
+            for p in paths for line, name in unused_imports(p)] == []
+
+
+def test_the_guard_sees_an_unused_import(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "from __future__ import annotations\n"
+        "import json, os\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from decimal import Decimal\n"
+        "    from fractions import Fraction\n"
+        "from math import pi, tau\n"
+        "__all__ = ['pi']\n"
+        "def f(x: Decimal) -> 'Fraction':\n"
+        "    return os.sep\n")
+    assert unused_imports(src) == [(2, "json"), (7, "tau")]

@@ -7,7 +7,7 @@ import pytest
 
 from xmodgerbe.fingroup import cyclic_group, symmetric_group, xmod_mod
 from xmodgerbe.simplicial import (SimplicialMap, _Search, circle,
-                                  constant_simplicial_group, delta1,
+                                  constant_simplicial_group,
                                   validate_simplicial)
 from xmodgerbe.twist import (Twisting, _twisting_spec, build_twisted_product,
                              build_wbar,
