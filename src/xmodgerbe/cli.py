@@ -37,10 +37,6 @@ EXIT_BUDGET = 3
 
 DEFAULT_TRUNCATION = 3
 
-# matching the exhaustive-mode guard of the classifier: beyond this order
-# the model dictionary and map-homotopy routes are not attempted
-HOMOTOPY_ORDER_CAP = 16
-
 
 @dataclass
 class RunConfig:
@@ -217,11 +213,13 @@ def _homotopy_crosscheck(cover, xm, cl, budget_limit: int) -> dict:
     """Independent class count: extend each cocycle to a simplicial map
     into the classifying-space model and count homotopy classes.  The
     witness orbits only order the probes; see `homotopy_classes`."""
-    from .gerbe import cocycle_to_simplicial_map
+    from .gerbe import GUARD_ORDER, cocycle_to_simplicial_map
     from .simplicial import homotopy_classes
     from .xnerve import match_wbar_duskin
     order = xm.H.order * xm.D.order
-    if order > HOMOTOPY_ORDER_CAP:
+    # beyond the classifier's exhaustive-mode guard the model dictionary and
+    # map-homotopy routes are not attempted
+    if order > GUARD_ORDER:
         return {"checked": False, "reason": f"|H||D| = {order} beyond "
                                             f"dictionary cap"}
     try:
@@ -299,9 +297,8 @@ def _gerbe_classify(cfg: RunConfig, cover: CoverComplex,
     oracles["map_homotopy"] = _homotopy_crosscheck(cover, xm, cl, cfg.budget)
     if oracles["map_homotopy"].get("agree") is False:
         code = EXIT_MISMATCH
-    exhaustive = cl.exhaustive and not cl.guard_exceeded
     report = RunReport(cfg.command, _config_echo(cfg), results, oracles,
-                       exhaustive)
+                       cl.exhaustive)
     return report, code
 
 

@@ -661,12 +661,15 @@ def _parse_spec(spec):
 
 
 def _ints(name: str, args, count: int) -> list[int]:
-    """The first `count` parameters of preset `name` as ints; a
-    StructureError naming the spec when one is not an integer."""
+    """The `count` parameters of preset `name` as ints; a StructureError
+    naming the spec when there are more or one is not an integer."""
+    spec = ":".join(map(str, (name, *args)))
+    if len(args) > count:
+        raise StructureError(
+            f"'{spec}' has too many parameters; {name} takes {count}")
     try:
-        return [int(a) for a in args[:count]]
+        return [int(a) for a in args]
     except ValueError:
-        spec = ":".join(map(str, (name, *args)))
         raise StructureError(
             f"'{spec}' has a parameter that is not an integer") from None
 
@@ -685,6 +688,7 @@ def preset_library(name: str, *args):
     if name == "symmetric":
         return symmetric_group(*_ints(name, args, 1))
     if name == "trivial":
+        _ints(name, args, 0)
         return trivial_group()
     if name == "xmod_id":
         return xmod_identity(_parse_spec(args[0]))

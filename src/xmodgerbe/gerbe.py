@@ -29,8 +29,7 @@ from .fingroup import (CrossedModule, FiniteGroup, abelian_invariants,
                        derived_crossed_modules, kernel)
 from .intlinalg import ModSolver, homology
 from .simplicial import (CoverComplex, SimplicialMap, TruncatedSimplicialSet,
-                         _map_spec, _Search, cover_nerve)
-from .simplicial import validate_map
+                         _found_maps, _map_spec, cover_nerve, validate_map)
 from .util import Budget, BudgetError, Report, StructureError
 
 __all__ = [
@@ -276,7 +275,6 @@ class GerbeClassification:
     cocycles: list[GerbeCocycle]
     classes: list[GerbeClass]
     exhaustive: bool
-    guard_exceeded: bool
     # orbit_of[i] is the index in `classes` of the orbit of cocycles[i]
     orbit_of: list[int]
 
@@ -336,8 +334,7 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
     position = {cl.key: i for i, cl in enumerate(classes)}
     orbit_of = [position[least[k]] for k in keys]
     return GerbeClassification(cover, xm, cocycles, classes,
-                               exhaustive=not guard, guard_exceeded=guard,
-                               orbit_of=orbit_of)
+                               exhaustive=not guard, orbit_of=orbit_of)
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +600,12 @@ def cocycle_to_simplicial_map(c: GerbeCocycle, match, budget: Budget | None = No
                               nerve: TruncatedSimplicialSet | None = None) -> CocycleMaps:
     """Extend a cocycle to a full simplicial map out of the cover nerve.
 
-    Increasing tuples are pinned directly from (d, h); reversed pairs are
-    pinned to inverses; the values on the remaining (non-monotone) tuples
-    are found by backtracking and the result is re-validated.  The map into
-    the classifying space is the 2-nerve map composed with the model
-    dictionary `match` (a MatchResult for the same crossed module).
+    Increasing tuples are pinned directly from (d, h), reversed pairs to
+    inverses and vertices to the identity; the values on the remaining
+    (non-monotone) tuples are found by backtracking, and the result is
+    re-validated.  The map into the classifying space is the 2-nerve map
+    composed with the model dictionary `match` (a MatchResult for the same
+    crossed module).
     """
     if not match.found:
         raise StructureError("model dictionary unavailable (no isomorphism)")
@@ -618,35 +616,21 @@ def cocycle_to_simplicial_map(c: GerbeCocycle, match, budget: Budget | None = No
         x = cover_nerve(c.cover, match.wbar.N, budget=budget)
     idx = _duskin_index(duskin)
     D = c.xm.D
-    boundary: dict[tuple[int, int], int] = {}
+    pins: list[dict[int, int]] = [{} for _ in range(x.N + 1)]
     vx = {lab: i for i, lab in enumerate(x.labels[0])}
     e1 = {lab: i for i, lab in enumerate(x.labels[1])}
     e2 = {lab: i for i, lab in enumerate(x.labels[2])}
     for a in range(c.cover.charts):
-        boundary[(0, vx[(a,)])] = 0
-    inv_pins: dict[tuple[int, int], int] = {}
+        pins[0][vx[(a,)]] = 0
     for (a, b), dv in c.d.items():
-        boundary[(1, e1[(a, b)])] = idx[1][((dv,), ())]
-        inv_pins[(1, e1[(b, a)])] = idx[1][((D.inv(dv),), ())]
+        pins[1][e1[(a, b)]] = idx[1][((dv,), ())]
+        pins[1][e1[(b, a)]] = idx[1][((D.inv(dv),), ())]
     for (a, b, cc), hv in c.h.items():
-        boundary[(2, e2[(a, b, cc)])] = idx[2][((c.d[(a, b)], c.d[(b, cc)]), (hv,))]
-
-    def attempt(bnd):
-        spec = _map_spec(x, duskin, boundary=bnd)
-        for values in _Search(spec, budget).solutions(limit=1):
-            arrs = [np.array([values[n][z] for z in range(x.sizes[n])],
-                             dtype=np.int64) for n in range(x.N + 1)]
-            return SimplicialMap(x, duskin, arrs, name=f"{c.name}-map")
-        return None
-
-    f = attempt({**boundary, **inv_pins})
-    if f is None:
-        f = attempt(boundary)
+        pins[2][e2[(a, b, cc)]] = idx[2][((c.d[(a, b)], c.d[(b, cc)]), (hv,))]
+    f = next(_found_maps(_map_spec(x, duskin, pins), duskin, budget, limit=1,
+                         name=f"{c.name}-map"), None)
     if f is None:
         raise StructureError("no simplicial extension of the cocycle exists")
-    rep = validate_map(f)
-    if not rep.ok:
-        raise StructureError(f"cocycle extension failed validation: {rep.summary()}")
     warrs = [match.inverse[n][f.levels[n]] for n in range(x.N + 1)]
     wf = SimplicialMap(x, match.wbar, warrs, name=f"{c.name}-wmap")
     wrep = validate_map(wf)

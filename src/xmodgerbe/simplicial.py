@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -675,8 +674,8 @@ def moore_homotopy(g: TruncatedSimplicialGroup, n: int) -> FiniteGroup:
 #
 # One engine covers enumerating simplicial maps, deciding homotopy, and (in
 # the twist module) enumerating twistings: values are assigned level by
-# level to nondegenerate simplices, degenerate simplices are forced through
-# the degeneracy rule, and every time the last face of a level-(n+1) simplex
+# level to nondegenerate simplices, degenerate and pinned simplices are
+# forced (_Search._force), and every time the last face of a level-(n+1) simplex
 # becomes known we confirm that a compatible image exists up there.  That
 # early check is what keeps coherence-style constraints (whose natural home
 # is one level up) from blowing up the search.
@@ -688,26 +687,27 @@ class AssignmentSpec:
 
     x:           the source simplicial set.
     lo:          lowest level carrying values.
-    pools[n]:    candidate list when no face constraint applies.
-    keys[n]:     None when level n has no face constraint; otherwise
-                 keys[n][z](below) is the face key an image of z must have,
-                 read from the level-(n-1) values `below`.
+    pool:        candidate list at level lo, which has no face constraint.
+    keys[n]:     None at level lo; otherwise keys[n][z](below) is the face
+                 key an image of z must have, read from the level-(n-1)
+                 values `below`.
     index[n]:    face key -> candidate list (keys without candidates are
                  absent).
     faces_of[n]: faces_of[n][v] is the face key of target value v.
-    force(n, z, values): forced value for z, or None when z is free.  With
-                 values=None acts as a probe (-1 = forced).  Returns -2 when
-                 distinct forcing rules for z disagree, which the engine
-                 treats as a dead end.
+    pins[n]:     simplex -> the value it must take.
+    degens[n]:   degens[n][i][v] is the value of s_i y for a level-n simplex
+                 y of value v; read above level lo only, so a degenerate
+                 simplex at level lo must be pinned.
     """
 
     x: TruncatedSimplicialSet
     lo: int
-    pools: list
+    pool: list
     keys: list
     index: list
     faces_of: list
-    force: Callable
+    pins: list
+    degens: list
 
 
 class _Search:
@@ -747,17 +747,33 @@ class _Search:
         # of z that _feasible_up last accepted
         self.forced_value: list[dict[int, int | None]] = [dict() for _ in x.sizes]
         for n in range(spec.lo, self.N + 1):
-            degenerate = x.degeneracy_table[n]
+            degenerate, pins = x.degeneracy_table[n], spec.pins[n]
             forced: list[int] = []
             free: list[int] = []
             for z in range(x.sizes[n]):
-                if z not in degenerate and spec.force(n, z, None) is None:
-                    free.append(z)
-                else:
+                if z in degenerate or z in pins:
                     forced.append(z)
+                else:
+                    free.append(z)
             self.plan.append((n, forced, list(set(free))))
             if n > spec.lo:
                 self.forced_value[n] = dict.fromkeys(forced)
+
+    def _force(self, n: int, z: int) -> int | None:
+        """The value forced on z: its pin and, above level lo, s_i of the
+        value of y for every expression z = s_i y.  None when two of these
+        rules disagree, which is a dead end."""
+        spec = self.spec
+        v = spec.pins[n].get(z)
+        if n > spec.lo:
+            below, degens = self.values[n - 1], spec.degens[n - 1]
+            for i, y in spec.x.degeneracy_table[n].get(z, ()):
+                u = degens[i][below[y]]
+                if v is None:
+                    v = u
+                elif u != v:
+                    return None
+        return v
 
     def _feasible_up(self, n1: int, w: int) -> bool:
         """All faces of w (level n1) now have values; can w get an image?
@@ -766,8 +782,8 @@ class _Search:
         key = spec.keys[n1][w](self.values[n1 - 1])
         known = self.forced_value[n1]
         if w in known:
-            v = spec.force(n1, w, self.values)
-            if v is None or v < 0 or spec.faces_of[n1][v] != key:
+            v = self._force(n1, w)
+            if v is None or spec.faces_of[n1][v] != key:
                 return False
             known[w] = v
             return True
@@ -825,7 +841,7 @@ class _Search:
         dom = doms.get(m)
         if dom is None:
             keys = spec.keys[n]
-            dom = spec.pools[n] if keys is None else \
+            dom = spec.pool if keys is None else \
                 spec.index[n].get(keys[m](self.values[n - 1]), ())
         # each value goes through w's key callable, so twisted key schemes
         # (anything beyond the plain face-value tuple) stay correct
@@ -902,8 +918,8 @@ class _Search:
                 return True
             keys = spec.keys[n]
             for z in forced:
-                v = spec.force(n, z, self.values)
-                if v is None or v < 0:
+                v = self._force(n, z)
+                if v is None:
                     return False
                 if keys is not None and \
                         spec.faces_of[n][v] != keys[z](self.values[n - 1]):
@@ -956,7 +972,7 @@ class _Search:
                 return iter(dom)
             keys = spec.keys[n]
             if keys is None:
-                return iter(spec.pools[n])
+                return iter(spec.pool)
             return iter(spec.index[n].get(keys[z](self.values[n - 1]), ()))
 
         # frame: [li, z, cand_iter, entry_mark, try_mark, i] where
@@ -1030,35 +1046,28 @@ class _Search:
                 return
 
 
-def _map_spec(x, y, boundary: dict | None = None) -> AssignmentSpec:
-    """AssignmentSpec for plain simplicial maps x -> y (optional forcing)."""
-    degex = x.degeneracy_table
-    y_degens = y.degen_lists
-    pools = [list(range(y.sizes[n])) for n in range(y.N + 1)]
-    keys = [None] + x.face_getters[1:]
-    bounds: list[dict[int, int]] = [dict() for _ in range(x.N + 1)]
-    for (n, z), v in (boundary or {}).items():
-        bounds[n][z] = int(v)
+def _map_spec(x, y, pins: list[dict] | None = None) -> AssignmentSpec:
+    """AssignmentSpec for plain simplicial maps x -> y; pins[n], when given,
+    maps level-n simplices of x to the values they must take."""
+    return AssignmentSpec(x, 0, list(range(y.sizes[0])),
+                          [None] + x.face_getters[1:], y.face_index,
+                          y.face_tuples, pins or [{} for _ in range(x.N + 1)],
+                          y.degen_lists)
 
-    def force(n, z, values):
-        exprs = degex[n].get(z)
-        v = bounds[n].get(z)
-        if exprs is None and v is None:
-            return None
-        if values is None:
-            return -1  # probe: "is forced", value unknown yet
-        if exprs is not None:
-            below = values[n - 1]
-            degens = y_degens[n - 1]
-            for i, w in exprs:
-                u = degens[i][below[w]]
-                if v is None:
-                    v = u
-                elif u != v:
-                    return -2  # two forcing rules disagree
-        return v
 
-    return AssignmentSpec(x, 0, pools, keys, y.face_index, y.face_tuples, force)
+def _found_maps(spec: AssignmentSpec, y: TruncatedSimplicialSet, budget: Budget,
+                limit: int | None = None, distinct: bool = False, name: str = "f"):
+    """Yield each solution of `spec` as a map spec.x -> y that passed
+    validate_map; a solution that fails it is a StructureError."""
+    x = spec.x
+    for values in _Search(spec, budget, distinct).solutions(limit):
+        f = SimplicialMap(x, y, [np.array(v, dtype=np.int64) for v in values],
+                          name=name)
+        rep = validate_map(f)
+        if not rep.ok:
+            raise StructureError(f"search produced an invalid map {name}: "
+                                 f"{rep.summary()}")
+        yield f
 
 
 def enumerate_simplicial_maps(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,
@@ -1071,17 +1080,8 @@ def enumerate_simplicial_maps(x: TruncatedSimplicialSet, y: TruncatedSimplicialS
     if x.N != y.N:
         raise StructureError("sources and targets need equal truncations")
     budget = budget or Budget(what="map enumeration")
-    spec = _map_spec(x, y)
-    out = []
-    for values in _Search(spec, budget).solutions():
-        arrs = [np.array([values[n][z] for z in range(x.sizes[n])], dtype=np.int64)
-                for n in range(x.N + 1)]
-        f = SimplicialMap(x, y, arrs)
-        rep = validate_map(f)
-        if rep.ok:
-            out.append(f)
-    out.sort(key=lambda f: f.encoding())
-    return out
+    return sorted(_found_maps(_map_spec(x, y), y, budget),
+                  key=lambda f: f.encoding())
 
 
 # ---------------------------------------------------------------------------
@@ -1108,24 +1108,18 @@ def simplicially_homotopic(f: SimplicialMap, g: SimplicialMap,
         d1 = delta1(x.N)
     if prism is None:
         prism = sset_product(x, d1, budget=budget)
-    boundary: dict[tuple[int, int], int] = {}
+    pins: list[dict] = []
     for n in range(x.N + 1):
         m = d1.sizes[n]
         e0 = _const_vertex_index(d1, n, 0)
         e1 = _const_vertex_index(d1, n, 1)
+        lvl: dict[int, int] = {}
         for a, (fa, ga) in enumerate(zip(f.levels[n].tolist(), g.levels[n].tolist())):
-            boundary[(n, a * m + e0)] = fa
-            boundary[(n, a * m + e1)] = ga
-    spec = _map_spec(prism, y, boundary=boundary)
-    for values in _Search(spec, budget).solutions(limit=1):
-        arrs = [np.array([values[n][z] for z in range(prism.sizes[n])], dtype=np.int64)
-                for n in range(prism.N + 1)]
-        h = SimplicialMap(prism, y, arrs, name="homotopy")
-        rep = validate_map(h)
-        if not rep.ok:
-            raise StructureError(f"search produced an invalid prism map: {rep.summary()}")
-        return h
-    return None
+            lvl[a * m + e0] = fa
+            lvl[a * m + e1] = ga
+        pins.append(lvl)
+    return next(_found_maps(_map_spec(prism, y, pins), y, budget, limit=1,
+                            name="homotopy"), None)
 
 
 def homotopy_classes(maps: list[SimplicialMap],

@@ -121,14 +121,14 @@ class TwistedProduct:
     report: Report = field(default_factory=Report)
 
 
-def build_twisted_product(t: Twisting, check_action: bool | None = None) -> TwistedProduct:
+def build_twisted_product(t: Twisting) -> TwistedProduct:
     """Total space of the bundle glued by t, with its structure checks.
 
     The output report records: all simplicial identities of the total space,
     the fiber-coordinate identity d0(sigma(p)) = sigma(d0 p) * tau(x)^-1 and
-    its untwisted companions, the pseudo-section behavior, and (on small
-    instances, or when `check_action` forces it) compatibility of the
-    level-wise left G-action with every face and degeneracy.
+    its untwisted companions, the pseudo-section behavior, and (on
+    instances with at most 200,000 action pairs per level) compatibility of
+    the level-wise left G-action with every face and degeneracy.
     """
     rep = validate_twisting(t)
     if not rep.ok:
@@ -192,9 +192,7 @@ def build_twisted_product(t: Twisting, check_action: bool | None = None) -> Twis
             rep.add(f"section-s{i}@{n}",
                     np.array_equal(degens[n][i][section[n]], section[n + 1][xt.degens[n][i]]))
 
-    if check_action is None:
-        check_action = all(g.sizes[n] * sizes[n] <= 200_000 for n in range(N + 1))
-    if check_action:
+    if all(g.sizes[n] * sizes[n] <= 200_000 for n in range(N + 1)):
         # left principal action a.(g, x) = (a g, x) commutes with all maps
         for n in range(1, N + 1):
             grp = g.groups[n]
@@ -282,9 +280,6 @@ def _twisted_key(mul, inv, f0, f1, rest, below):
 
 def _twisting_spec(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup) -> AssignmentSpec:
     gs = g.sset()
-    g_degens = gs.degen_lists
-    degex = x.degeneracy_table
-    pools = [None] + [list(range(g.sizes[n - 1])) for n in range(1, x.N + 1)]
     keys = [None, None]
     for n in range(2, x.N + 1):
         grp = g.groups[n - 2]
@@ -294,22 +289,14 @@ def _twisting_spec(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup) -> As
     # tau on level n takes values in G_{n-1}: the group set's tables, shifted
     index = [None] + gs.face_index[:x.N]
     faces_of = [None] + gs.face_tuples[:x.N]
-
-    def force(n, z, values):
-        exprs = degex[n].get(z)
-        if exprs is None:
-            return None
-        if values is None:
-            return -1
-        vals = set()
-        for j, y in exprs:
-            if j == 0:
-                vals.add(g.identity(n - 1))
-            else:
-                vals.add(g_degens[n - 2][j - 1][values[n - 1][y]])
-        return vals.pop() if len(vals) == 1 else -2
-
-    return AssignmentSpec(x, 1, pools, keys, index, faces_of, force)
+    # tau(s_0 y) = e: pinned at level 1, which has no values below it, and
+    # the constant-e table above; tau(s_j y) = s_{j-1} tau(y) for j >= 1
+    pins = [{} for _ in range(x.N + 1)]
+    pins[1] = dict.fromkeys(x.degeneracy_table[1], g.identity(0))
+    degens = [None] + [[[g.identity(n)] * g.sizes[n - 1]] + gs.degen_lists[n - 1]
+                       for n in range(1, x.N)]
+    return AssignmentSpec(x, 1, list(range(g.sizes[0])), keys, index, faces_of,
+                          pins, degens)
 
 
 def enumerate_twistings(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup,
@@ -321,11 +308,8 @@ def enumerate_twistings(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup,
     spec = _twisting_spec(x, g)
     out = []
     for values in _Search(spec, budget).solutions():
-        vals = [np.zeros(0, dtype=np.int64)]
-        for n in range(1, x.N + 1):
-            vals.append(np.array([values[n][z] for z in range(x.sizes[n])],
-                                 dtype=np.int64))
-        t = Twisting(x, g, vals)
+        t = Twisting(x, g, [np.zeros(0, dtype=np.int64)]
+                     + [np.array(v, dtype=np.int64) for v in values[1:]])
         rep = validate_twisting(t)
         if not rep.ok:
             raise StructureError(f"search produced invalid twisting: {rep.summary()}")
@@ -349,9 +333,6 @@ def _equivalence_spec(t1: Twisting, t2: Twisting) -> AssignmentSpec:
     untwisted conditions for the other faces and all degeneracies."""
     x, g = t1.base, t1.group
     gs = g.sset()
-    g_degens = gs.degen_lists
-    degex = x.degeneracy_table
-    pools = [list(range(g.sizes[n])) for n in range(x.N + 1)]
     keys = [None]
     for n in range(1, x.N + 1):
         grp = g.groups[n - 1]
@@ -359,17 +340,9 @@ def _equivalence_spec(t1: Twisting, t2: Twisting) -> AssignmentSpec:
         keys.append([partial(_gauge_key, mul, a, inv[b], f[0], f[1:])
                      for f, a, b in zip(x.face_tuples[n], t1.values[n].tolist(),
                                         t2.values[n].tolist())])
-
-    def force(n, z, values):
-        exprs = degex[n].get(z)
-        if exprs is None:
-            return None
-        if values is None:
-            return -1
-        vals = set(g_degens[n - 1][j][values[n - 1][y]] for j, y in exprs)
-        return vals.pop() if len(vals) == 1 else -2
-
-    return AssignmentSpec(x, 0, pools, keys, gs.face_index, gs.face_tuples, force)
+    return AssignmentSpec(x, 0, list(range(g.sizes[0])), keys, gs.face_index,
+                          gs.face_tuples, [{} for _ in range(x.N + 1)],
+                          gs.degen_lists)
 
 
 def twistings_equivalent(t1: Twisting, t2: Twisting,
@@ -385,12 +358,10 @@ def twistings_equivalent(t1: Twisting, t2: Twisting,
     if t1.group is not t2.group and t1.group.sizes != t2.group.sizes:
         raise StructureError("twistings have different structure groups")
     budget = budget or Budget(what="twisting equivalence search")
-    x, g = t1.base, t1.group
     spec = _equivalence_spec(t1, t2)
     for values in _Search(spec, budget).solutions(limit=1):
-        arrs = [np.array([values[n][z] for z in range(x.sizes[n])], dtype=np.int64)
-                for n in range(x.N + 1)]
-        psi = SimplicialMap(x, g.sset(), arrs, name="psi")
+        psi = SimplicialMap(t1.base, t1.group.sset(),
+                            [np.array(v, dtype=np.int64) for v in values], name="psi")
         _check_witness(t1, t2, psi)
         return psi
     return None

@@ -40,9 +40,9 @@ from .fingroup import (CrossedModule, FiniteGroup, cokernel,
                        kernel, quotient, subgroup, validate_crossed_module,
                        xmod_identity)
 from .simplicial import (SimplicialMap, TruncatedSimplicialGroup,
-                         TruncatedSimplicialSet, _guard_sizes, _map_spec,
-                         _radix_digits, _radix_encode, _Search, moore_homotopy,
-                         validate_map, validate_simplicial)
+                         TruncatedSimplicialSet, _found_maps, _guard_sizes,
+                         _map_spec, _radix_digits, _radix_encode,
+                         moore_homotopy, validate_map, validate_simplicial)
 from .twist import build_wbar
 from .util import Budget, Report, StructureError
 
@@ -86,7 +86,7 @@ def _collapse(xm: CrossedModule, n: int, p: np.ndarray,
                          _nerve_radix(xm, n), len(p))
 
 
-def build_nerve(xm: CrossedModule, N: int, validate: bool = True,
+def build_nerve(xm: CrossedModule, N: int,
                 budget: Budget | None = None) -> NerveGroup:
     """The nerve simplicial group of a crossed module, truncated at N.
 
@@ -139,10 +139,9 @@ def build_nerve(xm: CrossedModule, N: int, validate: bool = True,
                                            radix[n + 1], sizes[n]))
 
     nerve = NerveGroup(N, groups, faces, degens, name=f"N({xm.name})", xm=xm)
-    if validate:
-        srep = validate_simplicial(nerve)
-        if not srep.ok:
-            raise StructureError(f"nerve failed simplicial checks: {srep.summary()}")
+    srep = validate_simplicial(nerve)
+    if not srep.ok:
+        raise StructureError(f"nerve failed simplicial checks: {srep.summary()}")
     return nerve
 
 
@@ -199,13 +198,13 @@ def _pasting_holds(xm: CrossedModule, n: int, d: dict, h: dict) -> bool:
     return True
 
 
-def build_duskin(xm: CrossedModule, N: int, verify: bool = True,
+def build_duskin(xm: CrossedModule, N: int,
                  budget: Budget | None = None) -> TruncatedSimplicialSet:
     """2-categorical nerve: level n carries edge/triangle labels, n <= 4.
 
     Level n is parameterized by the spine edges d_{i,i+1} and the triangles
-    h_{i,i+1,k}; all other labels are derived, and (for `verify`) every
-    derived simplex is checked against all pasting conditions.
+    h_{i,i+1,k}; all other labels are derived, and every derived simplex
+    is checked against all pasting conditions.
 
     Index encoding: a level-n simplex is the mixed-radix number whose digits
     are d_{0,1}, ..., d_{n-1,n} (radix |D|, most significant first) and then
@@ -241,7 +240,7 @@ def build_duskin(xm: CrossedModule, N: int, verify: bool = True,
     degens: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
     for n in range(N + 1):
         d, h = _derive_labels(xm, n, _radix_digits(radix[n]))
-        if verify and n >= 2 and not _pasting_holds(xm, n, d, h):
+        if n >= 2 and not _pasting_holds(xm, n, d, h):
             raise StructureError(
                 f"derived simplex data violates a pasting condition at level {n}")
         if n >= 1:
@@ -319,20 +318,14 @@ def match_wbar_duskin(xm: CrossedModule, N: int = 3,
     if wbar.sizes != duskin.sizes:
         return MatchResult(False, wbar, duskin,
                            certificate=f"level sizes differ: {wbar.sizes} vs {duskin.sizes}")
-    spec = _map_spec(wbar, duskin)
-    for values in _Search(spec, budget, distinct=True).solutions(limit=1):
-        arrs = [np.array([values[n][z] for z in range(wbar.sizes[n])], dtype=np.int64)
-                for n in range(N + 1)]
-        iso = SimplicialMap(wbar, duskin, arrs, name="model-iso")
-        rep = validate_map(iso)
-        if not rep.ok:
-            raise StructureError(f"search produced an invalid map: {rep.summary()}")
+    for iso in _found_maps(_map_spec(wbar, duskin), duskin, budget, limit=1,
+                           distinct=True, name="model-iso"):
         inverse = []
-        for n in range(N + 1):
-            if len(set(int(v) for v in arrs[n])) != wbar.sizes[n]:
+        for n, arr in enumerate(iso.levels):
+            if len(set(arr.tolist())) != wbar.sizes[n]:
                 raise StructureError(f"search produced a non-bijective level {n}")
             inv = np.zeros(wbar.sizes[n], dtype=np.int64)
-            inv[arrs[n]] = np.arange(wbar.sizes[n])
+            inv[arr] = np.arange(wbar.sizes[n])
             inverse.append(inv)
         return MatchResult(True, wbar, duskin, iso=iso, inverse=inverse)
     return MatchResult(False, wbar, duskin,

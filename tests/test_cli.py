@@ -82,10 +82,20 @@ def test_product_spec_is_a_usage_error(capsys, argv):
      "error: 'xmod_mod:4:x' has a parameter that is not an integer"),
     (("classify-bundles", "--sset", "circle", "--group", "symmetric:3.0"),
      "error: 'symmetric:3.0' has a parameter that is not an integer"),
+    (("xmod-check", "xmod_mod:4:2:9"),
+     "error: 'xmod_mod:4:2:9' has too many parameters; xmod_mod takes 2"),
+    (("xmod-check", "xmod_id:cyclic:3:4"),
+     "error: 'cyclic:3:4' has too many parameters; cyclic takes 1"),
+    (("xmod-check", "xmod_base:trivial:5"),
+     "error: 'trivial:5' has too many parameters; trivial takes 0"),
+    (("classify-bundles", "--sset", "circle", "--group", "cyclic:4:7"),
+     "error: 'cyclic:4:7' has too many parameters; cyclic takes 1"),
 ], ids=["nested-unknown", "nested-unknown-word", "nested-not-int",
-        "xmod-not-int", "group-not-int"])
+        "xmod-not-int", "group-not-int", "xmod-extra", "nested-extra",
+        "trivial-extra", "group-extra"])
 def test_bad_spec_names_itself(capsys, argv, line):
-    # a nested unknown name once read as "invalid literal for int()"
+    # a nested unknown name once read as "invalid literal for int()", and
+    # parameters past a preset's last one were once ignored
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", line + "\n")
 

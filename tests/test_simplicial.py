@@ -1,6 +1,7 @@
 """Truncated simplicial sets, covers, map search, and homotopy."""
 
 import hashlib
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -9,16 +10,15 @@ import pytest
 from xmodgerbe import simplicial
 from xmodgerbe.fingroup import (cyclic_group, symmetric_group,
                                 xmod_trivial_base, xmod_trivial_fiber)
-from xmodgerbe.simplicial import (AssignmentSpec, _map_spec, _Search,
-                                  ball_cover, circle, circle_cover,
-                                  constant_simplicial_group, cover_nerve,
-                                  degeneracy_expressions, delta1,
+from xmodgerbe.simplicial import (_map_spec, _Search, ball_cover, circle,
+                                  circle_cover, constant_simplicial_group,
+                                  cover_nerve, degeneracy_expressions, delta1,
                                   enumerate_simplicial_maps, homotopy_classes,
                                   load_sset, moore_homotopy, nondegenerate,
                                   simplicially_homotopic, sphere_cover,
                                   sset_from_json, sset_product, sset_to_json,
                                   truncate_sset, validate_simplicial)
-from xmodgerbe.util import Budget, BudgetError, StructureError
+from xmodgerbe.util import Budget, BudgetError, Report, StructureError
 
 from _oracles import brute_simplicial_maps
 
@@ -362,17 +362,20 @@ def _strict_key(key, below):
 
 
 def _strict_spec(spec):
-    """The same spec, with key callables and force reading through _Strict."""
+    """The same spec, with key callables reading through _Strict."""
     keys = [None if ks is None else [partial(_strict_key, k) for k in ks]
             for ks in spec.keys]
+    return replace(spec, keys=keys)
 
-    def force(n, z, values):
-        if values is not None:
-            values = [_Strict(v) for v in values]
-        return spec.force(n, z, values)
 
-    return AssignmentSpec(spec.x, spec.lo, spec.pools, keys, spec.index,
-                          spec.faces_of, force)
+def _strict_force(force, search, n, z):
+    """_Search._force, reading the values through _Strict."""
+    values = search.values
+    search.values = [_Strict(v) for v in values]
+    try:
+        return force(search, n, z)
+    finally:
+        search.values = values
 
 
 def _engine_searches(check_counts=False):
@@ -413,8 +416,10 @@ def _engine_modules():
 
 def test_forced_values_match_a_fresh_force(monkeypatch):
     # run_forced above the lowest level sets the value _feasible_up stored
-    # when it accepted the simplex; it must be what force gives on the
-    # finished solution, and every value's faces must match its key
+    # when it accepted the simplex; recomputed here from the pins and the
+    # degeneracy tables on the finished solution, every rule forcing the
+    # simplex must give that value, and every value's faces must match its
+    # key
     seen = []
 
     class Recorded(_Search):
@@ -424,7 +429,8 @@ def test_forced_values_match_a_fresh_force(monkeypatch):
                 yield values
 
     for module in _engine_modules():
-        monkeypatch.setattr(module, "_Search", Recorded)
+        if hasattr(module, "_Search"):
+            monkeypatch.setattr(module, "_Search", Recorded)
     _engine_searches()
     assert len(seen) > 450
     forced = 0
@@ -432,9 +438,17 @@ def test_forced_values_match_a_fresh_force(monkeypatch):
         x = spec.x
         for n in range(spec.lo, x.N + 1):
             degenerate, keys = x.degeneracy_table[n], spec.keys[n]
+            pins = spec.pins[n]
             for z, v in enumerate(values[n]):
-                if z in degenerate or spec.force(n, z, None) is not None:
-                    assert v == spec.force(n, z, values), (x.name, n, z)
+                rules = [pins[z]] if z in pins else []
+                if n > spec.lo:
+                    rules += [spec.degens[n - 1][i][values[n - 1][y]]
+                              for i, y in degenerate.get(z, ())]
+                else:
+                    # no values below lo: a degenerate simplex there is pinned
+                    assert z not in degenerate or z in pins, (x.name, n, z)
+                if rules:
+                    assert set(rules) == {v}, (x.name, n, z)
                     forced += n > spec.lo
                 if keys is not None:
                     assert spec.faces_of[n][v] == keys[z](values[n - 1]), \
@@ -444,7 +458,7 @@ def test_forced_values_match_a_fresh_force(monkeypatch):
 
 def test_keys_never_read_an_unset_simplex(monkeypatch):
     # the engine marks a simplex without a value by None; no key callable
-    # and no force rule may read one, and guarding them moves no count
+    # and no forcing rule may read one, and guarding them moves no count
     from xmodgerbe import twist
     for module in _engine_modules():
         if hasattr(module, "_map_spec"):
@@ -454,7 +468,43 @@ def test_keys_never_read_an_unset_simplex(monkeypatch):
         make = getattr(twist, name)
         monkeypatch.setattr(twist, name,
                             lambda *a, make=make: _strict_spec(make(*a)))
+    force = _Search._force
+    monkeypatch.setattr(_Search, "_force",
+                        lambda self, n, z: _strict_force(force, self, n, z))
     _engine_searches(check_counts=True)
+
+
+def test_forcing_rules_that_disagree_are_a_dead_end():
+    # the degenerate edge s_0(*) of the circle, pinned to the loop: its pin
+    # and its degeneracy rule disagree, so no map exists; pinned to s_0(*)
+    # itself it leaves both maps.  At truncation 1 no simplex above can
+    # refute the pin, so only the disagreement does.
+    x = circle(1)
+
+    def solutions(v):
+        spec = _map_spec(x, x, [{}, {0: v}])
+        return list(_Search(spec, Budget(what="maps")).solutions())
+
+    assert x.degeneracy_table[1] == {0: [(0, 0)]}
+    assert solutions(1) == []
+    assert len(solutions(0)) == 2
+
+
+def test_a_solution_failing_validation_is_an_error(monkeypatch):
+    # every solution becomes a map only once validate_map passes it; one
+    # that fails is a StructureError, never a map silently left out
+    from xmodgerbe.xnerve import match_wbar_duskin
+    x, y = circle(2), circle(2)
+    f = enumerate_simplicial_maps(x, y)[0]
+    failing = Report()
+    failing.add("planted", False)
+    monkeypatch.setattr(simplicial, "validate_map", lambda f: failing)
+    with pytest.raises(StructureError, match="planted"):
+        enumerate_simplicial_maps(x, y)
+    with pytest.raises(StructureError, match="planted"):
+        simplicially_homotopic(f, f)
+    with pytest.raises(StructureError, match="planted"):
+        match_wbar_duskin(xmod_trivial_fiber(cyclic_group(2)), 3)
 
 
 def test_size_guards_refuse_before_building():
