@@ -361,8 +361,12 @@ def cmd_gauge_verify(cfg: RunConfig) -> tuple[RunReport, int]:
     results = {}
     passed = True
     for nm in names:
+        t0 = time.perf_counter()
         rep = run_case(nm, step=cfg.fd_step, tolerance=cfg.tolerance,
                        budget=Budget(cfg.budget, what="gauge grids"))
+        # stderr, so stdout stays byte-identical from run to run
+        print(f"[gauge-verify] case {nm} {time.perf_counter() - t0:.2f}s",
+              file=sys.stderr)
         results[nm] = rep
         passed = passed and rep["passed"]
     report = RunReport(cfg.command, _config_echo(cfg),

@@ -158,8 +158,9 @@ class MatrixCrossedModule:
     """Crossed module of matrix groups with sampled-axiom validation.
 
     alpha maps H-matrices to D-matrices; action maps (D-matrix, H-matrix)
-    to an H-matrix.  dalpha/daction are the corresponding Lie-algebra maps;
-    when omitted they are evaluated by central differences on exp-curves.
+    to an H-matrix.  dalpha/daction are the corresponding Lie-algebra maps
+    and tangent(x, h) is T_x(h) of compute_T; when omitted they are
+    evaluated by central differences on exp-curves.
     """
 
     name: str
@@ -169,6 +170,7 @@ class MatrixCrossedModule:
     action: Callable
     dalpha: Callable | None = None
     daction: Callable | None = None
+    tangent: Callable | None = None
     h_abelian: bool = False
     t_step: float = DEFAULT_T_STEP
 
@@ -398,29 +400,29 @@ def _central_diff(values: np.ndarray, shape: tuple, axis: int, step: float,
 
 
 def _pair_maps(gcd: GaugeChartData) -> dict:
-    """Per chart pair: concatenated overlap samples plus a dense row array.
+    """Per chart pair: its overlap components plus two dense index arrays.
 
-    Components of the same pair are merged so triple checks can look up
-    pair data at any matched point by its chart-a index: ``rows[i]`` is the
-    sample row of chart-a point i, or -1 where the pair does not meet.
+    Triple checks look up pair data at any matched point by its chart-a
+    index i: ``comp[i]`` is the component that holds chart-a point i, or -1
+    where the pair does not meet, and ``rows[i]`` its sample row there.
+    Samples stay in their components, so nothing is copied.
     """
     parts: dict = {}
     for o in gcd.overlaps:
         parts.setdefault((o.a, o.b), []).append(o)
     table = {}
     for (a, b), comps in parts.items():
-        ia = np.concatenate([np.asarray(o.ia, dtype=np.int64) for o in comps])
-        rows = np.full(len(gcd.charts[a].grid), -1, dtype=np.int64)
-        if ia.size and (ia.min() < 0 or ia.max() >= len(rows)):
-            raise StructureError(f"overlap ({a},{b}) has points outside "
-                                 f"chart {a}")
-        rows[ia] = np.arange(len(ia))
-        entry = {"rows": rows}
-        for f in ("d", "a_form", "delta"):
-            samples = [getattr(o, f) for o in comps]
-            entry[f] = (None if any(s is None for s in samples)
-                        else np.concatenate(samples))
-        table[(a, b)] = entry
+        n = len(gcd.charts[a].grid)
+        comp = np.full(n, -1, dtype=np.int64)
+        rows = np.full(n, -1, dtype=np.int64)
+        for j, o in enumerate(comps):
+            ia = np.asarray(o.ia, dtype=np.int64)
+            if ia.size and (ia.min() < 0 or ia.max() >= n):
+                raise StructureError(f"overlap ({a},{b}) has points outside "
+                                     f"chart {a}")
+            comp[ia] = j
+            rows[ia] = np.arange(len(ia))
+        table[(a, b)] = {"comps": comps, "comp": comp, "rows": rows}
     return table
 
 
@@ -430,20 +432,29 @@ def _pair_fetch(table: dict, a: int, b: int, idx: np.ndarray,
     if entry is None:
         raise StructureError(f"missing overlap data for charts ({a},{b}) "
                              f"needed by {what}")
-    arr = entry[field_name]
-    if arr is None:
+    samples = [getattr(o, field_name) for o in entry["comps"]]
+    if any(s is None for s in samples):
         raise StructureError(f"overlap ({a},{b}) has no '{field_name}' "
                              f"samples needed by {what}")
     idx = np.asarray(idx, dtype=np.int64)
-    rows = entry["rows"]
-    inside = (idx >= 0) & (idx < len(rows))   # no negative wraparound
+    comp = entry["comp"]
+    inside = (idx >= 0) & (idx < len(comp))   # no negative wraparound
     found = np.full(len(idx), -1, dtype=np.int64)
-    found[inside] = rows[idx[inside]]
+    found[inside] = comp[idx[inside]]
     if (found < 0).any():
         missing = int(idx[np.argmax(found < 0)])
         raise StructureError(f"overlap ({a},{b}) lacks point {missing} "
                              f"needed by {what}")
-    return arr[found]
+    rows = entry["rows"][idx]
+    lo, hi = (int(found.min()), int(found.max())) if len(idx) else (0, 0)
+    if lo == hi:
+        return samples[lo][rows]
+    out = np.empty((len(idx),) + samples[0].shape[1:],
+                   dtype=np.result_type(*samples))
+    for j in range(lo, hi + 1):
+        sel = found == j
+        out[sel] = samples[j][rows[sel]]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +520,8 @@ def check_gerbe_cocycle_smooth(gcd: GaugeChartData, table: dict) -> Residual:
 
 def check_connection(gcd: GaugeChartData, dinvs: list, hinvs: list,
                      table: dict) -> Residual:
-    """Both connection laws; derivative terms by central differences.
+    """Both connection laws; derivative terms by central differences, and
+    T_A(h) by the module's closed-form tangent, or compute_T without one.
 
     dinvs[k] / hinvs[k] are inv(d) of overlap k / inv(h) of triple k, and
     table is _pair_maps(gcd)."""
@@ -543,15 +555,19 @@ def check_connection(gcd: GaugeChartData, dinvs: list, hinvs: list,
             raise StructureError("triple law needs connection samples")
         aa = ca.A[t.ia]
         hinv = hinvs[k]
-        # compute_T is evaluated at hinv and needs its inverse: once per
-        # triple, not once per axis
-        hinv_inv = np.linalg.inv(np.asarray(hinv, dtype=np.complex128))
+        if xm.tangent is None:
+            # compute_T is evaluated at hinv and needs its inverse: once per
+            # triple, not once per axis
+            hinv_inv = np.linalg.inv(np.asarray(hinv, dtype=np.complex128))
         for mu in range(gcd.dim):
             der, valid = _central_diff(hinv, t.shape, mu, ca.steps[mu],
                                        t.periodic[mu])
             lhs = a_ab[:, mu] + xm.daction_of(d_ab, a_bc[:, mu])
-            rhs = (t.h @ a_ac[:, mu] @ hinv + t.h @ der
-                   + compute_T(aa[:, mu], hinv, xm, gcd.t_step, hinv_inv))
+            if xm.tangent is None:
+                tan = compute_T(aa[:, mu], hinv, xm, gcd.t_step, hinv_inv)
+            else:
+                tan = xm.tangent(aa[:, mu], hinv)
+            rhs = t.h @ a_ac[:, mu] @ hinv + t.h @ der + tan
             res.add(f"connection-triple[{mu}]", (lhs - rhs)[valid])
     if not gcd.overlaps:
         res.add_absent("connection-overlap[0]")
@@ -592,10 +608,9 @@ def check_bfield(gcd: GaugeChartData, hinvs: list, table: dict) -> Residual:
 
 @dataclass
 class CurvatureReport:
-    """Curvature and nu samples; the gluing residual is only asserted for
+    """nu = F + alpha(B) samples; the gluing residual is only asserted for
     abelian fibers, otherwise it is reported as-is."""
 
-    F: list
     nu: list
     valid: list
     gluing: Residual
@@ -607,7 +622,7 @@ def curvature_and_nu(gcd: GaugeChartData, dinvs: list) -> CurvatureReport:
     dinvs as for check_connection."""
     xm = gcd.xm
     n2 = gcd.dim * (gcd.dim - 1) // 2
-    fs, nus, valids = [], [], []
+    nus, valids = [], []
     for ci, ch in enumerate(gcd.charts):
         if ch.A is None:
             raise StructureError(f"chart {ci} lacks connection samples")
@@ -628,12 +643,11 @@ def curvature_and_nu(gcd: GaugeChartData, dinvs: list) -> CurvatureReport:
                 f[:, comp] = d_mu_Anu - d_nu_Amu + wedge
                 valid &= v1 & v2
                 comp += 1
-        nu_val = f.copy()
-        if ch.B is not None and n2:
+        if ch.B is not None:
+            # nu is built in F's buffer: nothing reads F on its own
             for c in range(n2):
-                nu_val[:, c] = f[:, c] + xm.dalpha_of(ch.B[:, c])
-        fs.append(f[:, :n2] if n2 else f[:, :0])
-        nus.append(nu_val[:, :n2] if n2 else nu_val[:, :0])
+                f[:, c] += xm.dalpha_of(ch.B[:, c])
+        nus.append(f[:, :n2])
         valids.append(valid)
     glue = Residual(f"nu-gluing {gcd.name}")
     for k, o in enumerate(gcd.overlaps):
@@ -645,7 +659,7 @@ def curvature_and_nu(gcd: GaugeChartData, dinvs: list) -> CurvatureReport:
             glue.add(f"nu-gluing[{c}]", (lhs - rhs)[ok])
     if n2 == 0 or not gcd.overlaps:
         glue.add_absent("nu-gluing[0]")
-    return CurvatureReport(fs, nus, valids, glue, gcd.xm.h_abelian)
+    return CurvatureReport(nus, valids, glue, gcd.xm.h_abelian)
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +677,14 @@ def so3_group() -> MatrixGroupDesc:
     return MatrixGroupDesc("SO3", 3, [lx, ly, lz])
 
 
+def _no_tangent(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """T_x(h) = 0 of a trivial action: the curve h (exp(t x) |> h^-1) is
+    constant.  compute_T gives +-0 here, and a zero's sign never reaches a
+    residual magnitude."""
+    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(h)),
+                    dtype=np.complex128)
+
+
 def u1_id_xmod() -> MatrixCrossedModule:
     """H = D = U(1), alpha the identity, conjugation (trivial) action."""
     u1 = u1_group()
@@ -672,6 +694,7 @@ def u1_id_xmod() -> MatrixCrossedModule:
         action=lambda d, h: h + 0.0 * d,
         dalpha=lambda x: x,
         daction=lambda d, y: y + 0.0 * d,
+        tangent=_no_tangent,
         h_abelian=True)
 
 
@@ -684,6 +707,7 @@ def u1_null_xmod() -> MatrixCrossedModule:
         action=lambda d, h: h + 0.0 * d,
         dalpha=lambda x: 0.0 * x,
         daction=lambda d, y: y + 0.0 * d,
+        tangent=_no_tangent,
         h_abelian=True)
 
 
@@ -936,42 +960,41 @@ def case_u1_torus_three(step: float | None = None,
     starts = [0, m1 // 3, (2 * m1) // 3]
     bands = [_arc_indices(s, arc, m1) for s in starts]
     ms = {0: 2.0, 1: 1.0, 2: 0.0}
+    # every field is an elementwise formula in x or y alone: the sines and
+    # cosines are taken once per grid axis and broadcast over the other,
+    # the same values a per-point evaluation gives
+    sin_y, cos_y = np.sin(ys), np.cos(ys)
 
-    def grid_of(band):
-        gx, gy = np.meshgrid(xs[band], ys, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel()], axis=1)
-
-    def a_fields(a, pts):
-        x, y = pts[:, 0], pts[:, 1]
-        ax = 1j * (np.sin(y) + 0.2 * np.cos(x) - ms[a] * np.cos(y))
-        ay = 1j * (0.5 * np.cos(x)) + 0.0 * y
-        return np.stack([ax, ay], axis=1).reshape(-1, 2, 1, 1)
-
-    def b_field(a, pts):
-        x, y = pts[:, 0], pts[:, 1]
-        return (1j * (np.sin(x) + 0.3 * np.cos(y) + ms[a] * np.sin(y))
-                ).reshape(-1, 1, 1, 1)
+    def per_point(rows, *cols):
+        """(rows * m2, len(cols)) samples, row-major over the (rows, m2)
+        grid, with each of `cols` broadcast to that grid."""
+        out = np.empty((rows, m2, len(cols)), dtype=np.result_type(*cols))
+        for i, col in enumerate(cols):
+            out[..., i] = col
+        return out.reshape(-1, len(cols))
 
     charts = []
     for a in range(3):
-        pts = grid_of(bands[a])
-        charts.append(Chart(pts, (arc, m2), (dx, dx), (False, True),
-                            A=a_fields(a, pts), B=b_field(a, pts)))
+        x = xs[bands[a]][:, None]
+        cos_x = np.cos(x)
+        ax = 1j * (sin_y + 0.2 * cos_x - ms[a] * cos_y)
+        ay = 1j * (0.5 * cos_x) + 0.0 * ys
+        bf = 1j * (np.sin(x) + 0.3 * cos_y + ms[a] * sin_y)
+        charts.append(Chart(per_point(arc, x, ys), (arc, m2), (dx, dx),
+                            (False, True),
+                            A=per_point(arc, ax, ay)[:, :, None, None],
+                            B=per_point(arc, bf)[:, :, None, None]))
     overlaps = []
     for (a, b) in [(0, 1), (1, 2), (0, 2)]:
         for run, (ra, rb) in _matched_runs([bands[a], bands[b]], m1):
-            ia = _flat(ra, m2)
-            ib = _flat(rb, m2)
-            k = len(ia)
-            y = charts[a].grid[ia][:, 1]
-            d = np.ones((k, 1, 1), dtype=np.complex128)
-            af = np.zeros((k, 2, 1, 1), dtype=np.complex128)
-            af[:, 0, 0, 0] = 1j * (ms[b] - ms[a]) * np.cos(y)
-            delta = (1j * (ms[a] - ms[b]) * np.sin(y)
-                     ).reshape(-1, 1, 1, 1)
-            overlaps.append(Overlap(a, b, ia, ib, (len(run), m2),
-                                    (False, True), d, a_form=af,
-                                    delta=delta))
+            n = len(run)
+            af = per_point(n, 1j * (ms[b] - ms[a]) * cos_y, 0j)
+            delta = per_point(n, 1j * (ms[a] - ms[b]) * sin_y)
+            overlaps.append(Overlap(a, b, _flat(ra, m2), _flat(rb, m2),
+                                    (n, m2), (False, True),
+                                    np.ones((n * m2, 1, 1), np.complex128),
+                                    a_form=af[:, :, None, None],
+                                    delta=delta[:, :, None, None]))
     triples = []
     for run, rows in _matched_runs(bands, m1):
         ia, ib, ic = (_flat(r, m2) for r in rows)
@@ -1115,11 +1138,15 @@ def run_case(name: str, step: float | None = None,
     # peaks, it raised the torus case's peak RSS by about 40 MB
     del table
     curv = curvature_and_nu(gcd, dinvs)
+    dim = gcd.dim
+    # no sample is read again: freed before the summaries, which concatenate
+    # each law's residuals
+    del gcd, dinvs, hinvs
     vacuous = [eq for res in results + [curv.gluing]
                for eq, v in sorted(res.equations.items())
                if not v.size and eq not in res.absent]
     if vacuous:
-        shown = DEFAULT_STEPS[gcd.dim] if step is None else step
+        shown = DEFAULT_STEPS[dim] if step is None else step
         raise StructureError(f"gauge case {name}: step {shown:g} leaves no "
                              f"valid sample point for {', '.join(vacuous)}")
     passed = True

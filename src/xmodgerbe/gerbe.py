@@ -30,12 +30,12 @@ from .fingroup import (CrossedModule, FiniteGroup, abelian_invariants,
 from .intlinalg import ModSolver, homology
 from .simplicial import (CoverComplex, SimplicialMap, TruncatedSimplicialSet,
                          _found_maps, _map_spec, cover_nerve, validate_map)
-from .util import Budget, BudgetError, Report, StructureError
+from .util import Budget, BudgetError, StructureError
 
 __all__ = [
     "GerbeCocycle",
     "StableWitness",
-    "validate_cocycle",
+    "check_cocycle",
     "identity_witness",
     "apply_witness",
     "enumerate_cocycles",
@@ -87,30 +87,33 @@ def identity_witness(cover: CoverComplex, xm: CrossedModule) -> StableWitness:
                          {p: xm.H.identity for p in cover.simplices(1)})
 
 
-def validate_cocycle(c: GerbeCocycle) -> Report:
-    """Check domains and both cocycle conditions on all admissible tuples."""
-    rep = Report()
-    xm = c.xm
-    D, H = xm.D, xm.H
-    pairs = c.cover.simplices(1)
-    triples = c.cover.simplices(2)
-    rep.add("d-domain", set(c.d) == set(pairs)
-            and all(0 <= v < D.order for v in c.d.values()))
-    rep.add("h-domain", set(c.h) == set(triples)
-            and all(0 <= v < H.order for v in c.h.values()))
-    if not rep.ok:
-        return rep
-    dmul, alpha = D.table.tolist(), xm.alpha.mapping.tolist()
-    hmul, act = H.table.tolist(), xm.action.table.tolist()
-    for (a, b, cc) in triples:
-        rep.add(f"edge@{a},{b},{cc}",
-                dmul[c.d[(a, b)]][c.d[(b, cc)]]
-                == dmul[alpha[c.h[(a, b, cc)]]][c.d[(a, cc)]])
-    for (a, b, cc, dd) in c.cover.simplices(3):
-        lhs, rhs = _tetra_sides(hmul, act, c.d, c.h, (a, b), (a, b, cc),
-                                (a, cc, dd), (b, cc, dd), (a, b, dd))
-        rep.add(f"tetra@{a},{b},{cc},{dd}", lhs == rhs)
-    return rep
+def check_cocycle(c: GerbeCocycle, what: str,
+                  laws: _HCompletions | None = None) -> None:
+    """Raise StructureError "<what>: <check>" at the first failing check of
+    c: its d-domain or h-domain, the edge condition on a triple
+    ("edge@a,b,c") or the tetrahedron condition on a quad
+    ("tetra@a,b,c,d"); a cocycle passes silently.
+
+    `laws` are the tables of c's cover and crossed module; without them
+    they are built here, so a caller that checks many cocycles passes them.
+    """
+    laws = laws or _HCompletions(c.cover, c.xm)
+    if (c.d.keys() != laws.pair_set
+            or not all(0 <= v < len(laws.dmul) for v in c.d.values())):
+        raise StructureError(f"{what}: d-domain")
+    if (c.h.keys() != laws.triple_set
+            or not all(0 <= v < len(laws.hmul) for v in c.h.values())):
+        raise StructureError(f"{what}: h-domain")
+    d = [c.d[p] for p in laws.pairs]
+    h = [c.h[t] for t in laws.triples]
+    dmul, alpha = laws.dmul, laws.alpha
+    for t, (ab, bc, ac), hv in zip(laws.triples, laws.edges, h):
+        if dmul[d[ab]][d[bc]] != dmul[alpha[hv]][d[ac]]:
+            raise StructureError(f"{what}: edge@{','.join(map(str, t))}")
+    for q, pos in zip(laws.tetras, laws.quads):
+        lhs, rhs = _tetra_sides(laws.hmul, laws.act, d, h, *pos)
+        if lhs != rhs:
+            raise StructureError(f"{what}: tetra@{','.join(map(str, q))}")
 
 
 def _tetra_sides(hmul, act, d, h, ab, abc, acd, bcd, abd) -> tuple[int, int]:
@@ -120,8 +123,10 @@ def _tetra_sides(hmul, act, d, h, ab, abc, acd, bcd, abd) -> tuple[int, int]:
     return hmul[h[abc]][h[acd]], hmul[act[d[ab]][h[bcd]]][h[abd]]
 
 
-def apply_witness(c: GerbeCocycle, w: StableWitness) -> GerbeCocycle:
-    """Act on a cocycle by a witness; the result is re-validated.
+def apply_witness(c: GerbeCocycle, w: StableWitness,
+                  laws: _HCompletions | None = None) -> GerbeCocycle:
+    """Act on a cocycle by a witness; the result is re-validated, with
+    `laws` as for check_cocycle.
 
     d'_ab  = r_a alpha(s_ab) d_ab r_b^-1
     h'_abc = (r_a . s_ab)(r_a d_ab . s_bc)(r_a . h_abc)(r_a . s_ac)^-1
@@ -144,10 +149,7 @@ def apply_witness(c: GerbeCocycle, w: StableWitness) -> GerbeCocycle:
         t4 = H.inv(xm.act(ra, w.s[(a, cc)]))
         h2[(a, b, cc)] = H.mul(H.mul(H.mul(t1, t2), t3), t4)
     out = GerbeCocycle(c.cover, xm, d2, h2, name=c.name)
-    rep = validate_cocycle(out)
-    if not rep.ok:
-        raise StructureError(
-            f"witness action broke the cocycle conditions: {rep.summary()}")
+    check_cocycle(out, "witness action broke the cocycle conditions", laws)
     return out
 
 
@@ -157,7 +159,8 @@ def apply_witness(c: GerbeCocycle, w: StableWitness) -> GerbeCocycle:
 
 class _HCompletions:
     """The search for the h-values completing a d-assignment, built once
-    per (cover, crossed module).
+    per (cover, crossed module); its tables are also the ones
+    check_cocycle reads.
 
     d and h are read by position in the cover's pair and triple lists:
     `edges` holds each triple's (ab, bc, ac) pairs, `quads` each quad's
@@ -167,16 +170,20 @@ class _HCompletions:
     """
 
     def __init__(self, cover: CoverComplex, xm: CrossedModule):
-        pidx = {p: i for i, p in enumerate(cover.simplices(1))}
-        tidx = {t: i for i, t in enumerate(cover.simplices(2))}
+        self.pairs, self.triples = cover.simplices(1), cover.simplices(2)
+        self.tetras = cover.simplices(3)
+        self.pair_set, self.triple_set = set(self.pairs), set(self.triples)
+        pidx = {p: i for i, p in enumerate(self.pairs)}
+        tidx = {t: i for i, t in enumerate(self.triples)}
         self.dmul, self.dinv = xm.D.table.tolist(), xm.D.inverses.tolist()
         self.hmul, self.act = xm.H.table.tolist(), xm.action.table.tolist()
+        self.alpha = xm.alpha.mapping.tolist()
         self.pre: list[list[int]] = [[] for _ in range(xm.D.order)]
-        for hval, dval in enumerate(xm.alpha.mapping.tolist()):
+        for hval, dval in enumerate(self.alpha):
             self.pre[dval].append(hval)
         self.edges = [(pidx[a, b], pidx[b, c], pidx[a, c]) for (a, b, c) in tidx]
         self.quads = [(pidx[a, b], tidx[a, b, c], tidx[a, c, d], tidx[b, c, d],
-                       tidx[a, b, d]) for (a, b, c, d) in cover.simplices(3)]
+                       tidx[a, b, d]) for (a, b, c, d) in self.tetras]
         self.by_depth: list[list[tuple]] = [[] for _ in tidx]
         for q in self.quads:
             self.by_depth[max(q[1:])].append(q)
@@ -308,6 +315,7 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
     keys = [c.key() for c in cocycles]
     index = dict(zip(keys, cocycles))
     gens = _generator_witnesses(cover, xm)
+    laws = _HCompletions(cover, xm)
     least: dict[tuple, tuple] = {}     # cocycle key -> its orbit's least key
     classes: list[GerbeClass] = []
     for k in sorted(index):
@@ -319,7 +327,7 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
             cur = frontier.pop()
             for w in gens:
                 budget.spend()
-                nxt = apply_witness(cur, w)
+                nxt = apply_witness(cur, w, laws)
                 nk = nxt.key()
                 if nk not in index:
                     raise StructureError("witness action left the enumerated "
@@ -464,10 +472,11 @@ class LiftPlan:
     Only the search and the defect 3-cochain depend on the cocycle.  The
     plan holds the rest: the image module the cocycles live over, ker alpha
     with its centrality and action checks, the h-completion search of the
-    target and, when the obstruction is emitted, H^3 of the cover in ker
-    alpha, cyclic coordinates of ker alpha, the coboundary matrix from
-    triples to quads and, when there are quads, one factored solver of that
-    matrix per cyclic modulus of ker alpha.
+    target, the cocycle laws of the image module and, when the obstruction
+    is emitted, H^3 of the cover in ker alpha, cyclic coordinates of ker
+    alpha, the coboundary matrix from triples to quads and, when there are
+    quads, one factored solver of that matrix per cyclic modulus of ker
+    alpha.
     """
 
     def __init__(self, cover: CoverComplex, xm: CrossedModule):
@@ -484,6 +493,7 @@ class LiftPlan:
         self.triples = cover.simplices(2)
         self.quads = cover.simplices(3)
         self.search = _HCompletions(cover, xm)
+        self.base_laws = _HCompletions(cover, self.base)
 
         self.oracle: CohomologyResult | None = None
         if self.emitted:
@@ -527,9 +537,7 @@ class LiftPlan:
             raise StructureError("cocycle is not over the image module of the target")
         if (c.cover.charts, c.cover.sets) != (self.cover.charts, self.cover.sets):
             raise StructureError("cocycle is not on the cover of the lift plan")
-        rep = validate_cocycle(c)
-        if not rep.ok:
-            raise StructureError(f"cannot lift an invalid cocycle: {rep.summary()}")
+        check_cocycle(c, "cannot lift an invalid cocycle", self.base_laws)
         xm = self.xm
         search = self.search
         d, _ = c.key()
@@ -539,10 +547,8 @@ class LiftPlan:
         if h is not None:
             lifted = GerbeCocycle(c.cover, xm, dict(c.d), dict(zip(self.triples, h)),
                                   name=f"{c.name}-lift")
-            lrep = validate_cocycle(lifted)
-            if not lrep.ok:
-                raise StructureError(f"lift search returned an invalid cocycle: "
-                                     f"{lrep.summary()}")
+            check_cocycle(lifted, "lift search returned an invalid cocycle",
+                          search)
 
         obstruction_zero = None
         agreement = None
@@ -664,9 +670,7 @@ def map_to_cocycle(f: SimplicialMap, cover: CoverComplex, xm: CrossedModule,
         _ds, hs = target.label(2, int(levels[2][e2[t]]))
         h[t] = int(hs[0])
     out = GerbeCocycle(cover, xm, d, h, name=f"{f.name}-cocycle")
-    rep = validate_cocycle(out)
-    if not rep.ok:
-        raise StructureError(f"extracted data is not a cocycle: {rep.summary()}")
+    check_cocycle(out, "extracted data is not a cocycle")
     return out
 
 

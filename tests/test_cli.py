@@ -422,6 +422,31 @@ def test_gauge_verify_known_and_unknown(capsys):
     assert code2 == 2
 
 
+def test_gauge_verify_times_each_case_on_stderr(capsys):
+    # one stderr line per case with its elapsed time; stdout is the report
+    # alone, and its bytes are the ones recorded before the lines were added
+    names = ["trivial", "u1-circle-pair", "u1-circle-three",
+             "u1-sphere-monopole", "u1-torus-three", "so3-conjugation-T"]
+    code, out, err = run_cli(capsys, "gauge-verify", "--case", "all",
+                             "--format", "json")
+    assert code == 0
+    assert sorted(json.loads(out)["results"]["cases"]) == sorted(names)
+    lines = err.splitlines()
+    assert len(lines) == len(names) + 1
+    for name, line in zip(names, lines):
+        head, _, seconds = line.rpartition(" ")
+        assert head == f"[gauge-verify] case {name}"
+        assert seconds.endswith("s") and float(seconds[:-1]) >= 0
+    assert lines[-1].startswith("[gauge-verify] elapsed ")
+    code, out, err = run_cli(capsys, "gauge-verify", "--case", "trivial",
+                             "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "31479a9a2515515d06de0184c986229ccebbdcdf045ffc92aee079aa11c1d018"
+    assert [ln.rpartition(" ")[0] for ln in err.splitlines()] == [
+        "[gauge-verify] case trivial", "[gauge-verify] elapsed"]
+
+
 def test_lift_sphere4_all_lift(capsys):
     code, out, err = run_cli(capsys, "lift", "--cover", "sphere:4",
                              "--xmod", "xmod_mod:4:2", "--format", "json")

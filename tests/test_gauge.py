@@ -1,10 +1,13 @@
 """Numerical gauge-law checks on sampled matrix-group chart data."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from xmodgerbe.gauge import (DEFAULT_TOLS, MatrixCrossedModule, Residual,
-                             _central_diff, _pair_maps, builtin_cases,
+                             _central_diff, _pair_fetch, _pair_maps,
+                             builtin_cases,
                              case_u1_circle_three, case_u1_sphere_monopole,
                              case_u1_torus_three,
                              check_bfield, check_connection,
@@ -169,6 +172,92 @@ def test_shared_inverses_give_the_standalone_residuals():
                     compute_T(aa[:, mu], hinv, gcd.xm, gcd.t_step,
                               np.linalg.inv(hinv)),
                     compute_T(aa[:, mu], hinv, gcd.xm, gcd.t_step))
+
+
+def test_closed_form_tangent_gives_the_finite_difference_residuals():
+    # the U(1) modules give T = 0 in closed form; compute_T gives +-0 under
+    # their trivial action, so every residual is the same to the bit
+    for build in (case_u1_circle_three, case_u1_torus_three):
+        gcd = build()
+        assert gcd.xm.tangent is not None
+        fd = dataclasses.replace(gcd, xm=dataclasses.replace(gcd.xm,
+                                                             tangent=None))
+        shared = _shared(gcd)
+        assert (check_connection(gcd, *shared).dictionary()
+                == check_connection(fd, *shared).dictionary())
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.shape == y.shape and x.dtype == y.dtype
+            and x.tobytes() == y.tobytes())
+
+
+@pytest.mark.parametrize("step", [None, 0.02])
+def test_torus_builder_matches_per_point_formulas(step):
+    # the builder takes sines and cosines once per grid axis; every sample
+    # has the bits of the field formulas evaluated at each gathered point
+    gcd = case_u1_torus_three(step=step)
+    m = round(2 * np.pi / (step or 1e-2))
+    xs = np.arange(m) * (2 * np.pi / m)
+    ms = {0: 2.0, 1: 1.0, 2: 0.0}
+    starts = [0, m // 3, (2 * m) // 3]
+    for a, ch in enumerate(gcd.charts):
+        band = (starts[a] + np.arange(int(m * 0.8))) % m
+        gx, gy = np.meshgrid(xs[band], xs, indexing="ij")
+        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        x, y = pts[:, 0], pts[:, 1]
+        ax = 1j * (np.sin(y) + 0.2 * np.cos(x) - ms[a] * np.cos(y))
+        ay = 1j * (0.5 * np.cos(x)) + 0.0 * y
+        b = 1j * (np.sin(x) + 0.3 * np.cos(y) + ms[a] * np.sin(y))
+        assert _same_bits(ch.grid, pts)
+        assert _same_bits(ch.A, np.stack([ax, ay], axis=1).reshape(-1, 2, 1, 1))
+        assert _same_bits(ch.B, b.reshape(-1, 1, 1, 1))
+    assert len(gcd.overlaps) == 6
+    for o in gcd.overlaps:
+        y = gcd.charts[o.a].grid[o.ia][:, 1]
+        k = len(o.ia)
+        af = np.zeros((k, 2, 1, 1), dtype=np.complex128)
+        af[:, 0, 0, 0] = 1j * (ms[o.b] - ms[o.a]) * np.cos(y)
+        delta = (1j * (ms[o.a] - ms[o.b]) * np.sin(y)).reshape(-1, 1, 1, 1)
+        assert _same_bits(o.d, np.ones((k, 1, 1), dtype=np.complex128))
+        assert _same_bits(o.a_form, af)
+        assert _same_bits(o.delta, delta)
+
+
+@pytest.mark.parametrize("build", [case_u1_circle_three, case_u1_torus_three])
+def test_pair_fetch_matches_a_concatenated_gather(build):
+    # the pair table gathers from each overlap component in place; a triple
+    # law must read what concatenating the components and gathering gives
+    gcd = build()
+    table = _pair_maps(gcd)
+    assert any(len(entry["comps"]) > 1 for entry in table.values())
+
+    def oracle(a, b, idx, field_name):
+        comps = [o for o in gcd.overlaps if (o.a, o.b) == (a, b)]
+        ia = np.concatenate([o.ia for o in comps])
+        rows = np.full(len(gcd.charts[a].grid), -1)
+        rows[ia] = np.arange(len(ia))
+        return np.concatenate([getattr(o, field_name) for o in comps])[rows[idx]]
+
+    fetched = 0
+    for t in gcd.triples:
+        for (a, b), idx in (((t.a, t.b), t.ia), ((t.b, t.c), t.ib),
+                            ((t.a, t.c), t.ia)):
+            for field_name in ("d", "a_form", "delta"):
+                if any(getattr(o, field_name) is None for o in gcd.overlaps):
+                    continue
+                got = _pair_fetch(table, a, b, idx, field_name, "test")
+                assert _same_bits(got, oracle(a, b, idx, field_name))
+                fetched += 1
+    assert fetched == len(gcd.triples) * 3 * (3 if build is
+                                              case_u1_torus_three else 2)
+    # a triple lies in one component of each pair; every point of a pair,
+    # in reverse order, spans them all
+    for (a, b), entry in table.items():
+        idx = np.concatenate([o.ia for o in entry["comps"]])[::-1]
+        assert _same_bits(_pair_fetch(table, a, b, idx, "a_form", "test"),
+                          oracle(a, b, idx, "a_form"))
 
 
 def test_circle_cases_meet_tight_tolerance():

@@ -18,7 +18,7 @@ from xmodgerbe.gerbe import (GerbeCocycle, LiftPlan, StableWitness,
                              abelian_oracle, apply_witness, classify_gerbes,
                              cocycle_to_json, cocycle_to_simplicial_map,
                              enumerate_cocycles, identity_witness, lift_gerbe,
-                             map_to_cocycle, validate_cocycle)
+                             check_cocycle, map_to_cocycle)
 from xmodgerbe.intlinalg import solve_mod
 from xmodgerbe.simplicial import ball_cover, circle_cover, sphere_cover
 from xmodgerbe.util import Budget, BudgetError, StructureError
@@ -37,7 +37,7 @@ def test_cocycle_counts_trivial_base_modules():
     # the circle has no triple overlaps at all
     assert len(enumerate_cocycles(circle_cover(3), z2)) == 1
     for c in cs:
-        assert validate_cocycle(c).ok
+        check_cocycle(c, "enumerated cocycle")   # raises on any violation
 
 
 def test_classification_counts(gerbe_runs):
@@ -50,13 +50,43 @@ def test_classification_counts(gerbe_runs):
 
 
 def test_corrupted_cocycle_rejected():
+    # h_012 moved off the alpha-preimage coset: the edge law fails there
     xm = xmod_mod(4, 2)
     c = enumerate_cocycles(ball_cover(3), xm)[1]
     h = dict(c.h)
     key = next(iter(h))
     h[key] = xm.H.mul(h[key], 1)
     bad = GerbeCocycle(c.cover, c.xm, dict(c.d), h, name="bad")
-    assert not validate_cocycle(bad).ok
+    with pytest.raises(StructureError, match=r"^corrupted: edge@0,1,2$"):
+        check_cocycle(bad, "corrupted")
+
+
+def test_corrupted_tetrahedron_rejected():
+    # h_013 times 2, which alpha sends to 0: every edge law still holds and
+    # the one tetrahedron law fails
+    xm = xmod_mod(4, 2)
+    c = enumerate_cocycles(ball_cover(4), xm)[0]
+    h = dict(c.h)
+    h[(0, 1, 3)] = xm.H.mul(h[(0, 1, 3)], 2)
+    bad = GerbeCocycle(c.cover, c.xm, dict(c.d), h, name="bad")
+    with pytest.raises(StructureError, match=r"^corrupted: tetra@0,1,2,3$"):
+        check_cocycle(bad, "corrupted")
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda d, h: ({**d, (0, 1): 9}, h), "d-domain"),
+    (lambda d, h: (d, {k: v for k, v in h.items() if k != (0, 1, 2)}),
+     "h-domain"),
+    (lambda d, h: ({**d, (0, 1): 1 - d[(0, 1)]}, h), "edge@0,1,2"),
+], ids=["d-value", "h-missing", "edge"])
+def test_lift_refuses_an_invalid_cocycle(corrupt, named):
+    plan = LiftPlan(ball_cover(4), xmod_mod(4, 2))
+    c = enumerate_cocycles(plan.cover, plan.base)[0]
+    d, h = corrupt(dict(c.d), dict(c.h))
+    bad = GerbeCocycle(c.cover, c.xm, d, h, name="bad")
+    with pytest.raises(StructureError,
+                       match=rf"^cannot lift an invalid cocycle: {named}$"):
+        plan.lift(bad)
 
 
 def test_witness_compose_and_identity():
@@ -103,7 +133,9 @@ def test_witness_final_factor_transcription():
         c = cs[int(rng.integers(len(cs)))]
         w = rand_witness()
         apply_witness(c, w)  # raises on any violation
-        if not validate_cocycle(apply_dual(c, w)).ok:
+        try:
+            check_cocycle(apply_dual(c, w), "dual")
+        except StructureError:
             dual_invalid += 1
     assert dual_invalid == 32
 
