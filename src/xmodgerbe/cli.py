@@ -384,7 +384,8 @@ def cmd_lift(cfg: RunConfig) -> tuple[RunReport, int]:
         raise StructureError("--base-xmod does not match the image "
                              "module of the target")
     budget = Budget(cfg.budget, what="lift")
-    cocycles = enumerate_cocycles(cover, plan.base, budget=budget)
+    cocycles = enumerate_cocycles(cover, plan.base, budget=budget,
+                                  laws=plan.base_laws)
     lifted = 0
     obstruction_zero = 0
     agree_all = True

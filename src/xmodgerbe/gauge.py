@@ -110,6 +110,22 @@ def _eye_like(k: int, n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n, dtype=np.complex128), (k, n, n)).copy()
 
 
+def _stack_inv(x: np.ndarray) -> np.ndarray:
+    """np.linalg.inv of a stack (K, n, n), with its bits.
+
+    A stack that repeats its first matrix bit for bit (constant transitions,
+    such as the torus case's d = h = 1) is inverted once and returned as a
+    read-only broadcast view: LAPACK inverts each matrix on its own, so
+    every copy would get the same bits.  The test compares raw bytes, since
+    complex == merges -0.0 with +0.0 and never matches NaN."""
+    x = np.asarray(x)
+    if len(x):
+        rows = np.ascontiguousarray(x).reshape(len(x), -1).view(np.uint8)
+        if (rows == rows[0]).all():
+            return np.broadcast_to(np.linalg.inv(x[:1]), x.shape)
+    return np.linalg.inv(x)
+
+
 # ---------------------------------------------------------------------------
 # matrix groups and crossed modules
 
@@ -318,17 +334,25 @@ class GaugeChartData:
 
 @dataclass
 class Residual:
-    """Per-equation, per-sample residual magnitudes with summaries."""
+    """Per-equation, per-sample residual magnitudes with summaries.
+
+    `parts` holds each equation's magnitude arrays in the order added;
+    reading `equations` concatenates each list once."""
 
     name: str
-    equations: dict = field(default_factory=dict)
+    parts: dict = field(default_factory=dict)
     absent: set = field(default_factory=set)
 
     def add(self, equation: str, values: np.ndarray) -> None:
-        mags = _mags(values)
-        if equation in self.equations:
-            mags = np.concatenate([self.equations[equation], mags])
-        self.equations[equation] = mags
+        self.parts.setdefault(equation, []).append(_mags(values))
+
+    @property
+    def equations(self) -> dict:
+        """Equation -> all its magnitudes, in the order added."""
+        for arrays in self.parts.values():
+            if len(arrays) > 1:
+                arrays[:] = [np.concatenate(arrays)]
+        return {eq: arrays[0] for eq, arrays in self.parts.items()}
 
     def add_absent(self, equation: str) -> None:
         """Report a law the data does not set up, with no samples."""
@@ -348,8 +372,9 @@ class Residual:
 
     def per_equation(self) -> dict:
         out = {}
-        for k in sorted(self.equations):
-            v = self.equations[k]
+        eqs = self.equations
+        for k in sorted(eqs):
+            v = eqs[k]
             if v.size:
                 out[k] = (float(v.max()), float(np.sqrt(np.mean(v ** 2))))
             else:
@@ -357,12 +382,13 @@ class Residual:
         return out
 
     def dictionary(self) -> dict:
+        eqs = self.equations
         return {
             "name": self.name,
             "max": self.max(),
             "rms": self.rms(),
             "equations": {k: {"max": mx, "rms": rm,
-                              "samples": int(self.equations[k].size)}
+                              "samples": int(eqs[k].size)}
                           for k, (mx, rm) in self.per_equation().items()},
         }
 
@@ -382,8 +408,24 @@ def _central_diff(values: np.ndarray, shape: tuple, axis: int, step: float,
     n = values.shape[-1]
     grid = values.reshape(shape + (n, n))
     if periodic:
-        der = (np.roll(grid, -1, axis=axis) - np.roll(grid, 1, axis=axis)) \
-            / (2.0 * step)
+        # grid[i + 1] - grid[i - 1] with indices mod m, written row block by
+        # row block into one buffer: the subtraction and division of
+        # np.roll(grid, -1) - np.roll(grid, 1), without the two rolled copies
+        m = shape[axis]
+
+        def rows(lo, hi):
+            idx = [slice(None)] * grid.ndim
+            idx[axis] = slice(lo, hi)
+            return tuple(idx)
+
+        der = np.empty(grid.shape, dtype=grid.dtype)
+        np.subtract(grid[rows(2, None)], grid[rows(None, -2)],
+                    out=der[rows(1, -1)])
+        np.subtract(grid[rows(1 % m, 1 % m + 1)], grid[rows(m - 1, m)],
+                    out=der[rows(0, 1)])
+        np.subtract(grid[rows(0, 1)], grid[rows((m - 2) % m, (m - 2) % m + 1)],
+                    out=der[rows(m - 1, m)])
+        der /= 2.0 * step
         valid = np.ones(shape, dtype=bool)
     else:
         der = np.zeros_like(grid)
@@ -1124,10 +1166,11 @@ def run_case(name: str, step: float | None = None,
     if not rep.ok:
         raise StructureError(f"inconsistent chart data: {rep.summary()}")
     out = {"case": name, "tolerance": tol, "residuals": {}}
-    # each overlap's d and each triple's h stack is inverted once here, and
-    # the pair table built once, and shared by the checks that need them
-    dinvs = [np.linalg.inv(o.d) for o in gcd.overlaps]
-    hinvs = [np.linalg.inv(t.h) for t in gcd.triples]
+    # each overlap's d and each triple's h stack is inverted once here (a
+    # constant stack as its one matrix, see _stack_inv), and the pair table
+    # built once, and shared by the checks that need them
+    dinvs = [_stack_inv(o.d) for o in gcd.overlaps]
+    hinvs = [_stack_inv(t.h) for t in gcd.triples]
     table = _pair_maps(gcd)
     results = [check_gerbe_cocycle_smooth(gcd, table),
                check_connection(gcd, dinvs, hinvs, table)]

@@ -201,24 +201,33 @@ class _HCompletions:
         to `budget` when one is given."""
         cosets = self.cosets(d)
         hmul, act, by_depth = self.hmul, self.act, self.by_depth
+        if not cosets:
+            yield []
+            return
+        last = len(cosets) - 1
         h = [0] * len(cosets)
-
-        def extend(i: int):
-            if i == len(h):
-                yield list(h)
-                return
-            for v in cosets[i]:
-                if budget is not None:
-                    budget.spend()
-                h[i] = v
-                for q in by_depth[i]:
-                    lhs, rhs = _tetra_sides(hmul, act, d, h, *q)
-                    if lhs != rhs:
-                        break
+        # depth-first with one cursor per triple: cursor[i] is the position
+        # in cosets[i] of the next value to try for h[i]
+        cursor = [0] * len(cosets)
+        i = 0
+        while i >= 0:
+            if cursor[i] == len(cosets[i]):
+                cursor[i] = 0
+                i -= 1
+                continue
+            if budget is not None:
+                budget.spend()
+            h[i] = cosets[i][cursor[i]]
+            cursor[i] += 1
+            for q in by_depth[i]:
+                lhs, rhs = _tetra_sides(hmul, act, d, h, *q)
+                if lhs != rhs:
+                    break
+            else:
+                if i == last:
+                    yield list(h)
                 else:
-                    yield from extend(i + 1)
-
-        yield from extend(0)
+                    i += 1
 
 
 def _exhaustive_bound(cover: CoverComplex, xm: CrossedModule) -> int:
@@ -229,18 +238,20 @@ def _exhaustive_bound(cover: CoverComplex, xm: CrossedModule) -> int:
 
 
 def enumerate_cocycles(cover: CoverComplex, xm: CrossedModule,
-                       budget: Budget | None = None) -> list[GerbeCocycle]:
+                       budget: Budget | None = None,
+                       laws: _HCompletions | None = None) -> list[GerbeCocycle]:
     """All valid cocycles, in lexicographic (d, h) order.
 
     d runs over all assignments to increasing pairs; for each, the h values
     are confined to alpha-preimage cosets forced by the edge condition and
-    filtered by the tetrahedron condition.
+    filtered by the tetrahedron condition.  `laws` are the tables of the
+    cover and crossed module, as for check_cocycle.
     """
     budget = budget or Budget(what="cocycle enumeration")
     budget.spend(_exhaustive_bound(cover, xm))
     pairs = cover.simplices(1)
     triples = cover.simplices(2)
-    search = _HCompletions(cover, xm)
+    search = laws or _HCompletions(cover, xm)
     out = []
     for d in itertools.product(range(xm.D.order), repeat=len(pairs)):
         for h in search.completions(d):
@@ -311,11 +322,11 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
             f"gerbe classification beyond the exhaustive guard "
             f"({cover.charts} charts, |H||D| = {xm.H.order * xm.D.order})",
             _exhaustive_bound(cover, xm), budget.limit)
-    cocycles = enumerate_cocycles(cover, xm, budget=budget)
+    laws = _HCompletions(cover, xm)
+    cocycles = enumerate_cocycles(cover, xm, budget=budget, laws=laws)
     keys = [c.key() for c in cocycles]
     index = dict(zip(keys, cocycles))
     gens = _generator_witnesses(cover, xm)
-    laws = _HCompletions(cover, xm)
     least: dict[tuple, tuple] = {}     # cocycle key -> its orbit's least key
     classes: list[GerbeClass] = []
     for k in sorted(index):
@@ -518,9 +529,11 @@ class LiftPlan:
 
     def is_base(self, m: CrossedModule) -> bool:
         """Whether m is the image module: equal group tables and alpha."""
-        return (np.array_equal(m.H.table, self.base.H.table)
-                and np.array_equal(m.D.table, self.base.D.table)
-                and np.array_equal(m.alpha.mapping, self.base.alpha.mapping))
+        base = self.base
+        return m is base or (
+            np.array_equal(m.H.table, base.H.table)
+            and np.array_equal(m.D.table, base.D.table)
+            and np.array_equal(m.alpha.mapping, base.alpha.mapping))
 
     def lift(self, c: GerbeCocycle, budget: Budget | None = None) -> LiftResult:
         """Lift a cocycle over `self.base` to one for the target, if possible.

@@ -7,12 +7,12 @@ import pytest
 
 from xmodgerbe.gauge import (DEFAULT_TOLS, MatrixCrossedModule, Residual,
                              _central_diff, _pair_fetch, _pair_maps,
-                             builtin_cases,
+                             _stack_inv, builtin_cases,
                              case_u1_circle_three, case_u1_sphere_monopole,
                              case_u1_torus_three,
                              check_bfield, check_connection,
                              check_gerbe_cocycle_smooth, compute_T,
-                             conjugation_T_samples,
+                             conjugation_T_samples, curvature_and_nu,
                              matrix_exp, run_case, so3_conjugation_xmod,
                              so3_group, u1_id_xmod, u1_null_xmod,
                              validate_chart_data, validate_matrix_xmod)
@@ -24,6 +24,12 @@ def _shared(gcd):
     triple's inv(h) and the pair table."""
     return ([np.linalg.inv(o.d) for o in gcd.overlaps],
             [np.linalg.inv(t.h) for t in gcd.triples], _pair_maps(gcd))
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.shape == y.shape and x.dtype == y.dtype
+            and x.tobytes() == y.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +129,162 @@ def test_residual_summaries():
     assert d["equations"]["eq"]["samples"] == 2
 
 
+class _ConcatResidual:
+    """The summaries of a Residual that concatenates an equation's
+    magnitudes on every add."""
+
+    def __init__(self, name):
+        self.name, self.equations, self.absent = name, {}, set()
+
+    def add(self, equation, values):
+        mags = np.abs(np.asarray(values)).ravel()
+        if equation in self.equations:
+            mags = np.concatenate([self.equations[equation], mags])
+        self.equations[equation] = mags
+
+    def add_absent(self, equation):
+        self.add(equation, np.zeros(0))
+        self.absent.add(equation)
+
+    def max(self):
+        tops = [float(v.max()) for v in self.equations.values() if v.size]
+        return max(tops) if tops else 0.0
+
+    def rms(self):
+        flat = [v for v in self.equations.values() if v.size]
+        if not flat:
+            return 0.0
+        return float(np.sqrt(np.mean(np.concatenate(flat) ** 2)))
+
+    def per_equation(self):
+        return {k: ((float(v.max()), float(np.sqrt(np.mean(v ** 2))))
+                    if v.size else (0.0, 0.0))
+                for k, v in sorted(self.equations.items())}
+
+    def dictionary(self):
+        return {"name": self.name, "max": self.max(), "rms": self.rms(),
+                "equations": {k: {"max": mx, "rms": rm,
+                                  "samples": int(self.equations[k].size)}
+                              for k, (mx, rm) in self.per_equation().items()}}
+
+
+def test_residual_parts_give_the_concatenated_summaries():
+    # add keeps each equation's parts and concatenates them once, when read;
+    # every summary must be the one of concatenating on every add
+    rng = np.random.default_rng(3)
+    got, want = Residual("r"), _ConcatResidual("r")
+    for chunk in range(40):
+        eq = f"eq[{chunk % 3}]"
+        size = int(rng.integers(0, 3)) * int(rng.integers(0, 50))
+        values = (rng.normal(size=(size, 1, 1))
+                  + 1j * rng.normal(size=(size, 1, 1)))
+        for r in (got, want):
+            r.add(eq, values)
+        if chunk == 17:
+            # a read between adds must not change what later reads give
+            assert got.dictionary() == want.dictionary()
+    for r in (got, want):
+        r.add("empty", np.zeros(0))
+        r.add("empty", np.zeros((0, 3, 3), dtype=np.complex128))
+        r.add_absent("absent[0]")
+        r.add_absent("eq[1]")
+    assert got.dictionary() == want.dictionary()
+    assert got.absent == want.absent == {"absent[0]", "eq[1]"}
+    assert got.equations.keys() == want.equations.keys()
+    for eq, v in want.equations.items():
+        assert _same_bits(got.equations[eq], v)
+    assert got.per_equation() == want.per_equation()
+    assert (got.max(), got.rms()) == (want.max(), want.rms())
+
+
+# ---------------------------------------------------------------------------
+# bit guards of the shared inverses and the periodic differences
+
+
+def _stacks():
+    rng = np.random.default_rng(17)
+    u = np.exp(0.3j) * np.ones((6, 1, 1))
+    so3 = so3_group().random(rng)
+    varying = np.exp(1j * rng.normal(size=(6, 1, 1)))
+    # each differs from its first matrix only in the sign of a zero, and its
+    # inverse in more than that: a test that merges -0.0 with +0.0 misses it
+    signed = np.array([[[complex(-0.0, -1.0)]], [[complex(0.0, -1.0)]]])
+    signed3 = np.array([np.eye(3, dtype=np.complex128)] * 3)
+    signed3[2, 0, 0] = complex(1.0, -0.0)
+    return {
+        "constant": (u, True),
+        "constant-3x3": (np.array([so3] * 5), True),
+        "varying": (varying, False),
+        "varying-3x3": (np.stack([so3_group().random(rng) for _ in range(4)]),
+                        False),
+        "empty": (np.zeros((0, 1, 1), dtype=np.complex128), False),
+        "one": (varying[:1], True),
+        "signed-zero": (signed, False),
+        "signed-zero-3x3": (signed3, False),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_stacks()))
+def test_stack_inverse_has_the_bits_of_inv(name):
+    x, constant = _stacks()[name]
+    got = _stack_inv(x)
+    assert _same_bits(got, np.linalg.inv(x))
+    # a constant stack is one inverse broadcast, read-only; any other stack
+    # is inverted in full
+    assert (got.strides[0] == 0 and not got.flags.writeable) == constant
+    if name.startswith("signed-zero"):
+        assert not _same_bits(np.linalg.inv(x)[-1], np.linalg.inv(x)[0])
+    # the laws multiply by the inverses: a broadcast operand changes no bit
+    y = np.random.default_rng(5).normal(size=x.shape) + 0j
+    assert _same_bits(y @ got, y @ np.linalg.inv(x))
+    assert _same_bits(got @ y, np.linalg.inv(x) @ y)
+
+
+@pytest.mark.parametrize("build", [case_u1_circle_three, case_u1_torus_three,
+                                   case_u1_sphere_monopole])
+def test_stack_inverses_give_the_full_inverse_residuals(build):
+    # run_case hands the checks _stack_inv's inverses: broadcast views where
+    # a stack is constant (every stack of the torus case); every residual
+    # keeps its bits
+    gcd = build()
+    dinvs, hinvs, table = _shared(gcd)
+    sdinvs = [_stack_inv(o.d) for o in gcd.overlaps]
+    shinvs = [_stack_inv(t.h) for t in gcd.triples]
+    if build is case_u1_torus_three:
+        assert all(v.strides[0] == 0 for v in sdinvs + shinvs)
+    full = [check_connection(gcd, dinvs, hinvs, table),
+            curvature_and_nu(gcd, dinvs).gluing]
+    fast = [check_connection(gcd, sdinvs, shinvs, table),
+            curvature_and_nu(gcd, sdinvs).gluing]
+    if gcd.dim == 2:
+        full.append(check_bfield(gcd, hinvs, table))
+        fast.append(check_bfield(gcd, shinvs, table))
+    for want, got in zip(full, fast):
+        assert want.equations.keys() == got.equations.keys()
+        for eq, v in want.equations.items():
+            assert _same_bits(got.equations[eq], v), (gcd.name, eq)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64])
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("n", [1, 3])
+def test_periodic_central_diff_has_the_bits_of_rolled_copies(m, axis, n):
+    rng = np.random.default_rng(100 * m + 10 * axis + n)
+    shape = (m, 5) if axis == 0 else (5, m)
+    k = m * 5
+    values = (rng.normal(size=(k, n, n))
+              + 1j * rng.normal(size=(k, n, n)))
+    values[::7] = -0.0
+    step = 0.0137
+    for vals in (values, np.broadcast_to(values[:1], values.shape)):
+        grid = vals.reshape(shape + (n, n))
+        want = ((np.roll(grid, -1, axis=axis) - np.roll(grid, 1, axis=axis))
+                / (2.0 * step)).reshape(k, n, n)
+        der, valid = _central_diff(vals, shape, axis, step, periodic=True)
+        assert _same_bits(der, want)
+        assert valid.all() and valid.shape == (k,)
+
+
 # ---------------------------------------------------------------------------
 # bundled analytic cases
 
@@ -185,12 +347,6 @@ def test_closed_form_tangent_gives_the_finite_difference_residuals():
         shared = _shared(gcd)
         assert (check_connection(gcd, *shared).dictionary()
                 == check_connection(fd, *shared).dictionary())
-
-
-def _same_bits(x, y):
-    x, y = np.asarray(x), np.asarray(y)
-    return (x.shape == y.shape and x.dtype == y.dtype
-            and x.tobytes() == y.tobytes())
 
 
 @pytest.mark.parametrize("step", [None, 0.02])

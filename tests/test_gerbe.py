@@ -2,13 +2,14 @@
 
 import functools
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xmodgerbe import intlinalg
+from xmodgerbe import gerbe, intlinalg
 from xmodgerbe.fingroup import (cyclic_group, derived_crossed_modules, kernel,
                                 preset_corpus,
                                 symmetric_group, xmod_automorphism,
@@ -373,3 +374,120 @@ def test_lift_defects_pinned():
     assert len(defects) == 1024
     assert hashlib.sha256(repr(defects).encode()).hexdigest() == (
         "8cb13b977342bac1c8c3ed28165c1d072402ce6f664c36df0b365a376015006e")
+
+
+def _recursive_completions(laws, d, budget=None):
+    """The h-completion search as a recursive generator: h_i runs over its
+    coset in order, each value charged before it is set, and the quads
+    triple i closes are checked before h_{i+1} is tried."""
+    cosets = laws.cosets(d)
+    hmul, act = laws.hmul, laws.act
+    h = [0] * len(cosets)
+
+    def extend(i):
+        if i == len(h):
+            yield list(h)
+            return
+        for v in cosets[i]:
+            if budget is not None:
+                budget.spend()
+            h[i] = v
+            if all(hmul[h[abc]][h[acd]] == hmul[act[d[ab]][h[bcd]]][h[abd]]
+                   for ab, abc, acd, bcd, abd in laws.by_depth[i]):
+                yield from extend(i + 1)
+
+    yield from extend(0)
+
+
+def _completion_laws():
+    plan = LiftPlan(sphere_cover(5), xmod_mod(4, 2))
+    return {
+        "circle3-base:S3": gerbe._HCompletions(
+            circle_cover(3), xmod_trivial_base(symmetric_group(3))),
+        "ball3-fiber:Z3": gerbe._HCompletions(
+            ball_cover(3), xmod_trivial_fiber(cyclic_group(3))),
+        "sphere5-image:mod4:2": plan.base_laws,
+        "sphere5-mod4:2": plan.search,
+        "ball4-aut:Z3": gerbe._HCompletions(
+            ball_cover(4), xmod_automorphism(cyclic_group(3))),
+    }
+
+
+def _d_assignments(laws):
+    return itertools.product(range(len(laws.dmul)), repeat=len(laws.pairs))
+
+
+def _searched(search, laws, budget, first_only, tape=None):
+    """The completions (d, h) over all d-assignments, and whether `budget`
+    ran out; with first_only, each d's search is left after its first
+    completion, as a lift leaves it.  With a tape, each completion and a
+    "$" for each value charged go on it in the order they happen."""
+    found = [] if tape is None else tape
+    if tape is not None:
+        charge = budget.spend
+        budget.spend = lambda n=1: (tape.append("$"), charge(n))
+    try:
+        for d in _d_assignments(laws):
+            for h in search(laws, d, budget):
+                found.append((d, h))
+                if first_only:
+                    break
+    except BudgetError:
+        return found, True
+    return found, False
+
+
+def _before_charge(tape, k):
+    """The completions on a tape before its k-th charge."""
+    out = []
+    for x in tape:
+        if x == "$":
+            k -= 1
+            if not k:
+                break
+        else:
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_completion_laws()))
+def test_completions_match_the_recursive_search(name):
+    # the search keeps one cursor per triple instead of recursing; it must
+    # yield the same lists in the same order and charge the budget at the
+    # same points, so that an exhausted budget raises at the same count
+    laws = _completion_laws()[name]
+
+    def flat(laws, d, budget):
+        return laws.completions(d, budget)
+
+    for first_only in (False, True):
+        want, ran_out = _searched(_recursive_completions, laws, Budget(),
+                                  first_only, [])
+        assert _searched(flat, laws, Budget(), first_only, []) == (want,
+                                                                   ran_out)
+        assert not ran_out and any(x != "$" for x in want)
+        spent = want.count("$")
+        if spent:
+            cut = [_searched(search, laws, Budget(limit=spent // 2),
+                             first_only)
+                   for search in (_recursive_completions, flat)]
+            assert cut[0] == cut[1] == (_before_charge(want, spent // 2 + 1),
+                                        True)
+    # without a budget nothing is charged, and the same lists come out
+    d = next(_d_assignments(laws))
+    assert list(laws.completions(d)) == list(_recursive_completions(laws, d))
+
+
+def test_classification_builds_its_laws_once(monkeypatch):
+    # the enumeration searches with the tables the witness checks read
+    built = []
+
+    class Counted(gerbe._HCompletions):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gerbe, "_HCompletions", Counted)
+    cl = classify_gerbes(ball_cover(3), xmod_trivial_fiber(cyclic_group(3)))
+    assert cl.counts() == (3, 1)
+    assert len(built) == 1
