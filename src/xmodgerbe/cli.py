@@ -209,13 +209,50 @@ def _action_trivial(xm: CrossedModule) -> bool:
                for d in range(xm.D.order))
 
 
-def _homotopy_crosscheck(cover, xm, cl, budget_limit: int) -> dict:
-    """Independent class count: extend each cocycle to a simplicial map
-    into the classifying-space model and count homotopy classes.  The
-    witness orbits only order the probes; see `homotopy_classes`."""
-    from .gerbe import GUARD_ORDER, cocycle_to_simplicial_map
-    from .simplicial import homotopy_classes
-    from .xnerve import match_wbar_duskin
+def _gauge_classes(xm, cocycles, hint, budget_limit: int
+                   ) -> tuple[list, list[list[int]]]:
+    """The cocycles' maps f: X -> W-bar N(H -> D), and their homotopy
+    classes decided as gauge classes of the pulled-back twistings f*tau.
+
+    Maps X -> W-bar G up to homotopy are twistings X -> G up to gauge
+    equivalence (May, Simplicial Objects in Algebraic Topology, 18-21), so
+    the searches run over the cover nerve X, not X x Delta[1].  Each gets
+    a budget of the run's limit, as each cocycle extension does, every
+    witness is checked by `twistings_equivalent`, and `hint` (say, the
+    witness orbits) only orders the searches; see `partition`."""
+    from .gerbe import cocycle_to_simplicial_map
+    from .simplicial import partition
+    from .twist import Twisting, pullback_twisting, twistings_equivalent
+    from .xnerve import build_nerve, match_wbar_duskin
+    match = match_wbar_duskin(xm, N=3,
+                              budget=Budget(budget_limit, what="dictionary"))
+    # tau takes values in levels 0-2 of the nerve; a gauge on X reaches
+    # level 3, whose lower levels are the same tables
+    group = build_nerve(xm, 3, budget=Budget(budget_limit, what="nerve"))
+    tau = Twisting(match.wbar, group, list(match.tau.values))
+    nerve = None
+    maps, twistings = [], []
+    for c in cocycles:
+        cm = cocycle_to_simplicial_map(
+            c, match, nerve=nerve,
+            budget=Budget(budget_limit, what="cocycle extension"))
+        nerve = cm.nerve
+        maps.append(cm.wbar_map)
+        twistings.append(pullback_twisting(tau, cm.wbar_map))
+    classes, _ = partition(
+        len(twistings),
+        lambda r, i, _b: twistings_equivalent(
+            twistings[r], twistings[i],
+            budget=Budget(budget_limit, what="gauge equivalence")),
+        hint=hint)
+    return maps, classes
+
+
+def _homotopy_crosscheck(xm, cl, budget_limit: int) -> dict:
+    """Independent class count through the classification theorem
+    H^1(X; H -> D) = [X, B|N(H -> D)|]: the homotopy classes of the
+    cocycles' maps, decided by `_gauge_classes`."""
+    from .gerbe import GUARD_ORDER
     order = xm.H.order * xm.D.order
     # beyond the classifier's exhaustive-mode guard the model dictionary and
     # map-homotopy routes are not attempted
@@ -223,19 +260,8 @@ def _homotopy_crosscheck(cover, xm, cl, budget_limit: int) -> dict:
         return {"checked": False, "reason": f"|H||D| = {order} beyond "
                                             f"dictionary cap"}
     try:
-        match = match_wbar_duskin(xm, N=3,
-                                  budget=Budget(budget_limit, what="dictionary"))
-        nerve = None
-        maps = []
-        for c in cl.cocycles:
-            cm = cocycle_to_simplicial_map(
-                c, match, nerve=nerve,
-                budget=Budget(budget_limit, what="cocycle extension"))
-            nerve = cm.nerve
-            maps.append(cm.wbar_map)
-        classes, _ = homotopy_classes(
-            maps, budget=Budget(budget_limit, what="homotopy"),
-            hint=cl.orbit_of)
+        _, classes = _gauge_classes(xm, cl.cocycles, cl.orbit_of,
+                                    budget_limit)
     except BudgetError as e:
         return {"checked": False, "reason": f"budget: {e}"}
     return {"checked": True, "classes": len(classes),
@@ -294,7 +320,7 @@ def _gerbe_classify(cfg: RunConfig, cover: CoverComplex,
             code = EXIT_MISMATCH
     else:
         oracles["abelian"] = {"applicable": False}
-    oracles["map_homotopy"] = _homotopy_crosscheck(cover, xm, cl, cfg.budget)
+    oracles["map_homotopy"] = _homotopy_crosscheck(xm, cl, cfg.budget)
     if oracles["map_homotopy"].get("agree") is False:
         code = EXIT_MISMATCH
     report = RunReport(cfg.command, _config_echo(cfg), results, oracles,
@@ -431,7 +457,7 @@ DISPATCH = {
 # result cache (gerbe-classify)
 
 # bump when the entry layout or the meaning of a result changes
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def _cache_path(cfg: RunConfig, cover: CoverComplex,

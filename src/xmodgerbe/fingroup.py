@@ -509,9 +509,10 @@ def xmod_identity(g: FiniteGroup) -> CrossedModule:
 
 def xmod_mod(m: int, n: int) -> CrossedModule:
     """(Z_m -> Z_n, reduction mod n, trivial action); needs n | m."""
+    D = cyclic_group(n)     # refuses n < 1 before n divides anything
     if m % n != 0:
         raise StructureError(f"xmod_mod: {n} must divide {m}")
-    H, D = cyclic_group(m), cyclic_group(n)
+    H = cyclic_group(m)
     alpha = GroupHom(H, D, np.arange(m) % n, name=f"mod{n}")
     return CrossedModule(H, D, alpha, trivial_action(D, H), name=f"Z{m}->Z{n}")
 

@@ -39,6 +39,7 @@ __all__ = [
     "moore_homotopy",
     "enumerate_simplicial_maps",
     "homotopy_classes",
+    "partition",
     "simplicially_homotopic",
     "circle_cover",
     "ball_cover",
@@ -1122,33 +1123,85 @@ def simplicially_homotopic(f: SimplicialMap, g: SimplicialMap,
                             name="homotopy"), None)
 
 
+def partition(n: int, decide, probe: int | None = None,
+              hint: list | None = None) -> tuple[list[list[int]], dict]:
+    """Partition items 0..n-1 under an equivalence relation; returns
+    (classes, witnesses).
+
+    `decide(rep, i, budget)` returns a witness that item i is equivalent
+    to item rep, or None for a refutation, or raises BudgetError.  Since
+    the relation is an equivalence, testing each item against one
+    representative per class (its first member) is enough; witnesses are
+    keyed (rep, i).
+
+    With `probe` set, each item is first probed against the
+    representatives under a fresh node cap of that size (`budget` is a
+    `Budget(probe, what="homotopy probe")`): most witnesses are found
+    cheaply and a probe that exhausts its search space below the cap is
+    already a genuine refutation.  Only pairs whose probe was cut off by
+    the cap are retried without it (`budget` None: the decider's own full
+    budget), so the expensive full refutations happen once per new class,
+    not once per item.  Without `probe` every call gets `budget` None and
+    a BudgetError ends the partition.
+
+    `hint`, one label per item (say, the witness orbit of the cocycle a
+    map extends), only orders the probes: an item is probed first against
+    the classes whose representative has its label, then against the rest
+    in the order the classes were made, and cut probes are retried in the
+    same order.  Without a hint every item meets the classes in creation
+    order.  The result cannot depend on the hint: an item joins a class
+    only with a witness, and it starts a new class only once every
+    representative is refuted, so any probe order gives the same classes
+    with the same first members.  A wrong hint costs probes, never a
+    verdict.
+    """
+    if hint is not None and len(hint) != n:
+        raise ValueError(f"hint has {len(hint)} labels for {n} items")
+    classes: list[list[int]] = []
+    witnesses: dict = {}
+    for i in range(n):
+        order = classes if hint is None else sorted(
+            classes, key=lambda cls: hint[cls[0]] != hint[i])
+        undecided: list[list[int]] = []
+        for cls in order:
+            try:
+                w = decide(cls[0], i, None if probe is None else
+                           Budget(limit=probe, what="homotopy probe"))
+            except BudgetError:
+                if probe is None:
+                    raise
+                undecided.append(cls)
+                continue
+            if w is not None:
+                break
+        else:       # no probe found a witness: retry the cut ones in full
+            for cls in undecided:
+                w = decide(cls[0], i, None)
+                if w is not None:
+                    break
+            else:   # every representative refuted
+                classes.append([i])
+                continue
+        witnesses[(cls[0], i)] = w
+        cls.append(i)
+    return classes, witnesses
+
+
 def homotopy_classes(maps: list[SimplicialMap],
                      budget: Budget | None = None,
                      probe: int = 20_000,
                      hint: list | None = None) -> tuple[list[list[int]], dict]:
-    """Partition `maps` into homotopy classes; returns (classes, witnesses).
+    """Partition `maps` into homotopy classes by prism searches on
+    X x Delta[1]; returns (classes, witnesses).
 
     Only classifying-space targets (marked `wbar_of`) are accepted: for
-    those the homotopy relation is an equivalence, so testing against one
-    representative per class is enough.
-
-    Each map is first probed against the representatives under a small
-    node cap: most homotopies are found cheaply and a probe that exhausts
-    its search space below the cap is already a genuine refutation.  Only
-    pairs whose probe was cut off by the cap are retried without it, so
-    the expensive full refutations happen once per new class, not once per
-    map.
-
-    `hint`, one label per map (say, the witness orbit of the cocycle it
-    extends), only orders the probes: a map is probed first against the
-    classes whose representative has its label, then against the rest in
-    the order the classes were made, and cut probes are retried in the
-    same order.  Without a hint every map meets the classes in creation
-    order.  The result cannot depend on the hint: a map joins a class only
-    with a validated prism witness, and it starts a new class only once
-    every representative is refuted, so since homotopy is an equivalence
-    any probe order gives the same classes with the same first members.  A
-    wrong hint costs probes, never a verdict.
+    those the homotopy relation is an equivalence, so `partition` may test
+    against one representative per class.  Probes run under the node cap
+    `probe`; a cut pair is retried under `budget`, which all full searches
+    share (a fresh unnamed budget each when None).  `hint` only orders the
+    probes; see `partition`.  The map-homotopy cross-check of
+    `gerbe-classify` decides by gauge equivalence instead; this prism
+    route serves the suite's direct checks and `classify_bundles`.
     """
     if hint is not None and len(hint) != len(maps):
         raise ValueError(f"hint has {len(hint)} labels for {len(maps)} maps")
@@ -1162,40 +1215,14 @@ def homotopy_classes(maps: list[SimplicialMap],
     x = maps[0].source
     d1 = delta1(x.N)
     prism = sset_product(x, d1, budget=budget)
-    classes: list[list[int]] = []
-    witnesses: dict[tuple[int, int], SimplicialMap] = {}
-    for i, f in enumerate(maps):
-        placed = False
-        undecided: list[list[int]] = []
-        order = classes if hint is None else sorted(
-            classes, key=lambda cls: hint[cls[0]] != hint[i])
-        for cls in order:
-            rep = maps[cls[0]]
-            try:
-                h = simplicially_homotopic(
-                    rep, f, budget=Budget(limit=probe, what="homotopy probe"),
-                    prism=prism, d1=d1)
-            except BudgetError:
-                undecided.append(cls)
-                continue
-            if h is not None:
-                witnesses[(cls[0], i)] = h
-                cls.append(i)
-                placed = True
-                break
-        if not placed:
-            for cls in undecided:
-                rep = maps[cls[0]]
-                b = budget or Budget(what="homotopy search")
-                h = simplicially_homotopic(rep, f, budget=b, prism=prism, d1=d1)
-                if h is not None:
-                    witnesses[(cls[0], i)] = h
-                    cls.append(i)
-                    placed = True
-                    break
-        if not placed:
-            classes.append([i])
-    return classes, witnesses
+
+    def decide(r: int, i: int, b: Budget | None):
+        if b is None:
+            b = budget or Budget(what="homotopy search")
+        return simplicially_homotopic(maps[r], maps[i], budget=b,
+                                      prism=prism, d1=d1)
+
+    return partition(len(maps), decide, probe=probe, hint=hint)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .simplicial import (AssignmentSpec, SimplicialMap,
                          TruncatedSimplicialGroup, TruncatedSimplicialSet,
                          _guard_sizes, _radix_digits, _radix_encode,
                          _Search, enumerate_simplicial_maps, homotopy_classes,
-                         truncate_sset, validate_simplicial)
+                         partition, truncate_sset, validate_simplicial)
 from .util import Budget, Report, StructureError
 
 __all__ = [
@@ -415,25 +415,6 @@ class BundleClassification:
     report: Report
 
 
-def _partition_twistings(twistings: list[Twisting],
-                         budget_limit: int) -> tuple[list[list[int]], dict]:
-    classes: list[list[int]] = []
-    witnesses: dict = {}
-    for i, t in enumerate(twistings):
-        placed = False
-        for cls in classes:
-            psi = twistings_equivalent(twistings[cls[0]], t,
-                                       budget=Budget(budget_limit, what="psi search"))
-            if psi is not None:
-                witnesses[(cls[0], i)] = psi
-                cls.append(i)
-                placed = True
-                break
-        if not placed:
-            classes.append([i])
-    return classes, witnesses
-
-
 def classify_bundles(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup,
                      budget: Budget | None = None) -> BundleClassification:
     """Count bundles over x with structure group g both ways and compare.
@@ -443,38 +424,50 @@ def classify_bundles(x: TruncatedSimplicialSet, g: TruncatedSimplicialGroup,
     partitions them by simplicial homotopy.  The two partitions are matched
     through the twistings induced by maps (pullback of the canonical
     twisting); any mismatch is flagged in the report, never papered over.
+
+    Both routes go through `partition`.  Route A partitions the enumerated
+    twistings followed by every induced twisting the enumeration lacks; as
+    the partition is made item by item, the enumerated ones get the same
+    classes either way, and an induced twisting that lands in no class
+    founded by an enumerated one matches no twisting class.  Each gauge
+    search gets a fresh budget of the run's limit.
     """
     budget = budget or Budget(what="bundle classification")
     rep = Report()
     twistings = enumerate_twistings(x, g, budget=budget)
-    t_classes, _ = _partition_twistings(twistings, budget.limit)
 
     wbar, tau_univ = build_wbar(g, N=x.N, budget=budget)
     maps = enumerate_simplicial_maps(x, wbar, budget=budget)
     m_classes, _ = homotopy_classes(maps, budget=budget)
+
+    index = {t.encoding(): i for i, t in enumerate(twistings)}
+    items = list(twistings)
+    induced = []
+    for f in maps:
+        t = pullback_twisting(tau_univ, f)
+        i = index.setdefault(t.encoding(), len(items))
+        if i == len(items):
+            items.append(t)
+        induced.append(i)
+
+    def decide(r: int, i: int, _b: Budget | None) -> SimplicialMap | None:
+        return twistings_equivalent(items[r], items[i],
+                                    budget=Budget(budget.limit, what="psi search"))
+
+    classes, _ = partition(len(items), decide)
+    t_classes = [cls for cls in classes if cls[0] < len(twistings)]
     rep.add("counts-equal", len(t_classes) == len(m_classes),
             f"{len(t_classes)} twisting classes vs {len(m_classes)} homotopy classes")
-
-    enc_to_tclass = {}
+    class_of = [-1] * len(items)
     for ci, cls in enumerate(t_classes):
         for i in cls:
-            enc_to_tclass[twistings[i].encoding()] = ci
-
-    def class_of(t: Twisting) -> int:
-        ci = enc_to_tclass.get(t.encoding())
-        if ci is not None:
-            return ci
-        for cj, cls in enumerate(t_classes):
-            psi = twistings_equivalent(twistings[cls[0]], t,
-                                       budget=Budget(budget.limit, what="psi search"))
-            if psi is not None:
-                return cj
-        return -1
+            class_of[i] = ci
+    t_classes = [[i for i in cls if i < len(twistings)] for cls in t_classes]
 
     matching = []
     ok = True
     for ci, cls in enumerate(m_classes):
-        hits = sorted(set(class_of(pullback_twisting(tau_univ, maps[i])) for i in cls))
+        hits = sorted(set(class_of[induced[i]] for i in cls))
         if len(hits) != 1 or hits[0] < 0:
             rep.add(f"map-class-{ci}-consistent", False,
                     f"induced twisting classes {hits}")

@@ -43,7 +43,7 @@ from .simplicial import (SimplicialMap, TruncatedSimplicialGroup,
                          TruncatedSimplicialSet, _found_maps, _guard_sizes,
                          _map_spec, _radix_digits, _radix_encode,
                          moore_homotopy, validate_map, validate_simplicial)
-from .twist import build_wbar
+from .twist import Twisting, build_wbar
 from .util import Budget, Report, StructureError
 
 __all__ = [
@@ -266,7 +266,9 @@ def build_duskin(xm: CrossedModule, N: int,
 
 @dataclass
 class MatchResult:
-    """Outcome of the classifying-space / 2-nerve isomorphism search."""
+    """Outcome of the classifying-space / 2-nerve isomorphism search; `tau`
+    is the canonical twisting of `wbar`, valued in the nerve it was built
+    from."""
 
     found: bool
     wbar: TruncatedSimplicialSet
@@ -274,6 +276,7 @@ class MatchResult:
     iso: SimplicialMap | None = None
     inverse: list[np.ndarray] | None = None
     certificate: str | None = None
+    tau: Twisting | None = None
 
     def dictionary(self) -> dict:
         """JSON-ready translation table between the two models."""
@@ -313,10 +316,10 @@ def match_wbar_duskin(xm: CrossedModule, N: int = 3,
         raise StructureError("matching unsupported above dimension 4")
     budget = budget or Budget(what="model matching")
     nerve = build_nerve(xm, max(2, N - 1), budget=budget)
-    wbar, _tau = build_wbar(nerve, N, budget=budget)
+    wbar, tau = build_wbar(nerve, N, budget=budget)
     duskin = build_duskin(xm, N, budget=budget)
     if wbar.sizes != duskin.sizes:
-        return MatchResult(False, wbar, duskin,
+        return MatchResult(False, wbar, duskin, tau=tau,
                            certificate=f"level sizes differ: {wbar.sizes} vs {duskin.sizes}")
     for iso in _found_maps(_map_spec(wbar, duskin), duskin, budget, limit=1,
                            distinct=True, name="model-iso"):
@@ -327,8 +330,9 @@ def match_wbar_duskin(xm: CrossedModule, N: int = 3,
             inv = np.zeros(wbar.sizes[n], dtype=np.int64)
             inv[arr] = np.arange(wbar.sizes[n])
             inverse.append(inv)
-        return MatchResult(True, wbar, duskin, iso=iso, inverse=inverse)
-    return MatchResult(False, wbar, duskin,
+        return MatchResult(True, wbar, duskin, iso=iso, inverse=inverse,
+                           tau=tau)
+    return MatchResult(False, wbar, duskin, tau=tau,
                        certificate="exhaustive search found no level-wise bijection "
                                    "commuting with all faces and degeneracies")
 

@@ -90,12 +90,14 @@ def test_product_spec_is_a_usage_error(capsys, argv):
      "error: 'trivial:5' has too many parameters; trivial takes 0"),
     (("classify-bundles", "--sset", "circle", "--group", "cyclic:4:7"),
      "error: 'cyclic:4:7' has too many parameters; cyclic takes 1"),
+    (("xmod-check", "xmod_mod:2:0"), "error: cyclic order must be >= 1"),
 ], ids=["nested-unknown", "nested-unknown-word", "nested-not-int",
         "xmod-not-int", "group-not-int", "xmod-extra", "nested-extra",
-        "trivial-extra", "group-extra"])
+        "trivial-extra", "group-extra", "xmod-mod-zero"])
 def test_bad_spec_names_itself(capsys, argv, line):
-    # a nested unknown name once read as "invalid literal for int()", and
-    # parameters past a preset's last one were once ignored
+    # a nested unknown name once read as "invalid literal for int()",
+    # parameters past a preset's last one were once ignored, and a zero
+    # modulus once raised ZeroDivisionError
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", line + "\n")
 
@@ -142,6 +144,45 @@ def test_gerbe_classify_cache_round_trip(capsys, tmp_path):
     assert code2 == 0
     assert out2 == out1
     assert "cache hit" in err2
+
+
+def test_cache_entry_of_an_older_format_is_a_miss(capsys, tmp_path,
+                                                  monkeypatch):
+    # format 2 entries may hold a map-homotopy check that the gauge route
+    # now completes, so they must not be served
+    from xmodgerbe import cli
+    argv = ("gerbe-classify", "--cover", "circle:3", "--xmod",
+            "xmod_fiber:cyclic:2", "--format", "json", "--cache-dir",
+            str(tmp_path))
+    monkeypatch.setattr(cli, "CACHE_FORMAT", 2)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.undo()
+    assert cli.CACHE_FORMAT == 3
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and "cache hit" not in err
+    assert "cache hit" in run_cli(capsys, *argv)[2]
+
+
+@pytest.mark.parametrize("cover, xmod, classes", [
+    ("circle:3", "xmod_base:symmetric:3", 3),
+    ("circle:3", "xmod_fiber:cyclic:2", 1),
+    ("ball:3", "xmod_fiber:cyclic:3", 1),
+    ("sphere:4", "xmod_fiber:cyclic:2", 2),
+    ("sphere:4", "xmod_fiber:cyclic:3", 3),
+    ("sphere:4", "xmod_aut:cyclic:3", 2),
+    ("sphere:4", "xmod_mod:4:2", 2),
+], ids=["circle3-S3", "circle3-Z2", "ball3-Z3", "sphere4-Z2", "sphere4-Z3",
+        "sphere4-autZ3", "sphere4-mod4:2"])
+def test_map_homotopy_checks_and_agrees(capsys, cover, xmod, classes):
+    # conjugacy classes of S3 on the circle, H^2(S^2; H) for H -> 1, and
+    # the witness-orbit count for the two modules no other oracle covers;
+    # the last three ran out of budget on the prism route
+    code, out, _ = run_cli(capsys, "gerbe-classify", "--cover", cover,
+                           "--xmod", xmod, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["results"]["classes"] == classes
+    assert report["oracles"]["map_homotopy"] == {
+        "checked": True, "classes": classes, "agree": True}
 
 
 def _classify_cached(capsys, cover_file, cache):

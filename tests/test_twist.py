@@ -5,17 +5,21 @@ import hashlib
 import numpy as np
 import pytest
 
-from xmodgerbe.fingroup import cyclic_group, symmetric_group, xmod_mod
-from xmodgerbe.simplicial import (SimplicialMap, _Search, circle,
-                                  constant_simplicial_group,
+from xmodgerbe.cli import _gauge_classes, parse_xmod
+from xmodgerbe.fingroup import (cyclic_group, preset_corpus, symmetric_group,
+                                xmod_identity, xmod_mod)
+from xmodgerbe.gerbe import enumerate_cocycles
+from xmodgerbe.simplicial import (SimplicialMap, _Search, ball_cover, circle,
+                                  circle_cover, constant_simplicial_group,
+                                  cover_nerve, homotopy_classes, sphere_cover,
                                   validate_simplicial)
-from xmodgerbe.twist import (Twisting, _twisting_spec, build_twisted_product,
-                             build_wbar,
+from xmodgerbe.twist import (Twisting, _check_witness, _twisting_spec,
+                             build_twisted_product, build_wbar,
                              classify_bundles, enumerate_twistings,
                              pullback_twisting, twistings_equivalent,
                              validate_twisting)
-from xmodgerbe.util import Budget, StructureError
-from xmodgerbe.xnerve import build_nerve
+from xmodgerbe.util import DEFAULT_BUDGET, Budget, StructureError
+from xmodgerbe.xnerve import build_nerve, match_wbar_duskin
 
 from _oracles import naive_wbar, relabel, scan_sigma_bar
 
@@ -149,3 +153,77 @@ def test_wbar_matches_scalar_oracle():
         assert got == naive_wbar(g, 3), g.name
         for n in range(1, 4):
             assert tau.values[n].tolist() == [t[0] for t in w.labels[n]]
+
+
+# ---------------------------------------------------------------------------
+# the gauge route of the map-homotopy cross-check
+
+SMALL = [xm for xm in preset_corpus() if xm.H.order * xm.D.order <= 16]
+ROUTE_CASES = (
+    [(f"{name}-{xm.name}", cover, xm, most)
+     for name, cover, most in (("circle3", circle_cover(3), None),
+                               ("ball3", ball_cover(3), None),
+                               ("ball4", ball_cover(4), 48))
+     for xm in SMALL]
+    + [(f"sphere4-{spec}", sphere_cover(4), parse_xmod(spec), None)
+       for spec in ("xmod_fiber:cyclic:2", "xmod_id:cyclic:2", "xmod_mod:2:2")])
+
+
+@pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
+                         ids=[c[0] for c in ROUTE_CASES])
+def test_gauge_and_prism_routes_partition_alike(cover, xm, most):
+    # homotopy of maps into W-bar (prism searches on X x Delta[1]) and
+    # gauge equivalence of the pulled-back twistings (searches on X) must
+    # give the same classes, first members included.  ball:4 has up to
+    # 4,096 cocycles and is contractible; an evenly strided subset of at
+    # most `most` is compared, as both routes decide one relation.
+    cocycles = enumerate_cocycles(cover, xm)
+    if most is not None:
+        cocycles = cocycles[::-(-len(cocycles) // most)]
+    maps, gauge = _gauge_classes(xm, cocycles, None, DEFAULT_BUDGET)
+    # the gauge classes only order the prism probes; the prism classes
+    # cannot depend on the order (test_hint_orders_probes_but_not_classes)
+    label = {i: ci for ci, cls in enumerate(gauge) for i in cls}
+    prism, _ = homotopy_classes(maps, budget=Budget(what="homotopy"),
+                                hint=[label[i] for i in range(len(maps))])
+    assert gauge == prism
+
+
+@pytest.mark.parametrize("xm", SMALL, ids=[xm.name for xm in SMALL])
+def test_gauge_group_extends_the_nerve_of_the_wbar(xm):
+    # the pulled-back twistings take values in levels 0-2 of the nerve the
+    # W-bar was built from; the gauges reach level 3 of build_nerve(xm, 3)
+    low = match_wbar_duskin(xm, N=3).tau.group
+    high = build_nerve(xm, 3)
+    assert low.N == 2 and high.sizes[:3] == low.sizes
+    for n in range(3):
+        assert np.array_equal(high.groups[n].table, low.groups[n].table)
+        assert len(high.faces[n]) == len(low.faces[n])
+        for a, b in zip(high.faces[n], low.faces[n]):
+            assert np.array_equal(a, b)
+    for n in range(2):
+        assert len(high.degens[n]) == len(low.degens[n])
+        for a, b in zip(high.degens[n], low.degens[n]):
+            assert np.array_equal(a, b)
+
+
+def test_check_witness_refuses_a_changed_d0_value():
+    # on a 1-truncated base, multiplying psi(z) on one nondegenerate edge by
+    # k = (e; h) keeps d1 psi(z) (d1 k = e) but moves d0 psi(z) by
+    # alpha(h) != e: only the twisted d0 law can see it
+    xm = xmod_identity(cyclic_group(2))
+    g = build_nerve(xm, 1)
+    x = cover_nerve(circle_cover(3), 1)
+    t = Twisting(x, g, [np.zeros(0, dtype=np.int64),
+                        np.full(x.sizes[1], g.identity(0))])
+    psi = twistings_equivalent(t, t)
+    _check_witness(t, t, psi)
+    h = next(h for h in range(xm.H.order) if h != xm.H.identity)
+    k = g.identity(0) * xm.H.order + h
+    assert g.faces[1][1][k] == g.identity(0) != g.faces[1][0][k]
+    z = next(z for z in range(x.sizes[1]) if z not in x.degens[0][0])
+    levels = [a.copy() for a in psi.levels]
+    levels[1][z] = g.groups[1].table[levels[1][z], k]
+    changed = SimplicialMap(x, g.sset(), levels, name="psi'")
+    with pytest.raises(StructureError, match="twisted d0 at level 1"):
+        _check_witness(t, t, changed)
