@@ -759,6 +759,11 @@ class _Search:
             self.plan.append((n, forced, list(set(free))))
             if n > spec.lo:
                 self.forced_value[n] = dict.fromkeys(forced)
+        # top[w], for each free w at the top level: its candidate list, which
+        # _feasible_up stored when w's last face got its value (the pool
+        # when the top level is lo, which has no face key)
+        self.top: list = [spec.pool if spec.lo == self.N else None] * \
+            x.sizes[self.N]
 
     def _force(self, n: int, z: int) -> int | None:
         """The value forced on z: its pin and, above level lo, s_i of the
@@ -778,7 +783,8 @@ class _Search:
 
     def _feasible_up(self, n1: int, w: int) -> bool:
         """All faces of w (level n1) now have values; can w get an image?
-        A forced w keeps the value it was checked with (forced_value)."""
+        A forced w keeps the value it was checked with (forced_value), a
+        free w at the top level its candidate list (top)."""
         spec = self.spec
         key = spec.keys[n1][w](self.values[n1 - 1])
         known = self.forced_value[n1]
@@ -788,7 +794,10 @@ class _Search:
                 return False
             known[w] = v
             return True
-        return key in spec.index[n1]
+        if n1 < self.N:
+            return key in spec.index[n1]
+        found = self.top[w] = spec.index[n1].get(key)
+        return found is not None
 
     def _set(self, n: int, z: int, v: int, trail: list) -> bool:
         if self.distinct:
@@ -897,11 +906,13 @@ class _Search:
     def solutions(self, limit: int | None = None):
         """Yield complete value assignments (one list per level), depth-first.
 
-        Explicit-stack backtracker (one frame per free simplex) so the
-        search depth is not bounded by the interpreter recursion limit.
+        Explicit-stack backtracker (one frame per free simplex below the top
+        level) so the search depth is not bounded by the interpreter
+        recursion limit; the top level is filled by one flat loop.
         """
         spec = self.spec
         plan = self.plan
+        top = len(plan) - 1
         trail: list = []
         emitted = 0
 
@@ -930,28 +941,28 @@ class _Search:
                     return False
             return True
 
-        # per level li, over the pick order plan[li][2]: avail[li][i] marks
-        # an entry no frame holds, left[li] counts those entries, and no
-        # available entry lies before cursor[li]; a frame that pops hands
-        # its entry back and moves the cursor back to it if it lies earlier
-        avail = [bytearray(b"\x01" * len(order)) for _, _, order in plan]
-        left = [len(order) for _, _, order in plan]
-        cursor = [0] * len(plan)
+        # per level li below the top, over the pick order plan[li][2]:
+        # avail[li][i] marks an entry no frame holds, left[li] counts those
+        # entries, and no available entry lies before cursor[li]; a frame
+        # that pops hands its entry back and moves the cursor back to it if
+        # it lies earlier
+        avail = [bytearray(b"\x01" * len(order)) for _, _, order in plan[:top]]
+        left = [len(order) for _, _, order in plan[:top]]
+        cursor = [0] * top
 
         def pick_next(li: int) -> int:
             """Index in the pick order of the simplex the next frame takes.
 
-            The top level and a lone available simplex take the first
-            available entry.  Below the top the smallest narrowed domain
-            wins (an empty one dies at once, a singleton propagates; the
-            first such entry returns at once), then the highest score (the
-            upper-level simplices whose last open face this is), then the
-            smaller simplex.
+            A lone available simplex is the first available entry.
+            Otherwise the smallest narrowed domain wins (an empty one dies
+            at once, a singleton propagates; the first such entry returns
+            at once), then the highest score (the upper-level simplices
+            whose last open face this is), then the smaller simplex.
             """
             n, _, order = plan[li]
             flags = avail[li]
             i = cursor[li] = flags.find(1, cursor[li])
-            if n >= self.N or left[li] == 1:
+            if left[li] == 1:
                 return i
             score = self.score[n - spec.lo]
             doms = self.domains[n]
@@ -992,8 +1003,10 @@ class _Search:
             stack.append([li, z, candidates(n, z), entry, len(trail), i])
 
         def descend(li: int) -> str:
-            """Advance to the next decision point; "sol", "dead" or "frame"."""
-            while li < len(plan):
+            """Advance to the next decision point below the top level;
+            "dead", "frame", or "top" once every level below it has its
+            values."""
+            while li < top:
                 entry = len(trail)
                 if not run_forced(li):
                     self._unset(trail, entry)
@@ -1002,20 +1015,66 @@ class _Search:
                     open_frame(li, entry)
                     return "frame"
                 li += 1
-            return "sol"
+            return "top"
+
+        # The top level: nothing lies above it, so a value there only
+        # records itself (and, in a distinct search, its use), no domain is
+        # narrowed there, and frames would take its pick order strictly in
+        # sequence.  One flat depth-first loop makes the same tries, with an
+        # iterator per position over the candidate list _feasible_up stored.
+        _, _, top_order = plan[top]
+        top_vals = self.values[self.N]
+        top_used = self.used[self.N] if self.distinct else None
+        its: list = [None] * len(top_order)
+
+        def fill_top():
+            """Give every free top-level simplex a value, once per way."""
+            order, vals, used, lists = top_order, top_vals, top_used, self.top
+            spend = self.budget.spend
+            k, p = len(order), 0
+            if k:
+                its[0] = iter(lists[order[0]])
+            while p >= 0:
+                if p == k:
+                    yield
+                    p -= 1
+                    continue
+                z = order[p]
+                if used is not None and vals[z] is not None:
+                    used.discard(vals[z])
+                for v in its[p]:
+                    spend()
+                    if used is None or v not in used:
+                        break
+                else:
+                    vals[z] = None
+                    p -= 1
+                    continue
+                vals[z] = v
+                if used is not None:
+                    used.add(v)
+                p += 1
+                if p < k:
+                    its[p] = iter(lists[order[p]])
 
         state = descend(0)
         while True:
-            if state == "sol":
-                emitted += 1
-                yield [list(v) for v in self.values]
-                if limit is not None and emitted >= limit:
-                    self._unset(trail, 0)
-                    return
-                state = "dead"
-            if state == "frame":
-                state = "dead"  # fresh frame: fall through to try a candidate
-            # backtrack: advance the top frame to its next viable candidate
+            if state == "top":
+                mark = len(trail)
+                if run_forced(top):
+                    for _ in fill_top():
+                        emitted += 1
+                        yield [list(v) for v in self.values]
+                        if limit is not None and emitted >= limit:
+                            for z in top_order:
+                                top_vals[z] = None
+                            if top_used is not None:
+                                top_used.clear()
+                            self._unset(trail, 0)
+                            return
+                self._unset(trail, mark)
+            # a fresh frame or a dead end: advance the last frame to its
+            # next viable candidate
             while stack:
                 fr = stack[-1]
                 self._unset(trail, fr[4])

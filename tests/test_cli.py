@@ -385,6 +385,18 @@ def test_duskin_compare_bytes_are_pinned(capsys, tmp_path):
         "091457c8360625ef8b762bcde45baf77ea7d292635f167a2129ac449d94dd8c7"
 
 
+def test_match_budget_runs_out_inside_the_top_level(capsys):
+    # 32,768 of the 32,908 nodes of the xmod_mod:8:4 match are top-level
+    # tries; the last one is the node one budget step short of the match
+    argv = ("duskin-compare", "--xmod", "xmod_mod:8:4", "--budget")
+    code, out, err = run_cli(capsys, *argv, "32907")
+    assert code == 3 and out == ""
+    assert "model match: needs ~32908 steps, budget is 32907" in err
+    code, out, err = run_cli(capsys, *argv, "32908")
+    assert code == 0
+    assert "results.found = True" in out
+
+
 def test_truncation_out_of_range_exit_2(capsys):
     code, out, err = run_cli(capsys, "duskin-compare", "--xmod", "xmod_mod:4:2",
                              "--truncation", "5")
