@@ -382,13 +382,16 @@ def cmd_classify_bundles(cfg: RunConfig) -> tuple[RunReport, int]:
 def cmd_gauge_verify(cfg: RunConfig) -> tuple[RunReport, int]:
     from .gauge import builtin_cases, run_case
     name = cfg.inputs["case"]
+    grids = builtin_cases()
     names = ([name] if name != "all"
-             else sorted(builtin_cases()) + ["so3-conjugation-T"])
+             else sorted(grids) + ["so3-conjugation-T"])
     results = {}
     passed = True
     for nm in names:
         t0 = time.perf_counter()
-        rep = run_case(nm, step=cfg.fd_step, tolerance=cfg.tolerance,
+        # --case all hands --fd-step to the grid cases only
+        step = cfg.fd_step if name != "all" or nm in grids else None
+        rep = run_case(nm, step=step, tolerance=cfg.tolerance,
                        budget=Budget(cfg.budget, what="gauge grids"))
         # stderr, so stdout stays byte-identical from run to run
         print(f"[gauge-verify] case {nm} {time.perf_counter() - t0:.2f}s",
@@ -532,7 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.set_defaults(truncation=DEFAULT_TRUNCATION)
         if residuals:
             sp.add_argument("--fd-step", type=float, default=None,
-                            help="grid step for finite differences")
+                            help="grid step for finite differences; only "
+                                 "the grid cases take it (--case all passes "
+                                 "it to those, and so3-conjugation-T alone "
+                                 "refuses it)")
             sp.add_argument("--tolerance", type=float, default=None,
                             help="residual tolerance")
         else:

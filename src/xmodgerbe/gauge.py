@@ -119,6 +119,9 @@ def _stack_inv(x: np.ndarray) -> np.ndarray:
     every copy would get the same bits.  The test compares raw bytes, since
     complex == merges -0.0 with +0.0 and never matches NaN."""
     x = np.asarray(x)
+    if len(x) and x.strides[0] == 0:
+        # a broadcast stack is constant by construction
+        return np.broadcast_to(np.linalg.inv(x[:1]), x.shape)
     if len(x):
         rows = np.ascontiguousarray(x).reshape(len(x), -1).view(np.uint8)
         if (rows == rows[0]).all():
@@ -428,14 +431,18 @@ def _central_diff(values: np.ndarray, shape: tuple, axis: int, step: float,
         der /= 2.0 * step
         valid = np.ones(shape, dtype=bool)
     else:
-        der = np.zeros_like(grid)
+        # (grid[2:] - grid[:-2]) / (2 step) along the axis, written into the
+        # interior of one zeroed buffer without a temporary
+        der = np.zeros(grid.shape, dtype=grid.dtype)
         lo = [slice(None)] * len(shape)
         hi = [slice(None)] * len(shape)
         mid = [slice(None)] * len(shape)
         lo[axis] = slice(0, -2)
         hi[axis] = slice(2, None)
         mid[axis] = slice(1, -1)
-        der[tuple(mid)] = (grid[tuple(hi)] - grid[tuple(lo)]) / (2.0 * step)
+        inner = der[tuple(mid)]
+        np.subtract(grid[tuple(hi)], grid[tuple(lo)], out=inner)
+        inner /= 2.0 * step
         valid = np.zeros(shape, dtype=bool)
         valid[tuple(mid)] = True
     return der.reshape(k, n, n), valid.reshape(k)
@@ -455,8 +462,10 @@ def _pair_maps(gcd: GaugeChartData) -> dict:
     table = {}
     for (a, b), comps in parts.items():
         n = len(gcd.charts[a].grid)
-        comp = np.full(n, -1, dtype=np.int64)
-        rows = np.full(n, -1, dtype=np.int64)
+        # int32 halves the table: a chart of 2**31 points would hold over
+        # 50 GB of coordinates and connection samples before it got here
+        comp = np.full(n, -1, dtype=np.int32)
+        rows = np.full(n, -1, dtype=np.int32)
         for j, o in enumerate(comps):
             ia = np.asarray(o.ia, dtype=np.int64)
             if ia.size and (ia.min() < 0 or ia.max() >= n):
@@ -574,8 +583,6 @@ def check_connection(gcd: GaugeChartData, dinvs: list, hinvs: list,
         if ca.A is None or cb.A is None:
             raise StructureError(f"charts ({o.a},{o.b}) lack connection "
                                  "samples")
-        aa = ca.A[o.ia]
-        ab = cb.A[o.ib]
         dinv = dinvs[k]
         for mu in range(gcd.dim):
             der, valid = _central_diff(dinv, o.shape, mu, ca.steps[mu],
@@ -583,8 +590,10 @@ def check_connection(gcd: GaugeChartData, dinvs: list, hinvs: list,
             corr = 0.0
             if o.a_form is not None:
                 corr = xm.dalpha_of(o.a_form[:, mu])
-            lhs = aa[:, mu]
-            rhs = o.d @ ab[:, mu] @ dinv + o.d @ der + corr
+            # A is gathered one axis at a time: a gather of both components
+            # would hold the other axis through this one's law
+            lhs = ca.A[o.ia, mu]
+            rhs = o.d @ cb.A[o.ib, mu] @ dinv + o.d @ der + corr
             res.add(f"connection-overlap[{mu}]", (lhs - rhs)[valid])
     for k, t in enumerate(gcd.triples):
         what = f"triple({t.a},{t.b},{t.c})"
@@ -595,7 +604,6 @@ def check_connection(gcd: GaugeChartData, dinvs: list, hinvs: list,
         ca = gcd.charts[t.a]
         if ca.A is None:
             raise StructureError("triple law needs connection samples")
-        aa = ca.A[t.ia]
         hinv = hinvs[k]
         if xm.tangent is None:
             # compute_T is evaluated at hinv and needs its inverse: once per
@@ -606,9 +614,10 @@ def check_connection(gcd: GaugeChartData, dinvs: list, hinvs: list,
                                        t.periodic[mu])
             lhs = a_ab[:, mu] + xm.daction_of(d_ab, a_bc[:, mu])
             if xm.tangent is None:
-                tan = compute_T(aa[:, mu], hinv, xm, gcd.t_step, hinv_inv)
+                tan = compute_T(ca.A[t.ia, mu], hinv, xm, gcd.t_step,
+                                hinv_inv)
             else:
-                tan = xm.tangent(aa[:, mu], hinv)
+                tan = xm.tangent(ca.A[t.ia, mu], hinv)
             rhs = t.h @ a_ac[:, mu] @ hinv + t.h @ der + tan
             res.add(f"connection-triple[{mu}]", (lhs - rhs)[valid])
     if not gcd.overlaps:
@@ -680,9 +689,14 @@ def curvature_and_nu(gcd: GaugeChartData, dinvs: list) -> CurvatureReport:
                 d_nu_Amu, v2 = _central_diff(ch.A[:, mu], ch.shape, nu_ax,
                                              ch.steps[nu_ax],
                                              ch.periodic[nu_ax])
-                wedge = (ch.A[:, mu] @ ch.A[:, nu_ax]
-                         - ch.A[:, nu_ax] @ ch.A[:, mu])
-                f[:, comp] = d_mu_Anu - d_nu_Amu + wedge
+                # (d_mu_Anu - d_nu_Amu) + (A_mu A_nu - A_nu A_mu), summed in
+                # that order into F's buffer
+                np.subtract(d_mu_Anu, d_nu_Amu, out=f[:, comp])
+                del d_mu_Anu, d_nu_Amu
+                wedge = ch.A[:, mu] @ ch.A[:, nu_ax]
+                wedge -= ch.A[:, nu_ax] @ ch.A[:, mu]
+                f[:, comp] += wedge
+                del wedge
                 valid &= v1 & v2
                 comp += 1
         if ch.B is not None:
@@ -988,7 +1002,8 @@ def case_u1_torus_three(step: float | None = None,
     matching i m_a sin(y) offset whose delta differences cancel the
     curvature differences, so nu = F + B glues (and this is asserted,
     the fiber being abelian).  Triple labels h are identically 1 and all
-    triple laws hold exactly.
+    triple laws hold exactly.  Every d and h stack is a read-only
+    broadcast view of one identity matrix.
     """
     if step is None:
         step = DEFAULT_STEPS[2]
@@ -1015,6 +1030,7 @@ def case_u1_torus_three(step: float | None = None,
             out[..., i] = col
         return out.reshape(-1, len(cols))
 
+    one = np.ones((1, 1), dtype=np.complex128)
     charts = []
     for a in range(3):
         x = xs[bands[a]][:, None]
@@ -1034,13 +1050,13 @@ def case_u1_torus_three(step: float | None = None,
             delta = per_point(n, 1j * (ms[a] - ms[b]) * sin_y)
             overlaps.append(Overlap(a, b, _flat(ra, m2), _flat(rb, m2),
                                     (n, m2), (False, True),
-                                    np.ones((n * m2, 1, 1), np.complex128),
+                                    np.broadcast_to(one, (n * m2, 1, 1)),
                                     a_form=af[:, :, None, None],
                                     delta=delta[:, :, None, None]))
     triples = []
     for run, rows in _matched_runs(bands, m1):
         ia, ib, ic = (_flat(r, m2) for r in rows)
-        h = np.ones((len(ia), 1, 1), dtype=np.complex128)
+        h = np.broadcast_to(one, (len(ia), 1, 1))
         triples.append(TripleOverlap(0, 1, 2, ia, ib, ic, (len(run), m2),
                                      (False, True), h))
     _require_points("u1-torus-three", step, overlap=overlaps, triple=triples)
@@ -1145,8 +1161,12 @@ def run_case(name: str, step: float | None = None,
     """Build a named case, run every applicable check, report verdicts.
 
     Refuses a step at which a law the case sets up has no valid sample
-    point, and grids larger than the budget's limit (see _guard_points)."""
+    point, grids larger than the budget's limit (see _guard_points), and
+    any step for so3-conjugation-T, which samples no grid."""
     if name == "so3-conjugation-T":
+        if step is not None:
+            raise StructureError(f"fd-step does not apply to gauge case "
+                                 f"{name}, which samples no grid")
         res = conjugation_T_samples()
         tol = tolerance if tolerance is not None else 1e-6
         return {
@@ -1166,25 +1186,33 @@ def run_case(name: str, step: float | None = None,
     if not rep.ok:
         raise StructureError(f"inconsistent chart data: {rep.summary()}")
     out = {"case": name, "tolerance": tol, "residuals": {}}
-    # each overlap's d and each triple's h stack is inverted once here (a
-    # constant stack as its one matrix, see _stack_inv), and the pair table
-    # built once, and shared by the checks that need them
+    # the pair table is built once and each overlap's d and each triple's h
+    # stack inverted once (a constant stack as its one matrix, see
+    # _stack_inv), and shared by the checks that need them.  The laws run in
+    # the order their data is used up, and each field of the case is
+    # released after the last law that reads it, so the torus case's later
+    # laws run without the samples of the earlier ones
+    table = _pair_maps(gcd)
+    for ch in gcd.charts:
+        ch.grid = None      # the table has the chart lengths
     dinvs = [_stack_inv(o.d) for o in gcd.overlaps]
     hinvs = [_stack_inv(t.h) for t in gcd.triples]
-    table = _pair_maps(gcd)
-    results = [check_gerbe_cocycle_smooth(gcd, table),
-               check_connection(gcd, dinvs, hinvs, table)]
+    cocycle = check_gerbe_cocycle_smooth(gcd, table)
     has_b = all(c.B is not None for c in gcd.charts) and gcd.dim >= 2
-    if has_b:
-        results.append(check_bfield(gcd, hinvs, table))
-    # freed here: held through curvature_and_nu, where a case's memory
-    # peaks, it raised the torus case's peak RSS by about 40 MB
-    del table
+    bfield = check_bfield(gcd, hinvs, table) if has_b else None
+    for o in gcd.overlaps:
+        o.delta = None
+    connection = check_connection(gcd, dinvs, hinvs, table)
+    for o in gcd.overlaps:
+        o.a_form = None
+    gcd.triples = []
+    del table, hinvs
     curv = curvature_and_nu(gcd, dinvs)
     dim = gcd.dim
     # no sample is read again: freed before the summaries, which concatenate
     # each law's residuals
-    del gcd, dinvs, hinvs
+    del gcd, dinvs
+    results = [cocycle, connection] + ([bfield] if has_b else [])
     vacuous = [eq for res in results + [curv.gluing]
                for eq, v in sorted(res.equations.items())
                if not v.size and eq not in res.absent]

@@ -279,6 +279,7 @@ def test_gauge_verify_reads_residual_flags(capsys):
     ("gauge-verify", "--case", "u1-torus-three", "--fd-step", "-0.5"),
     ("gauge-verify", "--case", "trivial", "--fd-step", "nan"),
     ("gauge-verify", "--case", "trivial", "--fd-step", "inf"),
+    ("gauge-verify", "--case", "so3-conjugation-T", "--fd-step", "0.1"),
     ("gauge-verify", "--case", "trivial", "--tolerance", "-1"),
     ("gauge-verify", "--case", "trivial", "--tolerance", "nan"),
     ("gauge-verify", "--case", "trivial", "--tolerance", "inf"),
@@ -287,6 +288,27 @@ def test_bad_residual_flags_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: " + argv[3][2:])
+
+
+def test_gauge_verify_all_passes_fd_step_to_the_grid_cases(capsys):
+    # so3-conjugation-T samples no grid and refuses a step by itself;
+    # --case all takes --fd-step for its grid cases and runs it without one
+    code, _, err = run_cli(capsys, "gauge-verify", "--case",
+                           "so3-conjugation-T", "--fd-step", "0.1")
+    assert code == 2
+    assert err == ("error: fd-step does not apply to gauge case "
+                   "so3-conjugation-T, which samples no grid\n")
+
+    def cases(*flags):
+        code, out, _ = run_cli(capsys, "gauge-verify", "--case", "all",
+                               "--tolerance", "1", "--format", "json", *flags)
+        assert code == 0
+        return json.loads(out)["results"]["cases"]
+
+    coarse, default = cases("--fd-step", "0.05"), cases()
+    assert coarse.keys() == default.keys()
+    for name in coarse:
+        assert (coarse[name] == default[name]) == (name == "so3-conjugation-T")
 
 
 def test_zero_tolerance_is_accepted(capsys):

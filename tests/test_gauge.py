@@ -1,6 +1,7 @@
 """Numerical gauge-law checks on sampled matrix-group chart data."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,7 @@ def _stacks():
     return {
         "constant": (u, True),
         "constant-3x3": (np.array([so3] * 5), True),
+        "broadcast-3x3": (np.broadcast_to(so3, (5, 3, 3)), True),
         "varying": (varying, False),
         "varying-3x3": (np.stack([so3_group().random(rng) for _ in range(4)]),
                         False),
@@ -269,6 +271,9 @@ def test_stack_inverses_give_the_full_inverse_residuals(build):
 @pytest.mark.parametrize("axis", [0, 1])
 @pytest.mark.parametrize("n", [1, 3])
 def test_periodic_central_diff_has_the_bits_of_rolled_copies(m, axis, n):
+    # both branches: a periodic axis against the np.roll formula, an open
+    # one against (grid[2:] - grid[:-2]) / (2 step) in a zeroed grid whose
+    # two boundary layers are invalid
     rng = np.random.default_rng(100 * m + 10 * axis + n)
     shape = (m, 5) if axis == 0 else (5, m)
     k = m * 5
@@ -276,13 +281,26 @@ def test_periodic_central_diff_has_the_bits_of_rolled_copies(m, axis, n):
               + 1j * rng.normal(size=(k, n, n)))
     values[::7] = -0.0
     step = 0.0137
-    for vals in (values, np.broadcast_to(values[:1], values.shape)):
-        grid = vals.reshape(shape + (n, n))
-        want = ((np.roll(grid, -1, axis=axis) - np.roll(grid, 1, axis=axis))
-                / (2.0 * step)).reshape(k, n, n)
-        der, valid = _central_diff(vals, shape, axis, step, periodic=True)
-        assert _same_bits(der, want)
-        assert valid.all() and valid.shape == (k,)
+
+    def rows(lo, hi):
+        return (slice(None),) * axis + (slice(lo, hi),)
+
+    for periodic in (True, False):
+        for vals in (values, np.broadcast_to(values[:1], values.shape)):
+            grid = vals.reshape(shape + (n, n))
+            if periodic:
+                want = ((np.roll(grid, -1, axis=axis)
+                         - np.roll(grid, 1, axis=axis)) / (2.0 * step))
+                inside = np.ones(shape, dtype=bool)
+            else:
+                want = np.zeros(grid.shape, dtype=grid.dtype)
+                want[rows(1, -1)] = ((grid[rows(2, None)]
+                                      - grid[rows(None, -2)]) / (2.0 * step))
+                inside = np.zeros(shape, dtype=bool)
+                inside[rows(1, -1)] = True
+            der, valid = _central_diff(vals, shape, axis, step, periodic)
+            assert _same_bits(der, want.reshape(k, n, n))
+            assert _same_bits(valid, inside.reshape(k))
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +397,10 @@ def test_torus_builder_matches_per_point_formulas(step):
         assert _same_bits(o.d, np.ones((k, 1, 1), dtype=np.complex128))
         assert _same_bits(o.a_form, af)
         assert _same_bits(o.delta, delta)
+    # the constant transitions are read-only broadcast views of one matrix
+    for stack in [o.d for o in gcd.overlaps] + [t.h for t in gcd.triples]:
+        assert stack.strides[0] == 0 and not stack.flags.writeable
+        assert _same_bits(stack, np.ones(stack.shape, dtype=np.complex128))
 
 
 @pytest.mark.parametrize("build", [case_u1_circle_three, case_u1_torus_three])
@@ -414,6 +436,60 @@ def test_pair_fetch_matches_a_concatenated_gather(build):
         idx = np.concatenate([o.ia for o in entry["comps"]])[::-1]
         assert _same_bits(_pair_fetch(table, a, b, idx, "a_form", "test"),
                           oracle(a, b, idx, "a_form"))
+
+
+def _bits(x):
+    """x with each float as its hex form: -0.0, NaN and every last bit
+    compare as themselves."""
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    return x.hex() if isinstance(x, float) else x
+
+
+@pytest.mark.parametrize("name", sorted(builtin_cases()))
+def test_law_order_and_releases_change_no_bit(name):
+    # run_case runs the laws in the order their data is used up and drops
+    # each field after its last law; the report must be the one the laws
+    # give in the order cocycle, connection, B-field, curvature, with full
+    # inverses, on a case that keeps all its data (constant stacks as full
+    # arrays)
+    gcd = builtin_cases()[name]()
+    for o in gcd.overlaps:
+        o.d = np.array(o.d)
+    for t in gcd.triples:
+        t.h = np.array(t.h)
+    dinvs, hinvs, table = _shared(gcd)
+    tol = DEFAULT_TOLS[gcd.dim]
+    laws = [check_gerbe_cocycle_smooth(gcd, table),
+            check_connection(gcd, dinvs, hinvs, table)]
+    if gcd.dim >= 2 and all(c.B is not None for c in gcd.charts):
+        laws.append(check_bfield(gcd, hinvs, table))
+    curv = curvature_and_nu(gcd, dinvs)
+    residuals = {res.name.split(" ")[0]: res.dictionary() for res in laws}
+    residuals["nu-gluing"] = curv.gluing.dictionary()
+    passed = (all(res.max() <= tol for res in laws)
+              and (not curv.gluing_asserted or curv.gluing.max() <= tol))
+    want = {"case": name, "tolerance": tol, "residuals": residuals,
+            "nu_gluing_asserted": curv.gluing_asserted, "passed": passed}
+    assert _bits(run_case(name)) == _bits(want)
+
+
+def test_torus_case_traced_peak_is_bounded():
+    # the torus case builds about 118 MB of samples; with each field
+    # released after its last law the traced peak is about 126 MB, and
+    # about 195 MB with the whole case alive to the end
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run_case("u1-torus-three")["passed"]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 135e6, peak
 
 
 def test_circle_cases_meet_tight_tolerance():
