@@ -119,9 +119,6 @@ def _stack_inv(x: np.ndarray) -> np.ndarray:
     every copy would get the same bits.  The test compares raw bytes, since
     complex == merges -0.0 with +0.0 and never matches NaN."""
     x = np.asarray(x)
-    if len(x) and x.strides[0] == 0:
-        # a broadcast stack is constant by construction
-        return np.broadcast_to(np.linalg.inv(x[:1]), x.shape)
     if len(x):
         rows = np.ascontiguousarray(x).reshape(len(x), -1).view(np.uint8)
         if (rows == rows[0]).all():
@@ -569,6 +566,13 @@ def check_gerbe_cocycle_smooth(gcd: GaugeChartData, table: dict) -> Residual:
     return res
 
 
+# what run_case leaves in a case field after the last law that reads it.  A
+# law that reads one fails: check_connection rejects a released a_form, which
+# it could otherwise take for an absent one (no dalpha correction), and the
+# other released fields are not indexable or iterable
+_RELEASED = object()
+
+
 def check_connection(gcd: GaugeChartData, dinvs: list, hinvs: list,
                      table: dict) -> Residual:
     """Both connection laws; derivative terms by central differences, and
@@ -588,6 +592,9 @@ def check_connection(gcd: GaugeChartData, dinvs: list, hinvs: list,
             der, valid = _central_diff(dinv, o.shape, mu, ca.steps[mu],
                                        o.periodic[mu])
             corr = 0.0
+            if o.a_form is _RELEASED:
+                raise StructureError(f"overlap ({o.a},{o.b}): a_form was "
+                                     "released before the connection laws")
             if o.a_form is not None:
                 corr = xm.dalpha_of(o.a_form[:, mu])
             # A is gathered one axis at a time: a gather of both components
@@ -1191,21 +1198,25 @@ def run_case(name: str, step: float | None = None,
     # _stack_inv), and shared by the checks that need them.  The laws run in
     # the order their data is used up, and each field of the case is
     # released after the last law that reads it, so the torus case's later
-    # laws run without the samples of the earlier ones
+    # laws run without the samples of the earlier ones.  Last readers: chart
+    # grids, _pair_maps (the table keeps the chart lengths); delta,
+    # check_bfield; a_form, the triples, the table and the h inverses,
+    # check_connection.  A released field holds _RELEASED, so a law moved
+    # past its release fails instead of changing its residuals
     table = _pair_maps(gcd)
     for ch in gcd.charts:
-        ch.grid = None      # the table has the chart lengths
+        ch.grid = _RELEASED
     dinvs = [_stack_inv(o.d) for o in gcd.overlaps]
     hinvs = [_stack_inv(t.h) for t in gcd.triples]
     cocycle = check_gerbe_cocycle_smooth(gcd, table)
     has_b = all(c.B is not None for c in gcd.charts) and gcd.dim >= 2
     bfield = check_bfield(gcd, hinvs, table) if has_b else None
     for o in gcd.overlaps:
-        o.delta = None
+        o.delta = _RELEASED
     connection = check_connection(gcd, dinvs, hinvs, table)
     for o in gcd.overlaps:
-        o.a_form = None
-    gcd.triples = []
+        o.a_form = _RELEASED
+    gcd.triples = _RELEASED
     del table, hinvs
     curv = curvature_and_nu(gcd, dinvs)
     dim = gcd.dim

@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xmodgerbe.gauge import (DEFAULT_TOLS, MatrixCrossedModule, Residual,
-                             _central_diff, _pair_fetch, _pair_maps,
+from xmodgerbe.gauge import (_RELEASED, DEFAULT_TOLS, MatrixCrossedModule,
+                             Residual, _central_diff, _pair_fetch, _pair_maps,
                              _stack_inv, builtin_cases,
                              case_u1_circle_three, case_u1_sphere_monopole,
                              case_u1_torus_three,
@@ -472,6 +472,19 @@ def test_law_order_and_releases_change_no_bit(name):
     want = {"case": name, "tolerance": tol, "residuals": residuals,
             "nu_gluing_asserted": curv.gluing_asserted, "passed": passed}
     assert _bits(run_case(name)) == _bits(want)
+
+
+def test_a_law_run_after_a_release_fails():
+    # a released a_form is not taken for an absent one (no dalpha
+    # correction), and released triples are not taken for none
+    gcd = case_u1_circle_three()
+    dinvs, hinvs, table = _shared(gcd)
+    gcd.overlaps[0].a_form = _RELEASED
+    with pytest.raises(StructureError, match="a_form was released"):
+        check_connection(gcd, dinvs, hinvs, table)
+    gcd.triples = _RELEASED
+    with pytest.raises(TypeError):
+        check_gerbe_cocycle_smooth(gcd, table)
 
 
 def test_torus_case_traced_peak_is_bounded():
