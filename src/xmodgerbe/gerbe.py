@@ -626,8 +626,6 @@ def cocycle_to_simplicial_map(c: GerbeCocycle, match, budget: Budget | None = No
     composed with the model dictionary `match` (a MatchResult for the same
     crossed module).
     """
-    if not match.found:
-        raise StructureError("model dictionary unavailable (no isomorphism)")
     duskin = match.duskin
     budget = budget or Budget(what="cocycle extension")
     x = nerve

@@ -72,6 +72,13 @@ def test_product_spec_is_a_usage_error(capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+NOT_AN_XMOD = ("names a group, not a crossed module; use xmod_mod:m:n, "
+               "xmod_id:<group>, xmod_aut:<group>, xmod_fiber:<group>, "
+               "xmod_base:<group> or a JSON file")
+NOT_A_GROUP = ("names a crossed module, not a group; use cyclic:n, dihedral:n, "
+               "symmetric:n or trivial")
+
+
 @pytest.mark.parametrize("argv, line", [
     (("xmod-check", "xmod_id:product:cyclic:2:cyclic:3"),
      "error: unknown preset 'product'"),
@@ -91,13 +98,26 @@ def test_product_spec_is_a_usage_error(capsys, argv):
     (("classify-bundles", "--sset", "circle", "--group", "cyclic:4:7"),
      "error: 'cyclic:4:7' has too many parameters; cyclic takes 1"),
     (("xmod-check", "xmod_mod:2:0"), "error: cyclic order must be >= 1"),
+    (("gerbe-classify", "--cover", "circle:3", "--xmod", "cyclic:2"),
+     "error: 'cyclic:2' " + NOT_AN_XMOD),
+    (("lift", "--cover", "sphere:4", "--xmod", "symmetric:3"),
+     "error: 'symmetric:3' " + NOT_AN_XMOD),
+    (("duskin-compare", "--xmod", "trivial"), "error: 'trivial' " + NOT_AN_XMOD),
+    (("classify-bundles", "--sset", "circle", "--group", "xmod_mod:4:2"),
+     "error: 'xmod_mod:4:2' " + NOT_A_GROUP),
+    (("classify-bundles", "--sset", "circle", "--group", "xmod_fiber:cyclic:2"),
+     "error: 'xmod_fiber:cyclic:2' " + NOT_A_GROUP),
+    (("xmod-check", "xmod_id:xmod_mod:4:2"), "error: 'xmod_mod:4:2' " + NOT_A_GROUP),
 ], ids=["nested-unknown", "nested-unknown-word", "nested-not-int",
         "xmod-not-int", "group-not-int", "xmod-extra", "nested-extra",
-        "trivial-extra", "group-extra", "xmod-mod-zero"])
+        "trivial-extra", "group-extra", "xmod-mod-zero", "xmod-is-cyclic",
+        "xmod-is-symmetric", "xmod-is-trivial", "group-is-xmod-mod",
+        "group-is-xmod-fiber", "nested-is-xmod"])
 def test_bad_spec_names_itself(capsys, argv, line):
     # a nested unknown name once read as "invalid literal for int()",
-    # parameters past a preset's last one were once ignored, and a zero
-    # modulus once raised ZeroDivisionError
+    # parameters past a preset's last one were once ignored, a zero modulus
+    # once raised ZeroDivisionError, and a group given for a crossed module
+    # (or the other way round) once ended in an AttributeError or TypeError
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", line + "\n")
 
@@ -389,8 +409,9 @@ def test_duskin_compare_and_out(capsys, tmp_path):
 
 def test_duskin_compare_bytes_are_pinned(capsys, tmp_path):
     # The isomorphism levels depend on the index order of both models and on
-    # the search order; these digests were recorded from the per-simplex
-    # builders, so a change to either order shows up here.
+    # the closed form of the dictionary (h_012 = h^-1); the stdout digest was
+    # recorded from the per-simplex builders and the dictionary digest from
+    # the closed form, so a change to either order shows up here.
     out_dir = tmp_path / "dict"
     code, out, err = run_cli(capsys, "duskin-compare", "--xmod", "xmod_mod:4:2",
                              "--format", "json", "--out", str(out_dir))
@@ -399,17 +420,36 @@ def test_duskin_compare_bytes_are_pinned(capsys, tmp_path):
         "c11ca002993a2d74bd9f651d0adaa14f3c43472780c42e775aed00fad89d3663"
     art = (out_dir / "dictionary-Z4-_Z2.json").read_bytes()
     assert hashlib.sha256(art).hexdigest() == \
-        "091457c8360625ef8b762bcde45baf77ea7d292635f167a2129ac449d94dd8c7"
+        "0f639fd5697ac606143470918d5a276fefee7ae91444af784e4f818fe6e510a8"
 
 
 def test_match_budget_runs_out_inside_the_top_level(capsys):
-    # 32,768 of the 32,908 nodes of the xmod_mod:8:4 match are top-level
-    # tries; the last one is the node one budget step short of the match
+    # 32,768 of the 32,908 nodes of the injective engine search between the
+    # xmod_mod:8:4 models are top-level tries; the last one is the node one
+    # budget step short of the search
+    from xmodgerbe.fingroup import xmod_mod
+    from xmodgerbe.simplicial import _found_maps, _map_spec
+    from xmodgerbe.util import Budget, BudgetError
+    from xmodgerbe.xnerve import match_wbar_duskin
+    m = match_wbar_duskin(xmod_mod(8, 4), 3)
+
+    def search(limit):
+        return next(_found_maps(_map_spec(m.wbar, m.duskin), m.duskin,
+                                Budget(limit, what="model match"), limit=1,
+                                distinct=True))
+
+    with pytest.raises(BudgetError,
+                       match="model match: needs ~32908 steps, budget is 32907"):
+        search(32_907)
+    assert search(32_908).source is m.wbar
+    # the command builds its dictionary without a search, so its budget
+    # guards only the model sizes: 32,768 simplices at level 3
     argv = ("duskin-compare", "--xmod", "xmod_mod:8:4", "--budget")
-    code, out, err = run_cli(capsys, *argv, "32907")
+    code, out, err = run_cli(capsys, *argv, "32767")
     assert code == 3 and out == ""
-    assert "model match: needs ~32908 steps, budget is 32907" in err
-    code, out, err = run_cli(capsys, *argv, "32908")
+    assert "level 3 has 32768 simplices: needs ~32768 steps, " \
+           "budget is 32767" in err
+    code, out, err = run_cli(capsys, *argv, "32768")
     assert code == 0
     assert "results.found = True" in out
 

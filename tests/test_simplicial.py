@@ -543,7 +543,9 @@ def test_forcing_rules_that_disagree_are_a_dead_end():
 
 def test_a_solution_failing_validation_is_an_error(monkeypatch):
     # every solution becomes a map only once validate_map passes it; one
-    # that fails is a StructureError, never a map silently left out
+    # that fails is a StructureError, never a map silently left out.  The
+    # model dictionary is built in closed form and checked the same way.
+    from xmodgerbe import xnerve
     from xmodgerbe.xnerve import match_wbar_duskin
     x, y = circle(2), circle(2)
     f = enumerate_simplicial_maps(x, y)[0]
@@ -554,6 +556,7 @@ def test_a_solution_failing_validation_is_an_error(monkeypatch):
         enumerate_simplicial_maps(x, y)
     with pytest.raises(StructureError, match="planted"):
         simplicially_homotopic(f, f)
+    monkeypatch.setattr(xnerve, "validate_map", lambda f: failing)
     with pytest.raises(StructureError, match="planted"):
         match_wbar_duskin(xmod_trivial_fiber(cyclic_group(2)), 3)
 

@@ -1,5 +1,7 @@
 """Nerve of a crossed module, Duskin complex, and the matching results."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from xmodgerbe.fingroup import (CrossedModule, GroupHom, cokernel,
                                 symmetric_group, trivial_action,
                                 xmod_identity, xmod_mod, xmod_trivial_base,
                                 xmod_trivial_fiber)
-from xmodgerbe.simplicial import moore_homotopy, validate_map, validate_simplicial
+from xmodgerbe.simplicial import (_found_maps, _map_spec, moore_homotopy,
+                                  validate_map, validate_simplicial)
 from xmodgerbe.util import Budget, Report, StructureError
 from xmodgerbe.xnerve import (build_duskin, build_nerve, exactness_check,
                               homotopy_quotient, match_wbar_duskin,
@@ -105,34 +108,76 @@ def test_duskin_pasting_check_survives_a_skipped_validation(monkeypatch):
         build_duskin(bad, 3)
 
 
-def test_match_wbar_duskin_small_modules(corpus):
-    small = [xm for xm in corpus if xm.H.order * xm.D.order <= 8]
-    assert small
-    for xm in small:
-        m = match_wbar_duskin(xm, N=3, budget=Budget(what="match"))
-        assert m.found, xm.name
-        assert validate_map(m.iso).ok
-        # the stored inverse permutations undo the witness levelwise
-        for lvl in range(m.wbar.N + 1):
-            for s in range(m.wbar.sizes[lvl]):
-                assert int(m.inverse[lvl][m.iso.levels[lvl][s]]) == s
-            for s in range(m.duskin.sizes[lvl]):
-                assert int(m.iso.levels[lvl][m.inverse[lvl][s]]) == s
-
-
 def test_match_dimensions_agree():
     xm = xmod_mod(4, 2)
     m = match_wbar_duskin(xm, N=3, budget=Budget(what="match"))
-    assert m.found
     assert m.wbar.sizes == m.duskin.sizes
 
 
+def _assert_dictionary(m, what):
+    # a simplicial map, bijective at every level, whose stored inverse
+    # permutations undo it from both sides
+    rep = validate_map(m.iso)
+    assert rep.ok, (what, rep.summary())
+    for n, (arr, inv) in enumerate(zip(m.iso.levels, m.inverse, strict=True)):
+        assert len(arr) == m.duskin.sizes[n], (what, n)
+        assert np.array_equal(np.sort(arr), np.arange(len(arr))), (what, n)
+        assert np.array_equal(inv[arr], np.arange(len(arr))), (what, n)
+        assert np.array_equal(arr[inv], np.arange(len(arr))), (what, n)
+
+
+def test_match_wbar_duskin_small_modules(corpus):
+    # every preset at N = 2 and 3, and at N = 4 where |H||D| <= 12
+    cases = [(xm, N) for xm in corpus for N in (2, 3)]
+    cases += [(xm, 4) for xm in corpus if xm.H.order * xm.D.order <= 12]
+    assert len(cases) == 42
+    for xm, N in cases:
+        m = match_wbar_duskin(xm, N, budget=Budget(what="match"))
+        assert m.wbar.N == N and m.wbar.sizes == m.duskin.sizes
+        _assert_dictionary(m, (xm.name, N))
+
+
+def test_closed_form_dictionary_on_moved_identities(corpus):
+    # relabelled modules whose identities are not label 0: the formula reads
+    # the group tables, never a label
+    moved = [_rotated(xm) for xm in corpus if xm.H.order * xm.D.order <= 16]
+    assert all(xm.H.identity != 0 or xm.D.identity != 0 for xm in moved)
+    assert len(moved) == 13
+    for xm in moved:
+        _assert_dictionary(match_wbar_duskin(xm, 3), xm.name)
+    xm = _rotated(xmod_mod(4, 2))
+    _assert_dictionary(match_wbar_duskin(xm, 4), (xm.name, 4))
+
+
+def test_dictionary_with_h_for_its_inverse_fails_validation(monkeypatch):
+    # the pasting law d d' = alpha(h_012) alpha(h) d d' forces h_012 = h^-1;
+    # the same formula with h_012 = h breaks d_1 at level 2 on id(S3).  Over
+    # aut(Z3) that mutation is still a simplicial map, so it shows nothing.
+    closed_form = xnerve._iso_levels
+
+    def h_for_inverse(xm, wbar):
+        h = SimpleNamespace(order=xm.H.order, inverses=np.arange(xm.H.order))
+        return closed_form(SimpleNamespace(H=h, D=xm.D), wbar)
+
+    monkeypatch.setattr(xnerve, "_iso_levels", h_for_inverse)
+    with pytest.raises(StructureError, match="face-commutes-d1@2"):
+        match_wbar_duskin(xmod_identity(symmetric_group(3)), 3)
+
+
+def _searched_iso(xm, budget):
+    # the engine's injective search between the two models, which the
+    # closed form replaced; it still exercises the engine on a big level
+    m = match_wbar_duskin(xm, N=3)
+    return next(_found_maps(_map_spec(m.wbar, m.duskin), m.duskin, budget,
+                            limit=1, distinct=True, name="model-iso"))
+
+
 def test_match_nodes_are_pinned():
-    # search nodes of the model match: they move with any change to the
-    # engine's pick order or pruning
+    # search nodes of an injective search between the two models: they move
+    # with any change to the engine's pick order or pruning
     for (n, k), nodes in (((8, 4), 32_908), ((4, 2), 533)):
         budget = Budget(what="match")
-        assert match_wbar_duskin(xmod_mod(n, k), N=3, budget=budget).found
+        assert validate_map(_searched_iso(xmod_mod(n, k), budget)).ok
         assert budget.used == nodes
 
 

@@ -110,9 +110,16 @@ def machine() -> str:
         mem = f", {kb / 2**20:.0f} GB RAM"
     except (OSError, ValueError, IndexError):
         pass
+    # the children inherit this environment; the exported trees hold no
+    # __pycache__, so with writing off every child compiles from source
+    if os.environ.get("PYTHONDONTWRITEBYTECODE"):
+        bytecode = "off (PYTHONDONTWRITEBYTECODE set): no bytecode cache"
+    else:
+        bytecode = "on: children after the first read a bytecode cache"
     return (f"{platform.machine()} {platform.system()}, {os.cpu_count()} "
             f"CPUs{mem}, Python {platform.python_version()}, "
-            f"OPENBLAS_NUM_THREADS=1 in every benchmark child")
+            f"OPENBLAS_NUM_THREADS=1 in every benchmark child, "
+            f"bytecode writing {bytecode}")
 
 
 def main(argv=None) -> int:
