@@ -610,11 +610,6 @@ class CocycleMaps:
     wbar_map: SimplicialMap
 
 
-def _duskin_index(duskin: TruncatedSimplicialSet) -> list[dict]:
-    return [{lab: i for i, lab in enumerate(duskin.labels[n])}
-            for n in range(duskin.N + 1)]
-
-
 def cocycle_to_simplicial_map(c: GerbeCocycle, match, budget: Budget | None = None,
                               nerve: TruncatedSimplicialSet | None = None) -> CocycleMaps:
     """Extend a cocycle to a full simplicial map out of the cover nerve.
@@ -631,19 +626,16 @@ def cocycle_to_simplicial_map(c: GerbeCocycle, match, budget: Budget | None = No
     x = nerve
     if x is None:
         x = cover_nerve(c.cover, match.wbar.N, budget=budget)
-    idx = _duskin_index(duskin)
     D = c.xm.D
     pins: list[dict[int, int]] = [{} for _ in range(x.N + 1)]
-    vx = {lab: i for i, lab in enumerate(x.labels[0])}
-    e1 = {lab: i for i, lab in enumerate(x.labels[1])}
-    e2 = {lab: i for i, lab in enumerate(x.labels[2])}
     for a in range(c.cover.charts):
-        pins[0][vx[(a,)]] = 0
+        pins[0][x.index(0, (a,))] = 0
     for (a, b), dv in c.d.items():
-        pins[1][e1[(a, b)]] = idx[1][((dv,), ())]
-        pins[1][e1[(b, a)]] = idx[1][((D.inv(dv),), ())]
+        pins[1][x.index(1, (a, b))] = duskin.index(1, ((dv,), ()))
+        pins[1][x.index(1, (b, a))] = duskin.index(1, ((D.inv(dv),), ()))
     for (a, b, cc), hv in c.h.items():
-        pins[2][e2[(a, b, cc)]] = idx[2][((c.d[(a, b)], c.d[(b, cc)]), (hv,))]
+        pins[2][x.index(2, (a, b, cc))] = duskin.index(
+            2, ((c.d[(a, b)], c.d[(b, cc)]), (hv,)))
     f = next(_found_maps(_map_spec(x, duskin, pins), duskin, budget, limit=1,
                          name=f"{c.name}-map"), None)
     if f is None:
@@ -670,15 +662,14 @@ def map_to_cocycle(f: SimplicialMap, cover: CoverComplex, xm: CrossedModule,
     if match is not None and getattr(target, "wbar_of", None) is not None:
         levels = [match.iso.levels[n][levels[n]] for n in range(f.source.N + 1)]
         target = match.duskin
-    e1 = {lab: i for i, lab in enumerate(f.source.labels[1])}
-    e2 = {lab: i for i, lab in enumerate(f.source.labels[2])}
+    x = f.source
     d = {}
     h = {}
     for p in cover.simplices(1):
-        ds, _hs = target.label(1, int(levels[1][e1[p]]))
+        ds, _hs = target.label(1, int(levels[1][x.index(1, p)]))
         d[p] = int(ds[0])
     for t in cover.simplices(2):
-        _ds, hs = target.label(2, int(levels[2][e2[t]]))
+        _ds, hs = target.label(2, int(levels[2][x.index(2, t)]))
         h[t] = int(hs[0])
     out = GerbeCocycle(cover, xm, d, h, name=f"{f.name}-cocycle")
     check_cocycle(out, "extracted data is not a cocycle")

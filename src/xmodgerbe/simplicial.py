@@ -57,9 +57,14 @@ __all__ = [
 class TruncatedSimplicialSet:
     """Levels 0..N; faces[n][i] and degens[n][i] are dense index arrays.
 
-    `labels[n][x]` is an optional printable name for simplex x (tuples for
-    cover nerves, strings elsewhere); `wbar_of` marks classifying spaces
-    produced by the bar-construction, which some operations require.
+    `label(n, x)` names simplex x, and `index(n, label)` finds it again.  A
+    mixed-radix level (W-bar, the 2-nerve) keeps no names: `radix[n]` holds
+    its digit radices, and a name is decoded from the index when asked
+    for, a digit for each int of `radix[n]` and a tuple of digits for each
+    list in it.  Otherwise `labels[n][x]` is an optional printable name
+    (tuples for cover nerves, strings elsewhere).  `wbar_of` marks
+    classifying spaces produced by the bar-construction, which some
+    operations require.
     """
 
     N: int
@@ -69,6 +74,7 @@ class TruncatedSimplicialSet:
     labels: list[list] | None = None
     name: str = "X"
     wbar_of: str | None = None
+    radix: list[list] | None = None
 
     def __post_init__(self):
         if len(self.sizes) != self.N + 1:
@@ -100,9 +106,31 @@ class TruncatedSimplicialSet:
                     dl[i] = arr
 
     def label(self, n: int, x: int):
+        if self.radix is not None:
+            flat, spans = _radix_split(self.radix[n])
+            digits = [int(v) for v in np.unravel_index(x, flat)]
+            return tuple(tuple(digits[s]) if isinstance(s, slice) else digits[s]
+                         for s in spans)
         if self.labels is not None and self.labels[n] is not None:
             return self.labels[n][x]
         return x
+
+    def index(self, n: int, label) -> int:
+        """The level-n simplex named `label`; inverse of `label`."""
+        if self.radix is None:
+            return self._label_index[n][label]
+        flat, spans = _radix_split(self.radix[n])
+        digits = [v for s, part in zip(spans, label, strict=True)
+                  for v in (part if isinstance(s, slice) else (part,))]
+        if len(digits) != len(flat) or not all(
+                0 <= v < r for v, r in zip(digits, flat)):
+            raise KeyError(label)
+        return int(_radix_encode(digits, flat, ()))
+
+    @cached_property
+    def _label_index(self) -> list[dict]:
+        """label -> simplex, per level, for sets with label lists."""
+        return [{lab: i for i, lab in enumerate(lvl)} for lvl in self.labels]
 
     # Search tables: built on first use from the face and degeneracy arrays,
     # which __post_init__ makes read-only, so a cached table cannot go stale.
@@ -392,6 +420,33 @@ def _radix_encode(digits: list, radix: list[int], size) -> np.ndarray:
     return out
 
 
+def _radix_split(radix: list) -> tuple[list[int], list]:
+    """The digit radices of a level whose names nest as `radix` does, and
+    where each entry of a name sits among those digits: an int of `radix`
+    is one digit, a list of ints a slice of them."""
+    flat: list[int] = []
+    spans: list = []
+    for part in radix:
+        if isinstance(part, list):
+            spans.append(slice(len(flat), len(flat) + len(part)))
+            flat += part
+        else:
+            spans.append(len(flat))
+            flat.append(part)
+    return flat, spans
+
+
+def _radix_labels(radix: list) -> list:
+    """Every name of a level whose names nest as `radix` does, in index
+    order, with lists for tuples: the JSON form of `label`."""
+    flat, spans = _radix_split(radix)
+    digits = _radix_digits(flat)
+    cols = [digits[s].T.tolist() if isinstance(s, slice) else digits[s].tolist()
+            for s in spans]
+    # a level without digits has one simplex, named ()
+    return list(map(list, zip(*cols))) if cols else [[]]
+
+
 # ---------------------------------------------------------------------------
 # standard builders
 
@@ -466,7 +521,8 @@ def truncate_sset(x: TruncatedSimplicialSet, M: int) -> TruncatedSimplicialSet:
         [list(x.faces[n]) for n in range(M + 1)],
         [list(x.degens[n]) for n in range(M)] + [[]],
         labels=None if x.labels is None else [x.labels[n] for n in range(M + 1)],
-        name=x.name, wbar_of=x.wbar_of)
+        name=x.name, wbar_of=x.wbar_of,
+        radix=None if x.radix is None else x.radix[:M + 1])
 
 
 def _guard_sizes(sizes: list[int], budget: Budget | None, what: str) -> None:

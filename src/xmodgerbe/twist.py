@@ -13,7 +13,6 @@ homotopy classes of maps into W-bar) and reports loudly when they disagree.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -224,10 +223,10 @@ def build_wbar(g: TruncatedSimplicialGroup, N: int | None = None,
 
     Index encoding: a level-n simplex (t_0, ..., t_{n-1}), t_k in G_{n-1-k},
     is the mixed-radix number with digits t_k and radices |G_{n-1-k}|, the
-    position of the tuple in itertools.product order.  A whole level is
-    built at once: every face and degeneracy component is a column gather
-    through the faces, degeneracies and tables of g, re-encoded below or
-    above.
+    position of the tuple in itertools.product order; `label` decodes the
+    tuple from the index.  A whole level is built at once: every face and
+    degeneracy component is a column gather through the faces,
+    degeneracies and tables of g, re-encoded below or above.
     """
     if N is None:
         N = g.N
@@ -237,8 +236,6 @@ def build_wbar(g: TruncatedSimplicialGroup, N: int | None = None,
     radix = [[g.sizes[n - 1 - k] for k in range(n)] for n in range(N + 1)]
     sizes = [math.prod(r) for r in radix]
     _guard_sizes(sizes, budget, name)
-    tuples = [list(itertools.product(*(range(r) for r in radix[n])))
-              for n in range(N + 1)]
 
     faces: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
     degens: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
@@ -262,8 +259,8 @@ def build_wbar(g: TruncatedSimplicialGroup, N: int | None = None,
                 head = [g.degens[n - 1 - k][j - 1 - k][t[k]] for k in range(j)]
                 degens[n].append(_radix_encode(head + [g.identity(n - j)] + t[j:],
                                                radix[n + 1], size))
-    w = TruncatedSimplicialSet(N, sizes, faces, degens, labels=tuples,
-                               name=name, wbar_of=g.name)
+    w = TruncatedSimplicialSet(N, sizes, faces, degens, name=name,
+                               wbar_of=g.name, radix=radix)
     tau = Twisting(w, g, tau_vals, name=f"tau({name})")
     return w, tau
 

@@ -41,8 +41,8 @@ from .fingroup import (CrossedModule, FiniteGroup, cokernel,
                        xmod_identity)
 from .simplicial import (SimplicialMap, TruncatedSimplicialGroup,
                          TruncatedSimplicialSet, _guard_sizes, _radix_digits,
-                         _radix_encode, moore_homotopy, validate_map,
-                         validate_simplicial)
+                         _radix_encode, _radix_labels, moore_homotopy,
+                         validate_map, validate_simplicial)
 from .twist import Twisting, build_wbar
 from .util import Budget, Report, StructureError
 
@@ -214,10 +214,11 @@ def build_duskin(xm: CrossedModule, N: int,
     Index encoding: a level-n simplex is the mixed-radix number whose digits
     are d_{0,1}, ..., d_{n-1,n} (radix |D|, most significant first) and then
     the h_{i,i+1,k} in `_free_triples` order (radix |H|), i.e. the position
-    of its label (ds, hs) in itertools.product order.  A whole level is
-    built at once: labels are derived as columns, and each face or
-    degeneracy re-reads the free data of the image along its vertex map,
-    with identities on the collapsed edges and triangles.
+    of its label (ds, hs) in itertools.product order; `label` decodes the
+    label from the index.  A whole level is built at once: labels are
+    derived as columns, and each face or degeneracy re-reads the free data
+    of the image along its vertex map, with identities on the collapsed
+    edges and triangles.
     """
     if N > 4:
         raise StructureError("2-categorical nerve unsupported above dimension 4")
@@ -228,10 +229,6 @@ def build_duskin(xm: CrossedModule, N: int,
     radix = [_duskin_radix(xm, n) for n in range(N + 1)]
     sizes = [math.prod(r) for r in radix]
     _guard_sizes(sizes, budget, f"D({xm.name})")
-    labels = [list(itertools.product(itertools.product(range(D.order), repeat=n),
-                                     itertools.product(range(H.order),
-                                                       repeat=len(_free_triples(n)))))
-              for n in range(N + 1)]
 
     def read_free(m: int, vmap: list[int], d: dict, h: dict, size: int) -> np.ndarray:
         """Level-m indices of the simplices on the (non-decreasing) vertices vmap."""
@@ -257,8 +254,10 @@ def build_duskin(xm: CrossedModule, N: int,
                 vmap = [m if m <= j else m - 1 for m in range(n + 2)]
                 degens[n].append(read_free(n + 1, vmap, d, h, sizes[n]))
 
-    out = TruncatedSimplicialSet(N, sizes, faces, degens,
-                                 labels=labels, name=f"D({xm.name})")
+    # names ((d_01, ..), (h_012, ..)): the spine digits, then the triangles
+    named = [[r[:n], r[n:]] for n, r in enumerate(radix)]
+    out = TruncatedSimplicialSet(N, sizes, faces, degens, name=f"D({xm.name})",
+                                 radix=named)
     srep = validate_simplicial(out)
     if not srep.ok:
         raise StructureError(f"2-categorical nerve failed checks: {srep.summary()}")
@@ -286,21 +285,11 @@ class MatchResult:
         return {
             "found": True,
             "truncation": self.wbar.N,
-            "levels": [[int(v) for v in arr] for arr in self.iso.levels],
-            "inverse": [[int(v) for v in arr] for arr in self.inverse],
-            "wbar_labels": [[_label_json(self.wbar.label(n, i))
-                             for i in range(self.wbar.sizes[n])]
-                            for n in range(self.wbar.N + 1)],
-            "duskin_labels": [[_label_json(self.duskin.label(n, i))
-                               for i in range(self.duskin.sizes[n])]
-                              for n in range(self.duskin.N + 1)],
+            "levels": [arr.tolist() for arr in self.iso.levels],
+            "inverse": [arr.tolist() for arr in self.inverse],
+            "wbar_labels": [_radix_labels(r) for r in self.wbar.radix],
+            "duskin_labels": [_radix_labels(r) for r in self.duskin.radix],
         }
-
-
-def _label_json(lab):
-    if isinstance(lab, tuple):
-        return [_label_json(x) for x in lab]
-    return int(lab) if isinstance(lab, (int, np.integer)) else str(lab)
 
 
 def _face_on(x: TruncatedSimplicialSet, n: int,

@@ -148,11 +148,12 @@ def test_wbar_matches_scalar_oracle():
     assert all(grp.identity != 0 for grp in groups[-1].groups)
     for g in groups:
         w, tau = build_wbar(g, 3)
+        labels = [[w.label(n, i) for i in range(w.sizes[n])] for n in range(4)]
         got = (w.sizes, [[a.tolist() for a in lvl] for lvl in w.faces],
-               [[a.tolist() for a in lvl] for lvl in w.degens], w.labels)
+               [[a.tolist() for a in lvl] for lvl in w.degens], labels)
         assert got == naive_wbar(g, 3), g.name
         for n in range(1, 4):
-            assert tau.values[n].tolist() == [t[0] for t in w.labels[n]]
+            assert tau.values[n].tolist() == [t[0] for t in labels[n]]
 
 
 # ---------------------------------------------------------------------------

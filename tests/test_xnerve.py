@@ -1,5 +1,6 @@
 """Nerve of a crossed module, Duskin complex, and the matching results."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -81,7 +82,8 @@ def _rotated(xm):
 
 def _as_lists(x):
     return (x.sizes, [[a.tolist() for a in lvl] for lvl in x.faces],
-            [[a.tolist() for a in lvl] for lvl in x.degens], x.labels)
+            [[a.tolist() for a in lvl] for lvl in x.degens],
+            [[x.label(n, i) for i in range(x.sizes[n])] for n in range(x.N + 1)])
 
 
 def test_duskin_matches_scalar_oracle(corpus):
@@ -162,6 +164,39 @@ def test_dictionary_with_h_for_its_inverse_fails_validation(monkeypatch):
     monkeypatch.setattr(xnerve, "_iso_levels", h_for_inverse)
     with pytest.raises(StructureError, match="face-commutes-d1@2"):
         match_wbar_duskin(xmod_identity(symmetric_group(3)), 3)
+
+
+def test_model_names_are_decoded_from_the_index():
+    # W-bar and the 2-nerve keep no name per simplex: label decodes one from
+    # its index and index encodes it back
+    m = match_wbar_duskin(xmod_mod(4, 2), 3)
+    for x in (m.wbar, m.duskin):
+        for n in range(x.N + 1):
+            names = [x.label(n, i) for i in range(x.sizes[n])]
+            assert [x.index(n, lab) for lab in names] == list(range(x.sizes[n]))
+    assert m.wbar.label(0, 0) == () and m.duskin.label(0, 0) == ((), ())
+    assert m.duskin.label(2, 13) == ((1, 1), (1,))
+    with pytest.raises(KeyError):
+        m.duskin.index(2, ((1, 2), (1,)))
+
+
+def test_match_keeps_little_memory_alive():
+    # the two models hold their face and degeneracy arrays and no name per
+    # simplex: about 3.3 MiB for xmod_mod(8, 4) at N = 3, and 7.6 MiB when
+    # every simplex also kept a tuple of its digits
+    xm = xmod_mod(8, 4)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m = match_wbar_duskin(xm, 3)
+        alive = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert m.wbar.sizes[3] == 32_768
+    assert alive <= 4.5 * 2**20, alive
 
 
 def _searched_iso(xm, budget):

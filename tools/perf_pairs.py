@@ -16,8 +16,10 @@ always runs first.  Each run reads the JSON object on the last line of the
 benchmark's stdout.
 
 The output file gets a ``perfbench`` section with, per workload and
-end-to-end metric, each side's sorted runs, median and quartiles and the
-number of seeds on which the change was better (lower).  Other top-level
+end-to-end metric, each side's sorted runs, median and quartiles, the
+number of seeds on which the change was better (lower) and a verdict
+against the metric's bound in the parent's ``BENCHMARK.json`` (see
+``verdict``).  Other top-level
 keys of an existing output file are kept, so hand-collected numbers can sit
 beside the runs.  Nothing under ``perfbench/`` is changed.
 """
@@ -89,8 +91,45 @@ def summary(runs: list[float]) -> dict:
             "q3": round(q3, 4), "runs": sorted(round(r, 4) for r in runs)}
 
 
-def compare(workload_runs: dict[str, list[dict]]) -> dict:
-    """Per end-to-end metric: both sides' summaries and the pairs won."""
+def verdict(p: list[float], c: list[float], bound: float,
+            better: str = "lower") -> str:
+    """How the change's runs `c` compare with the parent's runs `p`, taken
+    pair by pair, for a metric that may worsen by `bound` times the
+    parent's median:
+
+    - "gain": the change is better in at least 9/10 of the pairs, ties
+      counting for neither, and the medians differ by more than the
+      distance between the parent's quartiles;
+    - "worse": the change's median is worse than the parent's by more
+      than the bound;
+    - "unresolved": either side's quartiles lie further apart than the
+      bound, relative to its median, unless every run of the change is
+      better than every run of the parent;
+    - "no worse": otherwise.
+    """
+    sign = 1 if better == "lower" else -1
+    p, c = [sign * v for v in p], [sign * v for v in c]
+    pm, cm = statistics.median(p), statistics.median(c)
+    q1, _, q3 = statistics.quantiles(p, n=4)
+    won = sum(b < a for a, b in zip(p, c, strict=True))
+    if 10 * won >= 9 * len(p) and pm - cm > q3 - q1:
+        return "gain"
+    if cm - pm > bound * abs(pm):
+        return "worse"
+
+    def spread(runs: list[float]) -> float:
+        lo, _, hi = statistics.quantiles(runs, n=4)
+        return (hi - lo) / abs(statistics.median(runs))
+    if max(spread(p), spread(c)) > bound and max(c) >= min(p):
+        return "unresolved"
+    return "no worse"
+
+
+def compare(workload_runs: dict[str, list[dict]],
+            metrics: dict[str, dict]) -> dict:
+    """Per end-to-end metric: both sides' summaries, the pairs won and,
+    where `metrics` (the ``end_to_end`` entries of BENCHMARK.json, by
+    name) gives its bound, the verdict."""
     parent, change = workload_runs["parent"], workload_runs["change"]
     out = {}
     for name in parent[0]["metrics"]:
@@ -99,6 +138,9 @@ def compare(workload_runs: dict[str, list[dict]]) -> dict:
         won = sum(b < a for a, b in zip(p, c))
         out[name] = {"parent": summary(p), "change": summary(c),
                      "change_lower_in_pairs": f"{won}/{len(p)}"}
+        if name in metrics:
+            out[name]["verdict"] = verdict(p, c, metrics[name]["bound"],
+                                           metrics[name]["better"])
     return out
 
 
@@ -157,6 +199,8 @@ def main(argv=None) -> int:
         roots = {"parent": os.path.join(tmp, "parent"),
                  "change": os.path.join(tmp, "change")}
         export_revision(args.parent, roots["parent"])
+        with open(os.path.join(roots["parent"], "BENCHMARK.json")) as fh:
+            metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
         if args.change:
             export_revision(args.change, roots["change"])
         else:
@@ -176,7 +220,7 @@ def main(argv=None) -> int:
                 "seeds": seeds,
                 "all_correct": all(r["correct"] for r in every),
                 "failed": sum(r["failed"] for r in every),
-                "metrics": compare(runs),
+                "metrics": compare(runs, metrics),
             }
             with open(args.out, "w") as fh:
                 json.dump(doc, fh, indent=1)
