@@ -158,6 +158,7 @@ def parse_group(spec: str):
 
 
 def parse_cover(spec: str) -> CoverComplex:
+    from .fingroup import _ints
     from .simplicial import (CoverComplex, ball_cover, circle_cover,
                              sphere_cover)
     if os.path.isfile(spec):
@@ -169,7 +170,7 @@ def parse_cover(spec: str) -> CoverComplex:
     if parts[0] not in makers:
         raise StructureError(f"unknown cover '{spec}'; use circle:n, ball:k, "
                              "sphere:k, or a JSON file")
-    return makers[parts[0]](int(parts[1]))
+    return makers[parts[0]](*_ints(parts[0], parts[1:], 1))
 
 
 def parse_sset(spec: str, n: int):
@@ -266,13 +267,6 @@ def _homotopy_crosscheck(xm, cl, budget_limit: int) -> dict:
     """Independent class count through the classification theorem
     H^1(X; H -> D) = [X, B|N(H -> D)|]: the homotopy classes of the
     cocycles' maps, decided by `_gauge_classes`."""
-    from .gerbe import GUARD_ORDER
-    order = xm.H.order * xm.D.order
-    # beyond the classifier's exhaustive-mode guard the model dictionary and
-    # map-homotopy routes are not attempted
-    if order > GUARD_ORDER:
-        return {"checked": False, "reason": f"|H||D| = {order} beyond "
-                                            f"dictionary cap"}
     try:
         _, classes = _gauge_classes(xm, cl.cocycles, cl.orbit_of,
                                     budget_limit)
@@ -472,7 +466,7 @@ DISPATCH = {
 # result cache (gerbe-classify)
 
 # bump when the entry layout or the meaning of a result changes
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 def _cache_path(cfg: RunConfig, cover: CoverComplex,

@@ -768,17 +768,13 @@ class AssignmentSpec:
 
 
 class _Search:
-    def __init__(self, spec: AssignmentSpec, budget: Budget, distinct: bool = False):
+    def __init__(self, spec: AssignmentSpec, budget: Budget):
         self.spec = spec
         self.budget = budget
-        self.distinct = distinct
         x = spec.x
         self.N = x.N
         # values[n][z] is None while z has no value
         self.values: list[list] = [[None] * s for s in x.sizes]
-        # the values in use per level, kept only for distinct (injective) searches
-        self.used: list[set[int]] | None = \
-            [set() for _ in x.sizes] if distinct else None
         # narrowed candidate domains of still-unassigned simplices, one dict
         # per level; every change is recorded on the trail
         self.domains: list[dict[int, list[int]]] = [dict() for _ in x.sizes]
@@ -856,11 +852,6 @@ class _Search:
         return found is not None
 
     def _set(self, n: int, z: int, v: int, trail: list) -> bool:
-        if self.distinct:
-            used = self.used[n]
-            if v in used:
-                return False
-            used.add(v)
         vals = self.values[n]
         vals[z] = v
         trail.append((n, z))
@@ -949,8 +940,6 @@ class _Search:
                                     u = f
                             if u >= 0:
                                 score[u] -= 1
-                if self.distinct:
-                    self.used[n].discard(vals[z])
                 vals[z] = None
             else:
                 n, z, old = e
@@ -1074,18 +1063,16 @@ class _Search:
             return "top"
 
         # The top level: nothing lies above it, so a value there only
-        # records itself (and, in a distinct search, its use), no domain is
-        # narrowed there, and frames would take its pick order strictly in
-        # sequence.  One flat depth-first loop makes the same tries, with an
+        # records itself, no domain is narrowed there, and frames would
+        # take its pick order strictly in sequence.  One flat depth-first loop makes the same tries, with an
         # iterator per position over the candidate list _feasible_up stored.
         _, _, top_order = plan[top]
         top_vals = self.values[self.N]
-        top_used = self.used[self.N] if self.distinct else None
         its: list = [None] * len(top_order)
 
         def fill_top():
             """Give every free top-level simplex a value, once per way."""
-            order, vals, used, lists = top_order, top_vals, top_used, self.top
+            order, vals, lists = top_order, top_vals, self.top
             spend = self.budget.spend
             k, p = len(order), 0
             if k:
@@ -1096,19 +1083,13 @@ class _Search:
                     p -= 1
                     continue
                 z = order[p]
-                if used is not None and vals[z] is not None:
-                    used.discard(vals[z])
-                for v in its[p]:
-                    spend()
-                    if used is None or v not in used:
-                        break
-                else:
+                v = next(its[p], None)
+                if v is None:
                     vals[z] = None
                     p -= 1
                     continue
+                spend()
                 vals[z] = v
-                if used is not None:
-                    used.add(v)
                 p += 1
                 if p < k:
                     its[p] = iter(lists[order[p]])
@@ -1124,8 +1105,6 @@ class _Search:
                         if limit is not None and emitted >= limit:
                             for z in top_order:
                                 top_vals[z] = None
-                            if top_used is not None:
-                                top_used.clear()
                             self._unset(trail, 0)
                             return
                 self._unset(trail, mark)
@@ -1172,11 +1151,11 @@ def _map_spec(x, y, pins: list[dict] | None = None) -> AssignmentSpec:
 
 
 def _found_maps(spec: AssignmentSpec, y: TruncatedSimplicialSet, budget: Budget,
-                limit: int | None = None, distinct: bool = False, name: str = "f"):
+                limit: int | None = None, name: str = "f"):
     """Yield each solution of `spec` as a map spec.x -> y that passed
     validate_map; a solution that fails it is a StructureError."""
     x = spec.x
-    for values in _Search(spec, budget, distinct).solutions(limit):
+    for values in _Search(spec, budget).solutions(limit):
         f = SimplicialMap(x, y, [np.array(v, dtype=np.int64) for v in values],
                           name=name)
         rep = validate_map(f)

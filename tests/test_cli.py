@@ -108,16 +108,27 @@ NOT_A_GROUP = ("names a crossed module, not a group; use cyclic:n, dihedral:n, "
     (("classify-bundles", "--sset", "circle", "--group", "xmod_fiber:cyclic:2"),
      "error: 'xmod_fiber:cyclic:2' " + NOT_A_GROUP),
     (("xmod-check", "xmod_id:xmod_mod:4:2"), "error: 'xmod_mod:4:2' " + NOT_A_GROUP),
+    (("gerbe-classify", "--cover", "sphere:4:9", "--xmod",
+      "xmod_fiber:cyclic:2"),
+     "error: 'sphere:4:9' has too many parameters; sphere takes 1"),
+    (("gerbe-classify", "--cover", "ball:3:", "--xmod",
+      "xmod_fiber:cyclic:2"),
+     "error: 'ball:3:' has too many parameters; ball takes 1"),
+    (("gerbe-classify", "--cover", "circle:x", "--xmod",
+      "xmod_fiber:cyclic:2"),
+     "error: 'circle:x' has a parameter that is not an integer"),
 ], ids=["nested-unknown", "nested-unknown-word", "nested-not-int",
         "xmod-not-int", "group-not-int", "xmod-extra", "nested-extra",
         "trivial-extra", "group-extra", "xmod-mod-zero", "xmod-is-cyclic",
         "xmod-is-symmetric", "xmod-is-trivial", "group-is-xmod-mod",
-        "group-is-xmod-fiber", "nested-is-xmod"])
+        "group-is-xmod-fiber", "nested-is-xmod", "cover-extra",
+        "cover-empty-extra", "cover-not-int"])
 def test_bad_spec_names_itself(capsys, argv, line):
-    # a nested unknown name once read as "invalid literal for int()",
-    # parameters past a preset's last one were once ignored, a zero modulus
-    # once raised ZeroDivisionError, and a group given for a crossed module
-    # (or the other way round) once ended in an AttributeError or TypeError
+    # a nested unknown name or a cover parameter that is not an integer once
+    # read as "invalid literal for int()", parameters past a preset's or a
+    # cover's last one were once ignored, a zero modulus once raised
+    # ZeroDivisionError, and a group given for a crossed module (or the
+    # other way round) once ended in an AttributeError or TypeError
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", line + "\n")
 
@@ -168,41 +179,65 @@ def test_gerbe_classify_cache_round_trip(capsys, tmp_path):
 
 def test_cache_entry_of_an_older_format_is_a_miss(capsys, tmp_path,
                                                   monkeypatch):
-    # format 2 entries may hold a map-homotopy check that the gauge route
-    # now completes, so they must not be served
+    # format 3 entries may hold a map-homotopy check skipped beyond an
+    # order cap that is gone, so they must not be served
     from xmodgerbe import cli
     argv = ("gerbe-classify", "--cover", "circle:3", "--xmod",
             "xmod_fiber:cyclic:2", "--format", "json", "--cache-dir",
             str(tmp_path))
-    monkeypatch.setattr(cli, "CACHE_FORMAT", 2)
+    monkeypatch.setattr(cli, "CACHE_FORMAT", 3)
     assert run_cli(capsys, *argv)[0] == 0
     monkeypatch.undo()
-    assert cli.CACHE_FORMAT == 3
+    assert cli.CACHE_FORMAT == 4
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and "cache hit" not in err
     assert "cache hit" in run_cli(capsys, *argv)[2]
 
 
-@pytest.mark.parametrize("cover, xmod, classes", [
-    ("circle:3", "xmod_base:symmetric:3", 3),
-    ("circle:3", "xmod_fiber:cyclic:2", 1),
-    ("ball:3", "xmod_fiber:cyclic:3", 1),
-    ("sphere:4", "xmod_fiber:cyclic:2", 2),
-    ("sphere:4", "xmod_fiber:cyclic:3", 3),
-    ("sphere:4", "xmod_aut:cyclic:3", 2),
-    ("sphere:4", "xmod_mod:4:2", 2),
+@pytest.mark.parametrize("cover, xmod, classes, flags", [
+    ("circle:3", "xmod_base:symmetric:3", 3, ()),
+    ("circle:3", "xmod_fiber:cyclic:2", 1, ()),
+    ("ball:3", "xmod_fiber:cyclic:3", 1, ()),
+    ("sphere:4", "xmod_fiber:cyclic:2", 2, ()),
+    ("sphere:4", "xmod_fiber:cyclic:3", 3, ()),
+    ("sphere:4", "xmod_aut:cyclic:3", 2, ()),
+    ("sphere:4", "xmod_mod:4:2", 2, ()),
+    ("circle:3", "xmod_id:symmetric:3", 1, ("--force",)),
+    ("circle:3", "xmod_aut:symmetric:3", 1, ("--force",)),
+    ("circle:3", "xmod_mod:8:4", 1, ("--force",)),
 ], ids=["circle3-S3", "circle3-Z2", "ball3-Z3", "sphere4-Z2", "sphere4-Z3",
-        "sphere4-autZ3", "sphere4-mod4:2"])
-def test_map_homotopy_checks_and_agrees(capsys, cover, xmod, classes):
+        "sphere4-autZ3", "sphere4-mod4:2", "circle3-idS3-forced",
+        "circle3-autS3-forced", "circle3-mod8:4-forced"])
+def test_map_homotopy_checks_and_agrees(capsys, cover, xmod, classes, flags):
     # conjugacy classes of S3 on the circle, H^2(S^2; H) for H -> 1, and
-    # the witness-orbit count for the two modules no other oracle covers;
-    # the last three ran out of budget on the prism route
+    # the witness-orbit count for the modules no other oracle covers; the
+    # sphere:4 rows after the first ran out of budget on the prism route,
+    # and the forced rows (|H||D| > 16) were once left unchecked
     code, out, _ = run_cli(capsys, "gerbe-classify", "--cover", cover,
-                           "--xmod", xmod, "--format", "json")
+                           "--xmod", xmod, "--format", "json", *flags)
     report = json.loads(out)
     assert code == 0 and report["results"]["classes"] == classes
     assert report["oracles"]["map_homotopy"] == {
         "checked": True, "classes": classes, "agree": True}
+
+
+def test_map_homotopy_names_its_budget_and_a_disagreement_exits_1(
+        capsys, monkeypatch):
+    # with the order cap gone, a forced run whose classification fits the
+    # budget but whose W-bar does not says so; a contradicted count exits 1
+    from xmodgerbe import cli
+    argv = ("gerbe-classify", "--cover", "circle:3", "--xmod", "xmod_mod:8:4",
+            "--force", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv, "--budget", "5000")
+    check = json.loads(out)["oracles"]["map_homotopy"]
+    assert code == 0 and check["checked"] is False
+    assert check["reason"].startswith("budget: Wbar(N(Z8->Z4)) level 3 has "
+                                      "32768 simplices")
+    monkeypatch.setattr(cli, "_gauge_classes", lambda *args: (None, [[0], [1]]))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["oracles"]["map_homotopy"] == {
+        "checked": True, "classes": 2, "agree": False}
 
 
 def _classify_cached(capsys, cover_file, cache):
@@ -424,7 +459,7 @@ def test_duskin_compare_bytes_are_pinned(capsys, tmp_path):
 
 
 def test_match_budget_runs_out_inside_the_top_level(capsys):
-    # 32,768 of the 32,908 nodes of the injective engine search between the
+    # 32,768 of the 32,901 nodes of the engine's first map between the
     # xmod_mod:8:4 models are top-level tries; the last one is the node one
     # budget step short of the search
     from xmodgerbe.fingroup import xmod_mod
@@ -435,13 +470,12 @@ def test_match_budget_runs_out_inside_the_top_level(capsys):
 
     def search(limit):
         return next(_found_maps(_map_spec(m.wbar, m.duskin), m.duskin,
-                                Budget(limit, what="model match"), limit=1,
-                                distinct=True))
+                                Budget(limit, what="model match"), limit=1))
 
     with pytest.raises(BudgetError,
-                       match="model match: needs ~32908 steps, budget is 32907"):
-        search(32_907)
-    assert search(32_908).source is m.wbar
+                       match="model match: needs ~32901 steps, budget is 32900"):
+        search(32_900)
+    assert search(32_901).source is m.wbar
     # the command builds its dictionary without a search, so its budget
     # guards only the model sizes: 32,768 simplices at level 3
     argv = ("duskin-compare", "--xmod", "xmod_mod:8:4", "--budget")

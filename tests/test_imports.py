@@ -57,7 +57,8 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
 
 
 def test_no_unused_imports():
-    paths = sorted([*ROOT.glob("src/xmodgerbe/*.py"), *ROOT.glob("tests/*.py")])
+    paths = sorted([*ROOT.glob("src/xmodgerbe/*.py"), *ROOT.glob("tests/*.py"),
+                    *ROOT.glob("tools/*.py")])
     assert paths
     assert [f"{p.relative_to(ROOT)}:{line}: {name}"
             for p in paths for line, name in unused_imports(p)] == []

@@ -199,20 +199,20 @@ def test_match_keeps_little_memory_alive():
     assert alive <= 4.5 * 2**20, alive
 
 
-def _searched_iso(xm, budget):
-    # the engine's injective search between the two models, which the
-    # closed form replaced; it still exercises the engine on a big level
+def _searched_map(xm, budget):
+    # the engine's first map from W-bar to the 2-nerve: not the closed-form
+    # isomorphism, but a search that exercises the engine on a big level
     m = match_wbar_duskin(xm, N=3)
     return next(_found_maps(_map_spec(m.wbar, m.duskin), m.duskin, budget,
-                            limit=1, distinct=True, name="model-iso"))
+                            limit=1, name="model-map"))
 
 
 def test_match_nodes_are_pinned():
-    # search nodes of an injective search between the two models: they move
-    # with any change to the engine's pick order or pruning
-    for (n, k), nodes in (((8, 4), 32_908), ((4, 2), 533)):
+    # search nodes of the first map between the two models: they move with
+    # any change to the engine's pick order or pruning
+    for (n, k), nodes in (((8, 4), 32_901), ((4, 2), 531)):
         budget = Budget(what="match")
-        assert validate_map(_searched_iso(xmod_mod(n, k), budget)).ok
+        assert validate_map(_searched_map(xmod_mod(n, k), budget)).ok
         assert budget.used == nodes
 
 
