@@ -157,20 +157,22 @@ def parse_group(spec: str):
     return preset_library(*_group_parts(spec))
 
 
-def parse_cover(spec: str) -> CoverComplex:
+def parse_cover(spec: str, budget: Budget | None = None) -> CoverComplex:
+    """The cover a spec or JSON file names; one whose closure under
+    subsets would list more sets than `budget` allows is a BudgetError."""
     from .fingroup import _ints
     from .simplicial import (CoverComplex, ball_cover, circle_cover,
                              sphere_cover)
     if os.path.isfile(spec):
         with open(spec) as fh:
-            return CoverComplex.from_json(json.load(fh))
+            return CoverComplex.from_json(json.load(fh), budget)
     parts = _spec_parts(spec, COVER_FORMS)
     makers = {"circle": circle_cover, "ball": ball_cover,
               "sphere": sphere_cover}
     if parts[0] not in makers:
         raise StructureError(f"unknown cover '{spec}'; use circle:n, ball:k, "
                              "sphere:k, or a JSON file")
-    return makers[parts[0]](*_ints(parts[0], parts[1:], 1))
+    return makers[parts[0]](*_ints(parts[0], parts[1:], 1), budget=budget)
 
 
 def parse_sset(spec: str, n: int):
@@ -226,41 +228,49 @@ def _action_trivial(xm: CrossedModule) -> bool:
 
 def _gauge_classes(xm, cocycles, hint, budget_limit: int
                    ) -> tuple[list, list[list[int]]]:
-    """The cocycles' maps f: X -> W-bar N(H -> D), and their homotopy
+    """The cocycles' maps f: X<= -> W-bar N(H -> D), and their homotopy
     classes decided as gauge classes of the pulled-back twistings f*tau.
+
+    X<= is the ordered cover nerve, the non-decreasing tuples of charts,
+    and each map is written down by `ordered_cocycle_maps`: no search runs
+    to build it.  W-bar is Kan, so homotopy classes of maps out of X<= are
+    those out of the full cover nerve.  The partition is `_gauge_partition`'s
+    with `hint` (say, the witness orbits) ordering its searches; each model
+    gets a size budget of the run's limit."""
+    from .gerbe import ordered_cocycle_maps
+    from .xnerve import match_wbar_duskin
+    match = match_wbar_duskin(xm, N=3,
+                              budget=Budget(budget_limit, what="dictionary"))
+    maps = ordered_cocycle_maps(cocycles, match,
+                                budget=Budget(budget_limit, what="nerve"))
+    return maps, _gauge_partition(xm, match, maps, hint, budget_limit)
+
+
+def _gauge_partition(xm, match, maps, hint, budget_limit: int
+                     ) -> list[list[int]]:
+    """Homotopy classes of maps f: X -> W-bar N(H -> D) into the W-bar of
+    `match`, decided as gauge classes of the pulled-back twistings f*tau.
 
     Maps X -> W-bar G up to homotopy are twistings X -> G up to gauge
     equivalence (May, Simplicial Objects in Algebraic Topology, 18-21), so
-    the searches run over the cover nerve X, not X x Delta[1].  Each gets
-    a budget of the run's limit, as each cocycle extension does, every
-    witness is checked by `twistings_equivalent`, and `hint` (say, the
-    witness orbits) only orders the searches; see `partition`."""
-    from .gerbe import cocycle_to_simplicial_map
+    the searches run over X, not X x Delta[1].  Each gets a budget of the
+    run's limit, every witness is checked by `twistings_equivalent`, and
+    `hint` only orders the searches; see `partition`."""
     from .simplicial import partition
     from .twist import Twisting, pullback_twisting, twistings_equivalent
-    from .xnerve import build_nerve, match_wbar_duskin
-    match = match_wbar_duskin(xm, N=3,
-                              budget=Budget(budget_limit, what="dictionary"))
+    from .xnerve import build_nerve
     # tau takes values in levels 0-2 of the nerve; a gauge on X reaches
     # level 3, whose lower levels are the same tables
     group = build_nerve(xm, 3, budget=Budget(budget_limit, what="nerve"))
     tau = Twisting(match.wbar, group, list(match.tau.values))
-    nerve = None
-    maps, twistings = [], []
-    for c in cocycles:
-        cm = cocycle_to_simplicial_map(
-            c, match, nerve=nerve,
-            budget=Budget(budget_limit, what="cocycle extension"))
-        nerve = cm.nerve
-        maps.append(cm.wbar_map)
-        twistings.append(pullback_twisting(tau, cm.wbar_map))
+    twistings = [pullback_twisting(tau, f) for f in maps]
     classes, _ = partition(
         len(twistings),
         lambda r, i, _b: twistings_equivalent(
             twistings[r], twistings[i],
             budget=Budget(budget_limit, what="gauge equivalence")),
         hint=hint)
-    return maps, classes
+    return classes
 
 
 def _homotopy_crosscheck(xm, cl, budget_limit: int) -> dict:
@@ -277,7 +287,7 @@ def _homotopy_crosscheck(xm, cl, budget_limit: int) -> dict:
 
 
 def cmd_gerbe_classify(cfg: RunConfig) -> tuple[RunReport, int]:
-    cover = parse_cover(cfg.inputs["cover"])
+    cover = parse_cover(cfg.inputs["cover"], Budget(cfg.budget, what="cover"))
     xm = parse_xmod(cfg.inputs["xmod"])
     cache = _cache_path(cfg, cover, xm)
     hit = _cache_load(cache)
@@ -411,7 +421,7 @@ def cmd_gauge_verify(cfg: RunConfig) -> tuple[RunReport, int]:
 
 def cmd_lift(cfg: RunConfig) -> tuple[RunReport, int]:
     from .gerbe import LiftPlan, enumerate_cocycles
-    cover = parse_cover(cfg.inputs["cover"])
+    cover = parse_cover(cfg.inputs["cover"], Budget(cfg.budget, what="cover"))
     target = parse_xmod(cfg.inputs["xmod"])
     plan = LiftPlan(cover, target)
     if (cfg.inputs.get("base_xmod")

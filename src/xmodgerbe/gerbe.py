@@ -12,10 +12,10 @@ breadth-first search over single-chart / single-pair generator witnesses
 with canonical-form hashing.  `abelian_oracle` independently computes Čech
 cohomology of the cover with finite abelian coefficients through integer
 Smith normal form, `LiftPlan` lifts cocycles along alpha with an H^3
-obstruction cross-check, and `cocycle_to_simplicial_map` converts cocycles
-into simplicial maps from the cover nerve into the 2-categorical nerve and
-the classifying space, for the homotopy-theoretic count of the same
-classification.
+obstruction cross-check, and `ordered_cocycle_maps` writes each cocycle
+down as a simplicial map from the ordered cover nerve into the classifying
+space, for the homotopy-theoretic count of the same classification
+(`cocycle_to_simplicial_map` extends one to the full cover nerve by search).
 """
 from __future__ import annotations
 
@@ -29,7 +29,8 @@ from .fingroup import (CrossedModule, FiniteGroup, abelian_invariants,
                        derived_crossed_modules, kernel)
 from .intlinalg import ModSolver, homology
 from .simplicial import (CoverComplex, SimplicialMap, TruncatedSimplicialSet,
-                         _found_maps, _map_spec, cover_nerve, validate_map)
+                         _found_maps, _map_spec, _radix_encode, _radix_split,
+                         cover_nerve, ordered_cover_nerve, validate_map)
 from .util import Budget, BudgetError, StructureError
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "LiftPlan",
     "lift_gerbe",
     "CocycleMaps",
+    "ordered_cocycle_maps",
     "cocycle_to_simplicial_map",
     "map_to_cocycle",
     "cocycle_to_json",
@@ -603,6 +605,74 @@ def lift_gerbe(c: GerbeCocycle, xm: CrossedModule,
 # cocycles as simplicial maps
 
 
+def _ordered_reads(cover: CoverComplex, x: TruncatedSimplicialSet
+                   ) -> list[tuple[list[list[int]], list[list[int]]]]:
+    """What the map of a cocycle reads on each simplex of x, the ordered
+    nerve of `cover`: per level n, the pair each spine edge (i, i+1) reads,
+    then the triple each free triangle (i, i+1, k) of the 2-nerve reads, as
+    positions in cover.simplices(1) and cover.simplices(2), one list per
+    edge or triangle over the level's simplices.  The position one past the
+    last pair (triple) stands for the identity of D (H), which an edge on a
+    repeated chart reads, and so does a triangle with a repeated chart, as
+    in the 2-nerve's own degeneracies."""
+    from .xnerve import _free_triples   # loaded with the 2-nerve already
+    pairs, triples = cover.simplices(1), cover.simplices(2)
+    at_d = {p: i for i, p in enumerate(pairs)}
+    at_h = {t: i for i, t in enumerate(triples)}
+    reads = []
+    for n in range(x.N + 1):
+        tuples = x.labels[n]
+        edges = [[len(pairs) if t[i] == t[i + 1] else at_d[t[i], t[i + 1]]
+                  for t in tuples] for i in range(n)]
+        tris = [[len(triples) if t[i] == t[i + 1] or t[i + 1] == t[k]
+                 else at_h[t[i], t[i + 1], t[k]] for t in tuples]
+                for i, k in _free_triples(n)]
+        reads.append((edges, tris))
+    return reads
+
+
+def ordered_cocycle_maps(cocycles: list[GerbeCocycle], match,
+                         budget: Budget | None = None) -> list[SimplicialMap]:
+    """The map X<= -> W-bar of each cocycle, written down, not searched.
+
+    X<= is `ordered_cover_nerve` of the cocycles' (common) cover at the
+    truncation of `match`, a MatchResult for their crossed module.  On X<=
+    the free data of a simplex's image in the 2-nerve are its spine edges
+    and its triangles (i, i+1, k), each a value of the cocycle or an
+    identity (see `_ordered_reads`), so the map is unique.  A level is
+    built for all cocycles at once, as column gathers and one radix
+    encoding, then carried into W-bar by `match.inverse`.  Every map must
+    pass `validate_map`, or this is a StructureError.  `budget` bounds the
+    size of X<=.
+    """
+    cover, xm = cocycles[0].cover, cocycles[0].xm
+    if any(c.cover.sets != cover.sets for c in cocycles):
+        raise StructureError("cocycles live on different covers")
+    x = ordered_cover_nerve(cover, match.wbar.N, budget=budget)
+    # one row per cocycle: its values in pair (triple) order, then the
+    # identity that repeated charts read
+    dv = np.array([[c.d[p] for p in cover.simplices(1)] + [xm.D.identity]
+                   for c in cocycles], dtype=np.int64)
+    hv = np.array([[c.h[t] for t in cover.simplices(2)] + [xm.H.identity]
+                   for c in cocycles], dtype=np.int64)
+    levels = []
+    for n, (edges, tris) in enumerate(_ordered_reads(cover, x)):
+        digits = [dv[:, at] for at in edges] + [hv[:, at] for at in tris]
+        radix, _ = _radix_split(match.duskin.radix[n])
+        image = _radix_encode(digits, radix, (len(cocycles), x.sizes[n]))
+        levels.append(match.inverse[n][image])
+    maps = []
+    for j, c in enumerate(cocycles):
+        f = SimplicialMap(x, match.wbar, [lvl[j] for lvl in levels],
+                          name=f"{c.name}-wmap")
+        rep = validate_map(f)
+        if not rep.ok:
+            raise StructureError(f"closed-form map of {c.name} failed "
+                                 f"validation: {rep.summary()}")
+        maps.append(f)
+    return maps
+
+
 @dataclass
 class CocycleMaps:
     nerve: TruncatedSimplicialSet
@@ -620,6 +690,11 @@ def cocycle_to_simplicial_map(c: GerbeCocycle, match, budget: Budget | None = No
     re-validated.  The map into the classifying space is the 2-nerve map
     composed with the model dictionary `match` (a MatchResult for the same
     crossed module).
+
+    No command calls it: the cross-check of `gerbe-classify` writes its maps
+    down on the ordered nerve (`ordered_cocycle_maps`).  The suite's map
+    route of criterion 7, the `map_to_cocycle` round trip and the
+    extension-node pins call it, and `perfbench/tracer.py` hooks it by name.
     """
     duskin = match.duskin
     budget = budget or Budget(what="cocycle extension")

@@ -31,6 +31,7 @@ __all__ = [
     "validate_map",
     "constant_simplicial_group",
     "cover_nerve",
+    "ordered_cover_nerve",
     "delta1",
     "circle",
     "sset_product",
@@ -578,18 +579,34 @@ class CoverComplex:
     closure_added: bool = False
 
     @staticmethod
-    def from_sets(charts: int, intersections) -> CoverComplex:
+    def from_sets(charts: int, intersections,
+                  budget: Budget | None = None) -> CoverComplex:
+        """The cover whose family is the singletons and the declared
+        intersections, closed under subsets.
+
+        The closure lists 2^|s| - 1 sets for a declared set s.  Their
+        count, with the singletons, is compared with the run's node limit
+        (the default limit without a budget) as the sets are read, and a
+        cover over it is a BudgetError before any subset is listed."""
         if charts < 1:
             raise StructureError("cover needs at least one chart")
-        fam = {frozenset([i]) for i in range(charts)}
-        declared = set()
+        limit = DEFAULT_BUDGET if budget is None else budget.limit
+        closure, declared = charts, set()
         for s in intersections:
+            if closure > limit:
+                break
             fs = frozenset(int(v) for v in s)
             if not fs:
                 raise StructureError("empty intersection listed")
             if min(fs) < 0 or max(fs) >= charts:
                 raise StructureError(f"intersection {sorted(fs)} out of chart range")
-            declared.add(fs)
+            if fs not in declared:
+                declared.add(fs)
+                closure += 2 ** len(fs) - 1
+        if closure > limit:
+            raise BudgetError(f"closure of a cover of {charts} charts",
+                              closure, limit)
+        fam = {frozenset([i]) for i in range(charts)}
         closed = set(fam)
         for fs in declared:
             for r in range(1, len(fs) + 1):
@@ -618,66 +635,107 @@ class CoverComplex:
                 "intersections": sorted([sorted(s) for s in self.sets if len(s) > 1])}
 
     @staticmethod
-    def from_json(d: dict) -> CoverComplex:
+    def from_json(d: dict, budget: Budget | None = None) -> CoverComplex:
         if "charts" not in d or "intersections" not in d:
             raise StructureError("cover json needs 'charts' and 'intersections'")
-        return CoverComplex.from_sets(int(d["charts"]), d["intersections"])
+        return CoverComplex.from_sets(int(d["charts"]), d["intersections"],
+                                      budget)
 
 
-def circle_cover(n: int = 3) -> CoverComplex:
+# The presets hand `from_sets` their intersections one at a time, so a
+# cover over the budget is refused before its intersections are listed.
+
+
+def circle_cover(n: int = 3, budget: Budget | None = None) -> CoverComplex:
     """n arcs covering a circle: consecutive double overlaps, nothing higher."""
     if n < 3:
         raise StructureError("circle cover needs >= 3 charts")
-    return CoverComplex.from_sets(n, [[i, (i + 1) % n] for i in range(n)])
+    return CoverComplex.from_sets(n, ((i, (i + 1) % n) for i in range(n)),
+                                  budget)
 
 
-def ball_cover(k: int) -> CoverComplex:
+def ball_cover(k: int, budget: Budget | None = None) -> CoverComplex:
     """k charts with every intersection nonempty (a contractible nerve)."""
-    return CoverComplex.from_sets(k, [list(range(k))])
+    return CoverComplex.from_sets(k, [range(k)], budget)
 
 
-def sphere_cover(k: int) -> CoverComplex:
+def sphere_cover(k: int, budget: Budget | None = None) -> CoverComplex:
     """k charts, all intersections except the total one: nerve is a (k-2)-sphere."""
     if k < 3:
         raise StructureError("sphere cover needs >= 3 charts")
     return CoverComplex.from_sets(
-        k, [list(c) for c in itertools.combinations(range(k), k - 1)])
+        k, itertools.combinations(range(k), k - 1), budget)
 
 
-def _cover_nerve_sizes(cover: CoverComplex, N: int) -> list[int]:
+def _onto_all(m: int, s: int) -> int:
+    """Ordered m-tuples of charts onto a support of s charts."""
+    return sum((-1) ** j * math.comb(s, j) * (s - j) ** m for j in range(s + 1))
+
+
+def _onto_sorted(m: int, s: int) -> int:
+    """Non-decreasing m-tuples of charts onto a support of s charts."""
+    return math.comb(m - 1, s - 1)
+
+
+def _cover_nerve_sizes(cover: CoverComplex, N: int, onto=_onto_all) -> list[int]:
     """Level sizes of cover_nerve(cover, N) without listing its tuples:
-    level n counts, for each admissible support S, the (n+1)-tuples onto S."""
-    def onto(m: int, s: int) -> int:
-        return sum((-1) ** j * math.comb(s, j) * (s - j) ** m for j in range(s + 1))
+    level n counts, for each admissible support S, the (n+1)-tuples onto S
+    (`onto=_onto_sorted` counts those of ordered_cover_nerve)."""
     return [sum(onto(n + 1, len(s)) for s in cover.sets) for n in range(N + 1)]
+
+
+def _tuple_nerve(cover: CoverComplex, N: int, budget: Budget | None,
+                 tuples, onto, name: str) -> TruncatedSimplicialSet:
+    """The nerve whose level n is the admissible tuples of `tuples(n + 1)`,
+    in the order given, with faces deleting an entry and degeneracies
+    repeating one; `onto` counts the tuples for the size guard."""
+    _guard_sizes(_cover_nerve_sizes(cover, N, onto), budget, name)
+    levels: list[list[tuple[int, ...]]] = []
+    index: list[dict[tuple[int, ...], int]] = []
+    for n in range(N + 1):
+        lvl = [t for t in tuples(n + 1) if cover.admissible(t)]
+        levels.append(lvl)
+        index.append({t: i for i, t in enumerate(lvl)})
+    sizes = [len(lvl) for lvl in levels]
+    faces: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
+    degens: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
+    for n in range(1, N + 1):
+        for i in range(n + 1):
+            faces[n].append(np.array(
+                [index[n - 1][t[:i] + t[i + 1:]] for t in levels[n]], dtype=np.int64))
+    for n in range(N):
+        for i in range(n + 1):
+            degens[n].append(np.array(
+                [index[n + 1][t[:i] + (t[i],) + t[i:]] for t in levels[n]],
+                dtype=np.int64))
+    return TruncatedSimplicialSet(N, sizes, faces, degens, labels=levels,
+                                  name=name)
 
 
 def cover_nerve(cover: CoverComplex, N: int,
                 budget: Budget | None = None) -> TruncatedSimplicialSet:
     """Simplicial nerve of a cover: level n is the ordered (n+1)-tuples of
     charts (repeats allowed) whose support is an admissible intersection."""
-    _guard_sizes(_cover_nerve_sizes(cover, N), budget, f"nerve({cover.charts})")
-    tuples: list[list[tuple[int, ...]]] = []
-    index: list[dict[tuple[int, ...], int]] = []
-    for n in range(N + 1):
-        lvl = [t for t in itertools.product(range(cover.charts), repeat=n + 1)
-               if cover.admissible(t)]
-        tuples.append(lvl)
-        index.append({t: i for i, t in enumerate(lvl)})
-    sizes = [len(lvl) for lvl in tuples]
-    faces: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
-    degens: list[list[np.ndarray]] = [[] for _ in range(N + 1)]
-    for n in range(1, N + 1):
-        for i in range(n + 1):
-            faces[n].append(np.array(
-                [index[n - 1][t[:i] + t[i + 1:]] for t in tuples[n]], dtype=np.int64))
-    for n in range(N):
-        for i in range(n + 1):
-            degens[n].append(np.array(
-                [index[n + 1][t[:i] + (t[i],) + t[i:]] for t in tuples[n]],
-                dtype=np.int64))
-    return TruncatedSimplicialSet(N, sizes, faces, degens, labels=tuples,
-                                  name=f"nerve({cover.charts})")
+    return _tuple_nerve(
+        cover, N, budget,
+        lambda m: itertools.product(range(cover.charts), repeat=m),
+        _onto_all, f"nerve({cover.charts})")
+
+
+def ordered_cover_nerve(cover: CoverComplex, N: int,
+                        budget: Budget | None = None) -> TruncatedSimplicialSet:
+    """The simplicial subset X<= of cover_nerve(cover, N) of non-decreasing
+    tuples, listed in the same (lexicographic) order.
+
+    Faces and degeneracies keep a tuple non-decreasing, so X<= is closed
+    under them; it is the nerve complex of the cover ordered by chart
+    index.  A map from it into the 2-nerve is fixed by the values of the
+    increasing pairs and triples, which is how a cocycle's map is written
+    down in closed form (gerbe.ordered_cocycle_maps)."""
+    return _tuple_nerve(
+        cover, N, budget,
+        lambda m: itertools.combinations_with_replacement(range(cover.charts), m),
+        _onto_sorted, f"ordered-nerve({cover.charts})")
 
 
 # ---------------------------------------------------------------------------

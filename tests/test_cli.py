@@ -427,6 +427,24 @@ def test_gerbe_classify_guard_exit_3(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command", ["gerbe-classify", "lift"])
+@pytest.mark.parametrize("cover", ["sphere:30", "json-40"])
+def test_cover_closure_over_budget_exit_3(capsys, tmp_path, command, cover):
+    # closing these covers under subsets would list 30 (2^29 - 1) and
+    # 2^40 - 1 sets; the count is refused before any subset is listed
+    if cover == "json-40":
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps({"charts": 40,
+                                    "intersections": [list(range(40))]}))
+        cover = str(path)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, command, "--cover", cover,
+                             "--xmod", "xmod_fiber:cyclic:2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert "budget exhausted: closure of a cover of" in err
+
+
 def test_duskin_compare_and_out(capsys, tmp_path):
     out_dir = tmp_path / "dict"
     code, out, err = run_cli(capsys, "duskin-compare", "--xmod", "xmod_mod:4:2",

@@ -10,15 +10,18 @@ import pytest
 from xmodgerbe import simplicial
 from xmodgerbe.fingroup import (cyclic_group, symmetric_group, xmod_mod,
                                 xmod_trivial_base, xmod_trivial_fiber)
-from xmodgerbe.simplicial import (_map_spec, _Search, ball_cover, circle,
-                                  circle_cover, constant_simplicial_group,
-                                  cover_nerve, degeneracy_expressions, delta1,
+from xmodgerbe.simplicial import (CoverComplex, _map_spec, _Search,
+                                  ball_cover, circle, circle_cover,
+                                  constant_simplicial_group, cover_nerve,
+                                  degeneracy_expressions, delta1,
                                   enumerate_simplicial_maps, homotopy_classes,
                                   load_sset, moore_homotopy, nondegenerate,
-                                  simplicially_homotopic, sphere_cover,
+                                  ordered_cover_nerve, simplicially_homotopic,
+                                  sphere_cover,
                                   sset_from_json, sset_product, sset_to_json,
                                   truncate_sset, validate_simplicial)
-from xmodgerbe.util import Budget, BudgetError, Report, StructureError
+from xmodgerbe.util import (DEFAULT_BUDGET, Budget, BudgetError, Report,
+                            StructureError)
 
 from _oracles import brute_simplicial_maps
 
@@ -88,6 +91,48 @@ def test_cover_nerve_sizes():
     x = cover_nerve(circle_cover(3), 2)
     assert x.sizes == [3, 9, 21]
     assert validate_simplicial(x).ok
+
+
+@pytest.mark.parametrize("cover, sizes", [
+    (circle_cover(3), [3, 6, 9, 12]),
+    (sphere_cover(4), [4, 10, 20, 34]),
+    (ball_cover(4), [4, 10, 20, 35]),
+], ids=["circle3", "sphere4", "ball4"])
+def test_ordered_cover_nerve_is_the_sorted_subset(cover, sizes):
+    # X<= lists the non-decreasing tuples of the full nerve in the same
+    # order, and its faces and degeneracies are the full nerve's
+    x, full = ordered_cover_nerve(cover, 3), cover_nerve(cover, 3)
+    assert x.sizes == sizes == simplicial._cover_nerve_sizes(
+        cover, 3, simplicial._onto_sorted)
+    assert validate_simplicial(x).ok
+    where = []
+    for n in range(4):
+        assert x.labels[n] == [t for t in full.labels[n]
+                               if list(t) == sorted(t)]
+        where.append(np.array([full.index(n, t) for t in x.labels[n]]))
+    for n in range(1, 4):
+        for i in range(n + 1):
+            assert np.array_equal(where[n - 1][x.faces[n][i]],
+                                  full.faces[n][i][where[n]])
+    for n in range(3):
+        for i in range(n + 1):
+            assert np.array_equal(where[n + 1][x.degens[n][i]],
+                                  full.degens[n][i][where[n]])
+    with pytest.raises(BudgetError, match=f"level 3 has {sizes[3]} simplices"):
+        ordered_cover_nerve(cover, 3, budget=Budget(sizes[3] - 1))
+
+
+def test_cover_closure_is_counted_before_it_is_listed():
+    # ball:4 closes to its 4 charts plus the 2^4 - 1 subsets of its one
+    # intersection (the singletons counted twice); one set fewer is refused
+    ball_cover(4, budget=Budget(19))
+    with pytest.raises(BudgetError, match="closure of a cover of 4 charts: "
+                                          "needs ~19 steps, budget is 18"):
+        ball_cover(4, budget=Budget(18))
+    with pytest.raises(BudgetError, match="needs ~1099511627815 steps"):
+        CoverComplex.from_sets(40, [range(40)])
+    with pytest.raises(BudgetError):
+        CoverComplex.from_sets(DEFAULT_BUDGET + 1, [])
 
 
 def test_constant_group_and_moore():

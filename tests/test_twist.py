@@ -5,14 +5,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from xmodgerbe.cli import _gauge_classes, parse_xmod
+from xmodgerbe import gerbe
+from xmodgerbe.cli import _gauge_classes, _gauge_partition, parse_xmod
 from xmodgerbe.fingroup import (cyclic_group, preset_corpus, symmetric_group,
-                                xmod_identity, xmod_mod)
-from xmodgerbe.gerbe import enumerate_cocycles
+                                xmod_identity, xmod_mod, xmod_trivial_fiber)
+from xmodgerbe.gerbe import (cocycle_to_simplicial_map, enumerate_cocycles,
+                             ordered_cocycle_maps)
 from xmodgerbe.simplicial import (SimplicialMap, _Search, ball_cover, circle,
                                   circle_cover, constant_simplicial_group,
                                   cover_nerve, homotopy_classes, sphere_cover,
-                                  validate_simplicial)
+                                  validate_map, validate_simplicial)
 from xmodgerbe.twist import (Twisting, _check_witness, _twisting_spec,
                              build_twisted_product, build_wbar,
                              classify_bundles, enumerate_twistings,
@@ -170,24 +172,114 @@ ROUTE_CASES = (
        for spec in ("xmod_fiber:cyclic:2", "xmod_id:cyclic:2", "xmod_mod:2:2")])
 
 
-@pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
-                         ids=[c[0] for c in ROUTE_CASES])
-def test_gauge_and_prism_routes_partition_alike(cover, xm, most):
-    # homotopy of maps into W-bar (prism searches on X x Delta[1]) and
-    # gauge equivalence of the pulled-back twistings (searches on X) must
-    # give the same classes, first members included.  ball:4 has up to
-    # 4,096 cocycles and is contractible; an evenly strided subset of at
-    # most `most` is compared, as both routes decide one relation.
-    cocycles = enumerate_cocycles(cover, xm)
-    if most is not None:
-        cocycles = cocycles[::-(-len(cocycles) // most)]
-    maps, gauge = _gauge_classes(xm, cocycles, None, DEFAULT_BUDGET)
+def _strided(cocycles, most):
+    """An evenly strided subset of at most `most` cocycles (all for None)."""
+    return cocycles if most is None else cocycles[::-(-len(cocycles) // most)]
+
+
+def _searched_maps(cocycles, match):
+    """The cocycles' maps out of the full cover nerve, each extended by
+    search, as the suite's other routes build them."""
+    nerve, maps = None, []
+    for c in cocycles:
+        cm = cocycle_to_simplicial_map(c, match, nerve=nerve,
+                                       budget=Budget(what="extension"))
+        nerve = cm.nerve
+        maps.append(cm.wbar_map)
+    return maps
+
+
+def _prism_classes(maps, gauge):
     # the gauge classes only order the prism probes; the prism classes
     # cannot depend on the order (test_hint_orders_probes_but_not_classes)
     label = {i: ci for ci, cls in enumerate(gauge) for i in cls}
     prism, _ = homotopy_classes(maps, budget=Budget(what="homotopy"),
                                 hint=[label[i] for i in range(len(maps))])
-    assert gauge == prism
+    return prism
+
+
+@pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
+                         ids=[c[0] for c in ROUTE_CASES])
+def test_gauge_and_prism_routes_partition_alike(cover, xm, most):
+    # homotopy of maps into W-bar (prism searches on X x Delta[1]) and
+    # gauge equivalence of the pulled-back twistings (searches on X) must
+    # give the same classes, first members included, on the full cover
+    # nerve X.  ball:4 has up to 4,096 cocycles and is contractible; an
+    # evenly strided subset of at most `most` is compared, as both routes
+    # decide one relation.
+    cocycles = _strided(enumerate_cocycles(cover, xm), most)
+    match = match_wbar_duskin(xm, 3)
+    maps = _searched_maps(cocycles, match)
+    gauge = _gauge_partition(xm, match, maps, None, DEFAULT_BUDGET)
+    assert gauge == _prism_classes(maps, gauge)
+
+
+@pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
+                         ids=[c[0] for c in ROUTE_CASES])
+def test_gauge_and_prism_routes_partition_alike_on_the_ordered_nerve(
+        cover, xm, most):
+    # the same two routes on the ordered nerve X<=, where the cross-check
+    # of `gerbe-classify` runs
+    cocycles = _strided(enumerate_cocycles(cover, xm), most)
+    maps, gauge = _gauge_classes(xm, cocycles, None, DEFAULT_BUDGET)
+    assert all(f.source.name.startswith("ordered-nerve") for f in maps)
+    assert gauge == _prism_classes(maps, gauge)
+
+
+@pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
+                         ids=[c[0] for c in ROUTE_CASES])
+def test_closed_form_maps_restrict_the_searched_maps(cover, xm, most):
+    # every cocycle's closed-form map on X<= is the searched full-nerve map
+    # restricted to the non-decreasing tuples; the full nerve lists every
+    # tuple, so a tuple's label finds it there.  The gauge partitions of
+    # the two sets of maps are the same, first members included (on the
+    # strided subset, as above).
+    cocycles = enumerate_cocycles(cover, xm)
+    match = match_wbar_duskin(xm, 3)
+    ordered = ordered_cocycle_maps(cocycles, match)
+    searched = _searched_maps(cocycles, match)
+    x, full = ordered[0].source, searched[0].source
+    where = [np.array([full.index(n, t) for t in x.labels[n]])
+             for n in range(x.N + 1)]
+    for c, f, g in zip(cocycles, ordered, searched):
+        assert f.target is g.target is match.wbar
+        for n in range(x.N + 1):
+            assert np.array_equal(f.levels[n], g.levels[n][where[n]]), \
+                (c.key(), n)
+    keep = _strided(list(range(len(cocycles))), most)
+    on_ordered = _gauge_partition(xm, match, [ordered[i] for i in keep],
+                                  None, DEFAULT_BUDGET)
+    on_full = _gauge_partition(xm, match, [searched[i] for i in keep],
+                               None, DEFAULT_BUDGET)
+    assert on_ordered == on_full
+
+
+def test_closed_form_map_refuses_a_wrong_gather(monkeypatch):
+    # reading h_012 on the level-2 simplex (0, 0, 1), whose triangle has a
+    # repeated chart and must read the identity, breaks the degeneracy
+    # s_0 of the edge (0, 1): the map fails validate_map, and building it
+    # is a StructureError
+    xm = xmod_trivial_fiber(cyclic_group(2))
+    cover = ball_cover(3)
+    c = next(c for c in enumerate_cocycles(cover, xm)
+             if c.h[0, 1, 2] != xm.H.identity)
+    match = match_wbar_duskin(xm, 3)
+    f = ordered_cocycle_maps([c], match)[0]
+    assert validate_map(f).ok
+    x = f.source
+    z = x.labels[2].index((0, 0, 1))
+    real = gerbe._ordered_reads
+
+    def misread(cover, x):
+        reads = real(cover, x)
+        (tri,) = reads[2][1]
+        assert tri[z] == len(cover.simplices(2))      # the identity slot
+        tri[z] = cover.simplices(2).index((0, 1, 2))
+        return reads
+
+    monkeypatch.setattr(gerbe, "_ordered_reads", misread)
+    with pytest.raises(StructureError, match="degen-commutes-s0@1"):
+        ordered_cocycle_maps([c], match)
 
 
 @pytest.mark.parametrize("xm", SMALL, ids=[xm.name for xm in SMALL])
