@@ -232,9 +232,10 @@ def _gauge_classes(xm, cocycles, hint, budget_limit: int
     classes decided as gauge classes of the pulled-back twistings f*tau.
 
     X<= is the ordered cover nerve, the non-decreasing tuples of charts,
-    and each map is written down by `ordered_cocycle_maps`: no search runs
-    to build it.  W-bar is Kan, so homotopy classes of maps out of X<= are
-    those out of the full cover nerve.  The partition is `_gauge_partition`'s
+    and each map is written down by `ordered_cocycle_maps` from the d and
+    h arrays of `cocycles`, a CocycleTable: no search runs to build it.
+    W-bar is Kan, so homotopy classes of maps out of X<= are those out of
+    the full cover nerve.  The partition is `_gauge_partition`'s
     with `hint` (say, the witness orbits) ordering its searches; each model
     gets a size budget of the run's limit."""
     from .gerbe import ordered_cocycle_maps

@@ -6,16 +6,21 @@ pairs and h_abc in H to admissible increasing triples, subject to
     d_ab d_bc = alpha(h_abc) d_ac          (edge condition, triples)
     h_abc h_acd = (d_ab . h_bcd) h_abd     (tetrahedron condition, 4-tuples)
 
-where . is the crossed-module action.  Stable equivalence is generated by
-witnesses (r_a, s_ab); `classify_gerbes` computes the orbit partition by
-breadth-first search over single-chart / single-pair generator witnesses
-with canonical-form hashing.  `abelian_oracle` independently computes Čech
-cohomology of the cover with finite abelian coefficients through integer
-Smith normal form, `LiftPlan` lifts cocycles along alpha with an H^3
-obstruction cross-check, and `ordered_cocycle_maps` writes each cocycle
-down as a simplicial map from the ordered cover nerve into the classifying
-space, for the homotopy-theoretic count of the same classification
-(`cocycle_to_simplicial_map` extends one to the full cover nerve by search).
+where . is the crossed-module action.  `enumerate_cocycles` lists every
+cocycle of a cover as a `CocycleTable`, two int arrays (d over the pairs, h
+over the triples) with one row per cocycle in key order.  Stable
+equivalence is generated by witnesses (r_a, s_ab); `classify_gerbes` turns
+each single-chart / single-pair generator witness into a permutation of the
+table's rows (the transformation law applied to whole columns, each image
+row found by an exact search of the packed keys) and takes the orbits as
+the components those permutations connect.  `abelian_oracle` independently
+computes Čech cohomology of the cover with finite abelian coefficients
+through integer Smith normal form, `LiftPlan` lifts cocycles along alpha
+with an H^3 obstruction cross-check, and `ordered_cocycle_maps` writes each
+cocycle of a table down as a simplicial map from the ordered cover nerve
+into the classifying space, for the homotopy-theoretic count of the same
+classification (`cocycle_to_simplicial_map` extends one to the full cover
+nerve by search).
 """
 from __future__ import annotations
 
@@ -35,10 +40,8 @@ from .util import Budget, BudgetError, StructureError
 
 __all__ = [
     "GerbeCocycle",
-    "StableWitness",
+    "CocycleTable",
     "check_cocycle",
-    "identity_witness",
-    "apply_witness",
     "enumerate_cocycles",
     "GerbeClass",
     "GerbeClassification",
@@ -76,17 +79,42 @@ class GerbeCocycle:
                 tuple(self.h[t] for t in self.cover.simplices(2)))
 
 
-@dataclass
-class StableWitness:
-    """(r_a, s_ab) data acting on cocycles; any assignment is allowed."""
+@dataclass(eq=False)
+class CocycleTable:
+    """Cocycles on one cover with one crossed module, as two int arrays with
+    one row per cocycle: `d` over cover.simplices(1) and `h` over
+    cover.simplices(2), in that order.
 
-    r: dict[int, int]
-    s: dict[tuple[int, int], int]
+    An int index gives its row as a GerbeCocycle, a slice a table of those
+    rows, and iterating gives every row as a GerbeCocycle."""
+
+    cover: CoverComplex
+    xm: CrossedModule
+    d: np.ndarray
+    h: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.d)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CocycleTable(self.cover, self.xm, self.d[i], self.h[i])
+        return self._cocycle(self.cover.simplices(1), self.cover.simplices(2),
+                             self.d[i].tolist(), self.h[i].tolist())
+
+    def __iter__(self):
+        pairs, triples = self.cover.simplices(1), self.cover.simplices(2)
+        for d, h in zip(self.d.tolist(), self.h.tolist()):
+            yield self._cocycle(pairs, triples, d, h)
+
+    def _cocycle(self, pairs, triples, d, h) -> GerbeCocycle:
+        return GerbeCocycle(self.cover, self.xm, dict(zip(pairs, d)),
+                            dict(zip(triples, h)))
 
 
-def identity_witness(cover: CoverComplex, xm: CrossedModule) -> StableWitness:
-    return StableWitness({a: xm.D.identity for a in range(cover.charts)},
-                         {p: xm.H.identity for p in cover.simplices(1)})
+def _int_rows(rows: list, width: int) -> np.ndarray:
+    """`rows` as an int64 array of `width` columns, also when there are none."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
 
 
 def check_cocycle(c: GerbeCocycle, what: str,
@@ -123,36 +151,6 @@ def _tetra_sides(hmul, act, d, h, ab, abc, acd, bcd, abd) -> tuple[int, int]:
     law, with H's product and the action as lists and d, h read at the
     positions (or keys) ab, abc, acd, bcd, abd of a quad's pair and triples."""
     return hmul[h[abc]][h[acd]], hmul[act[d[ab]][h[bcd]]][h[abd]]
-
-
-def apply_witness(c: GerbeCocycle, w: StableWitness,
-                  laws: _HCompletions | None = None) -> GerbeCocycle:
-    """Act on a cocycle by a witness; the result is re-validated, with
-    `laws` as for check_cocycle.
-
-    d'_ab  = r_a alpha(s_ab) d_ab r_b^-1
-    h'_abc = (r_a . s_ab)(r_a d_ab . s_bc)(r_a . h_abc)(r_a . s_ac)^-1
-
-    A validation failure of the output is a hard error: it would mean the
-    transformation law itself is wrong, not the input.
-    """
-    xm = c.xm
-    D, H = xm.D, xm.H
-    d2: dict[tuple[int, int], int] = {}
-    h2: dict[tuple[int, int, int], int] = {}
-    for (a, b) in c.cover.simplices(1):
-        d2[(a, b)] = D.mul(D.mul(D.mul(w.r[a], xm.alpha(w.s[(a, b)])),
-                                 c.d[(a, b)]), D.inv(w.r[b]))
-    for (a, b, cc) in c.cover.simplices(2):
-        ra = w.r[a]
-        t1 = xm.act(ra, w.s[(a, b)])
-        t2 = xm.act(D.mul(ra, c.d[(a, b)]), w.s[(b, cc)])
-        t3 = xm.act(ra, c.h[(a, b, cc)])
-        t4 = H.inv(xm.act(ra, w.s[(a, cc)]))
-        h2[(a, b, cc)] = H.mul(H.mul(H.mul(t1, t2), t3), t4)
-    out = GerbeCocycle(c.cover, xm, d2, h2, name=c.name)
-    check_cocycle(out, "witness action broke the cocycle conditions", laws)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +239,9 @@ def _exhaustive_bound(cover: CoverComplex, xm: CrossedModule) -> int:
 
 def enumerate_cocycles(cover: CoverComplex, xm: CrossedModule,
                        budget: Budget | None = None,
-                       laws: _HCompletions | None = None) -> list[GerbeCocycle]:
-    """All valid cocycles, in lexicographic (d, h) order.
+                       laws: _HCompletions | None = None) -> CocycleTable:
+    """All valid cocycles, in lexicographic (d, h) order: a row's index is
+    its key's rank.
 
     d runs over all assignments to increasing pairs; for each, the h values
     are confined to alpha-preimage cosets forced by the edge condition and
@@ -251,34 +250,149 @@ def enumerate_cocycles(cover: CoverComplex, xm: CrossedModule,
     """
     budget = budget or Budget(what="cocycle enumeration")
     budget.spend(_exhaustive_bound(cover, xm))
-    pairs = cover.simplices(1)
-    triples = cover.simplices(2)
     search = laws or _HCompletions(cover, xm)
-    out = []
-    for d in itertools.product(range(xm.D.order), repeat=len(pairs)):
+    ds, hs = [], []
+    for d in itertools.product(range(xm.D.order), repeat=len(search.pairs)):
         for h in search.completions(d):
-            out.append(GerbeCocycle(cover, xm, dict(zip(pairs, d)),
-                                    dict(zip(triples, h))))
+            ds.append(d)
+            hs.append(h)
+    return CocycleTable(cover, xm, _int_rows(ds, len(search.pairs)),
+                        _int_rows(hs, len(search.triples)))
+
+
+def _generator_witnesses(cover: CoverComplex, xm: CrossedModule
+                         ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Single-chart r changes and single-pair s changes (they generate),
+    each as (r over the charts, s over the cover's pairs); no change sets
+    the identity, whatever its label."""
+    r0 = np.full(cover.charts, xm.D.identity, dtype=np.intp)
+    s0 = np.full(len(cover.simplices(1)), xm.H.identity, dtype=np.intp)
+    gens = []
+    for a in range(cover.charts):
+        for dval in xm.D.elements():
+            if dval != xm.D.identity:
+                r = r0.copy()
+                r[a] = dval
+                gens.append((r, s0))
+    for p in range(len(s0)):
+        for hval in xm.H.elements():
+            if hval != xm.H.identity:
+                s = s0.copy()
+                s[p] = hval
+                gens.append((r0, s))
+    return gens
+
+
+def _witness_columns(table: CocycleTable, r: np.ndarray, s: np.ndarray,
+                     laws: _HCompletions) -> tuple[np.ndarray, np.ndarray]:
+    """The d and h arrays of the table's cocycles acted on by the witness
+    (r_a, s_ab), with r over the charts and s over the cover's pairs:
+
+        d'_ab  = r_a alpha(s_ab) d_ab r_b^-1
+        h'_abc = (r_a . s_ab)(r_a d_ab . s_bc)(r_a . h_abc)(r_a . s_ac)^-1
+
+    each factor a gather from the crossed module's tables over whole
+    columns.  `laws` are the tables of the table's cover and module."""
+    xm = table.xm
+    dmul, dinv, alpha = xm.D.table, xm.D.inverses, xm.alpha.mapping
+    hmul, hinv, act = xm.H.table, xm.H.inverses, xm.action.table
+    ends = np.array(laws.pairs, dtype=np.intp).reshape(-1, 2)
+    d2 = dmul[dmul[dmul[r[ends[:, 0]], alpha[s]], table.d], dinv[r[ends[:, 1]]]]
+    ab, bc, ac = np.array(laws.edges, dtype=np.intp).reshape(-1, 3).T
+    ra = r[np.array([t[0] for t in laws.triples], dtype=np.intp)]
+    h2 = hmul[hmul[hmul[act[ra, s[ab]], act[dmul[ra, table.d[:, ab]], s[bc]]],
+                   act[ra, table.h]], hinv[act[ra, s[ac]]]]
+    return d2, h2
+
+
+def _pack(rows: np.ndarray, rank: np.ndarray, cols: range,
+          radix: list[int]) -> np.ndarray:
+    """rank * prod(radix[cols]) + the mixed-radix number of rows[:, cols]."""
+    out = rank.copy()
+    for j in cols:
+        out *= radix[j]
+        out += rows[:, j]
     return out
 
 
-def _generator_witnesses(cover: CoverComplex, xm: CrossedModule) -> list[StableWitness]:
-    """Single-chart r changes and single-pair s changes (they generate)."""
-    gens: list[StableWitness] = []
-    base = identity_witness(cover, xm)
-    d_moves = [v for v in xm.D.elements() if v != xm.D.identity]
-    h_moves = [v for v in xm.H.elements() if v != xm.H.identity]
-    for a in range(cover.charts):
-        for dval in d_moves:
-            w = StableWitness(dict(base.r), dict(base.s))
-            w.r[a] = dval
-            gens.append(w)
-    for p in cover.simplices(1):
-        for hval in h_moves:
-            w = StableWitness(dict(base.r), dict(base.s))
-            w.s[p] = hval
-            gens.append(w)
-    return gens
+class _RowIndex:
+    """Exact lookup of int rows among the distinct rows of a table, whose
+    column j holds digits below radix[j].
+
+    Rows are packed into int64 keys a block of columns at a time: a block's
+    key is the rank of the row's earlier blocks among the table's, times
+    the block's radix product, plus its digits in mixed radix.  Blocks are
+    cut so that no key reaches 2^63, so rows of any width compare exactly;
+    when the radix product of a row fits, one block holds every column."""
+
+    def __init__(self, rows: np.ndarray, radix: list[int]):
+        n = len(rows)
+        cap = (2 ** 63 - 1) // max(n, 1)
+        self.radix = radix
+        self.blocks: list[tuple[range, np.ndarray]] = []
+        rank = np.zeros(n, dtype=np.int64)
+        start = 0
+        while True:
+            stop, span = start, 1
+            while stop < len(radix) and span * radix[stop] <= cap:
+                span *= radix[stop]
+                stop += 1
+            if stop == start < len(radix):
+                raise StructureError(f"a digit below {radix[start]} does not "
+                                     f"fit a key beside {n} rows")
+            keys = _pack(rows, rank, range(start, stop), radix)
+            # np.unique would load numpy.ma, which no command loads otherwise
+            distinct = np.sort(keys)
+            first = np.ones(n, dtype=bool)
+            first[1:] = distinct[1:] != distinct[:-1]
+            distinct = distinct[first]
+            rank = np.searchsorted(distinct, keys)
+            self.blocks.append((range(start, stop), distinct))
+            if stop == len(radix):
+                break
+            start = stop
+        if len(distinct) != n:
+            raise StructureError("the table repeats a row")
+        self.position = np.empty(n, dtype=np.int64)
+        self.position[rank] = np.arange(n)
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The table position of each of `rows`, or -1 for a row that is
+        none of the table's."""
+        rank = np.zeros(len(rows), dtype=np.int64)
+        hit = np.ones(len(rows), dtype=bool)
+        for cols, distinct in self.blocks:
+            keys = _pack(rows, rank, cols, self.radix)
+            rank = np.minimum(np.searchsorted(distinct, keys), len(distinct) - 1)
+            hit &= distinct[rank] == keys
+        return np.where(hit, self.position[rank], -1)
+
+
+def _orbit_least(perms: list[np.ndarray], n: int) -> np.ndarray:
+    """The least member of each index's orbit under the group that the
+    permutations `perms` of range(n) generate.
+
+    Min-label propagation: every label takes the least of its own and the
+    labels of its images under each permutation and its inverse, then each
+    label is replaced by its label's label until none moves (pointer
+    jumping); the rounds stop when a round moves no label."""
+    steps = []
+    for p in perms:
+        inv = np.full(n, -1, dtype=np.intp)
+        inv[p] = np.arange(n)
+        if (inv < 0).any():
+            raise StructureError("a witness action is not one-to-one on the "
+                                 "enumerated cocycles")
+        steps += [p, inv]
+    label = np.arange(n)
+    while True:
+        before = label
+        for p in steps:
+            label = np.minimum(label, label[p])
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        if np.array_equal(label, before):
+            return label
 
 
 @dataclass
@@ -292,7 +406,7 @@ class GerbeClass:
 class GerbeClassification:
     cover: CoverComplex
     xm: CrossedModule
-    cocycles: list[GerbeCocycle]
+    cocycles: CocycleTable
     classes: list[GerbeClass]
     exhaustive: bool
     # orbit_of[i] is the index in `classes` of the orbit of cocycles[i]
@@ -311,11 +425,17 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
                     force: bool = False) -> GerbeClassification:
     """Partition all valid cocycles into stable classes.
 
-    Orbits are computed by BFS from the lexicographically least unvisited
-    cocycle, applying generator witnesses and hashing canonical key forms;
-    classes are listed by their least member, and `orbit_of` names each
-    cocycle's class.  Instances beyond the exhaustive-mode guard (> 5
-    charts or |H|*|D| > 16) require `force` and are flagged non-exhaustive.
+    The enumeration lists the cocycles as a table in key order.  Each
+    generator witness acts on all of its rows at once (`_witness_columns`),
+    and `_RowIndex` finds every image row, so the witness is a permutation
+    of the row indices; an image outside the table is a StructureError.
+    The orbits are the components that the permutations connect
+    (`_orbit_least`).  Classes are listed by their least member, which is
+    their smallest row index, with a GerbeCocycle for that member only, and
+    `orbit_of` names each cocycle's class.  One budget step per (cocycle,
+    generator) is charged as soon as the cocycles are counted.  Instances
+    beyond the exhaustive-mode guard (> 5 charts or |H|*|D| > 16) require
+    `force` and are flagged non-exhaustive.
     """
     guard = cover.charts > GUARD_CHARTS or xm.H.order * xm.D.order > GUARD_ORDER
     budget = budget or Budget(what="gerbe classification")
@@ -325,37 +445,29 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
             f"({cover.charts} charts, |H||D| = {xm.H.order * xm.D.order})",
             _exhaustive_bound(cover, xm), budget.limit)
     laws = _HCompletions(cover, xm)
-    cocycles = enumerate_cocycles(cover, xm, budget=budget, laws=laws)
-    keys = [c.key() for c in cocycles]
-    index = dict(zip(keys, cocycles))
+    table = enumerate_cocycles(cover, xm, budget=budget, laws=laws)
     gens = _generator_witnesses(cover, xm)
-    least: dict[tuple, tuple] = {}     # cocycle key -> its orbit's least key
-    classes: list[GerbeClass] = []
-    for k in sorted(index):
-        if k in least:
-            continue
-        orbit = {k}
-        frontier = [index[k]]
-        while frontier:
-            cur = frontier.pop()
-            for w in gens:
-                budget.spend()
-                nxt = apply_witness(cur, w, laws)
-                nk = nxt.key()
-                if nk not in index:
-                    raise StructureError("witness action left the enumerated "
-                                         "cocycle set (enumeration bug)")
-                if nk not in orbit:
-                    orbit.add(nk)
-                    frontier.append(nxt)
-        mk = min(orbit)
-        least.update(dict.fromkeys(orbit, mk))
-        classes.append(GerbeClass(index[mk], mk, len(orbit)))
-    classes.sort(key=lambda cl: cl.key)
-    position = {cl.key: i for i, cl in enumerate(classes)}
-    orbit_of = [position[least[k]] for k in keys]
-    return GerbeClassification(cover, xm, cocycles, classes,
-                               exhaustive=not guard, orbit_of=orbit_of)
+    budget.spend(len(table) * len(gens))
+    index = _RowIndex(np.hstack((table.d, table.h)),
+                      [xm.D.order] * len(laws.pairs)
+                      + [xm.H.order] * len(laws.triples))
+    perms = []
+    for r, s in gens:
+        at = index.find(np.hstack(_witness_columns(table, r, s, laws)))
+        if (at < 0).any():
+            raise StructureError("witness action left the enumerated "
+                                 "cocycle set (enumeration bug)")
+        perms.append(at)
+    least = _orbit_least(perms, len(table))
+    firsts = np.flatnonzero(least == np.arange(len(table)))
+    orbit_of = np.searchsorted(firsts, least)
+    classes = []
+    for i, size in zip(firsts.tolist(),
+                       np.bincount(orbit_of, minlength=len(firsts)).tolist()):
+        rep = table[i]
+        classes.append(GerbeClass(rep, rep.key(), size))
+    return GerbeClassification(cover, xm, table, classes,
+                               exhaustive=not guard, orbit_of=orbit_of.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -631,43 +743,40 @@ def _ordered_reads(cover: CoverComplex, x: TruncatedSimplicialSet
     return reads
 
 
-def ordered_cocycle_maps(cocycles: list[GerbeCocycle], match,
+def ordered_cocycle_maps(table: CocycleTable, match,
                          budget: Budget | None = None) -> list[SimplicialMap]:
-    """The map X<= -> W-bar of each cocycle, written down, not searched.
+    """The map X<= -> W-bar of each cocycle of the table, in row order,
+    written down, not searched.
 
-    X<= is `ordered_cover_nerve` of the cocycles' (common) cover at the
-    truncation of `match`, a MatchResult for their crossed module.  On X<=
-    the free data of a simplex's image in the 2-nerve are its spine edges
-    and its triangles (i, i+1, k), each a value of the cocycle or an
-    identity (see `_ordered_reads`), so the map is unique.  A level is
-    built for all cocycles at once, as column gathers and one radix
-    encoding, then carried into W-bar by `match.inverse`.  Every map must
-    pass `validate_map`, or this is a StructureError.  `budget` bounds the
-    size of X<=.
+    X<= is `ordered_cover_nerve` of the table's cover at the truncation of
+    `match`, a MatchResult for its crossed module.  On X<= the free data of a simplex's image in the 2-nerve are
+    its spine edges and its triangles (i, i+1, k), each a value of the
+    cocycle or an identity (see `_ordered_reads`), so the map is unique.  A
+    level is built for all cocycles at once, as column gathers from the
+    table's arrays and one radix encoding, then carried into W-bar by
+    `match.inverse`.  Every map must pass `validate_map`, or this is a
+    StructureError.  `budget` bounds the size of X<=.
     """
-    cover, xm = cocycles[0].cover, cocycles[0].xm
-    if any(c.cover.sets != cover.sets for c in cocycles):
-        raise StructureError("cocycles live on different covers")
+    cover, xm = table.cover, table.xm
     x = ordered_cover_nerve(cover, match.wbar.N, budget=budget)
     # one row per cocycle: its values in pair (triple) order, then the
     # identity that repeated charts read
-    dv = np.array([[c.d[p] for p in cover.simplices(1)] + [xm.D.identity]
-                   for c in cocycles], dtype=np.int64)
-    hv = np.array([[c.h[t] for t in cover.simplices(2)] + [xm.H.identity]
-                   for c in cocycles], dtype=np.int64)
+    column = np.ones((len(table), 1), dtype=np.int64)
+    dv = np.hstack((table.d, column * xm.D.identity))
+    hv = np.hstack((table.h, column * xm.H.identity))
     levels = []
     for n, (edges, tris) in enumerate(_ordered_reads(cover, x)):
         digits = [dv[:, at] for at in edges] + [hv[:, at] for at in tris]
         radix, _ = _radix_split(match.duskin.radix[n])
-        image = _radix_encode(digits, radix, (len(cocycles), x.sizes[n]))
+        image = _radix_encode(digits, radix, (len(table), x.sizes[n]))
         levels.append(match.inverse[n][image])
     maps = []
-    for j, c in enumerate(cocycles):
+    for j in range(len(table)):
         f = SimplicialMap(x, match.wbar, [lvl[j] for lvl in levels],
-                          name=f"{c.name}-wmap")
+                          name=f"cocycle{j}-wmap")
         rep = validate_map(f)
         if not rep.ok:
-            raise StructureError(f"closed-form map of {c.name} failed "
+            raise StructureError(f"closed-form map of cocycle {j} failed "
                                  f"validation: {rep.summary()}")
         maps.append(f)
     return maps

@@ -7,6 +7,8 @@ agreement with the library is meaningful.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
@@ -376,6 +378,98 @@ def brute_cocycles(cover, xm) -> list[tuple]:
             if edges and tetras:
                 out.append((dvals, hvals))
     return out
+
+
+@dataclass
+class StableWitness:
+    """(r_a, s_ab) data acting on cocycles; any assignment is allowed."""
+
+    r: dict[int, int]
+    s: dict[tuple[int, int], int]
+
+
+def identity_witness(cover, xm) -> StableWitness:
+    return StableWitness({a: xm.D.identity for a in range(cover.charts)},
+                         {p: xm.H.identity for p in cover.simplices(1)})
+
+
+def apply_witness(c, w: StableWitness, laws=None):
+    """Act on a GerbeCocycle by a witness, one value at a time; the result is
+    re-validated by `check_cocycle`, with `laws` as there.
+
+    d'_ab  = r_a alpha(s_ab) d_ab r_b^-1
+    h'_abc = (r_a . s_ab)(r_a d_ab . s_bc)(r_a . h_abc)(r_a . s_ac)^-1
+
+    A validation failure of the output is a hard error: it would mean the
+    transformation law itself is wrong, not the input.
+    """
+    from xmodgerbe.gerbe import GerbeCocycle, check_cocycle
+    xm = c.xm
+    D, H = xm.D, xm.H
+    d2: dict[tuple[int, int], int] = {}
+    h2: dict[tuple[int, int, int], int] = {}
+    for (a, b) in c.cover.simplices(1):
+        d2[(a, b)] = D.mul(D.mul(D.mul(w.r[a], xm.alpha(w.s[(a, b)])),
+                                 c.d[(a, b)]), D.inv(w.r[b]))
+    for (a, b, cc) in c.cover.simplices(2):
+        ra = w.r[a]
+        t1 = xm.act(ra, w.s[(a, b)])
+        t2 = xm.act(D.mul(ra, c.d[(a, b)]), w.s[(b, cc)])
+        t3 = xm.act(ra, c.h[(a, b, cc)])
+        t4 = H.inv(xm.act(ra, w.s[(a, cc)]))
+        h2[(a, b, cc)] = H.mul(H.mul(H.mul(t1, t2), t3), t4)
+    out = GerbeCocycle(c.cover, xm, d2, h2, name=c.name)
+    check_cocycle(out, "witness action broke the cocycle conditions", laws)
+    return out
+
+
+def search_orbits(cocycles, budget=None, laws=None):
+    """(least keys, orbit sizes, orbit_of) of the witness orbits of every
+    cocycle in `cocycles` (GerbeCocycles), by graph search over the keys.
+
+    From the least key not yet reached, every single-chart r change and
+    single-pair s change (never to the identity) is applied by
+    `apply_witness` to each cocycle the search reaches, one `budget` step
+    each; orbits are listed by their least key and orbit_of[i] names the
+    orbit of cocycles[i].  A key outside `cocycles` is an AssertionError.
+    """
+    cocycles = list(cocycles)
+    cover, xm = cocycles[0].cover, cocycles[0].xm
+    gens = []
+    base = identity_witness(cover, xm)
+    for a in range(cover.charts):
+        for dval in range(xm.D.order):
+            if dval != xm.D.identity:
+                gens.append(StableWitness({**base.r, a: dval}, base.s))
+    for p in cover.simplices(1):
+        for hval in range(xm.H.order):
+            if hval != xm.H.identity:
+                gens.append(StableWitness(base.r, {**base.s, p: hval}))
+    keys = [c.key() for c in cocycles]
+    index = dict(zip(keys, cocycles))
+    least: dict[tuple, tuple] = {}     # cocycle key -> its orbit's least key
+    sizes: dict[tuple, int] = {}
+    for k in sorted(index):
+        if k in least:
+            continue
+        orbit = {k}
+        frontier = [index[k]]
+        while frontier:
+            cur = frontier.pop()
+            for w in gens:
+                if budget is not None:
+                    budget.spend()
+                nxt = apply_witness(cur, w, laws)
+                nk = nxt.key()
+                assert nk in index, "witness action left the cocycle set"
+                if nk not in orbit:
+                    orbit.add(nk)
+                    frontier.append(nxt)
+        least.update(dict.fromkeys(orbit, min(orbit)))
+        sizes[min(orbit)] = len(orbit)
+    firsts = sorted(sizes)
+    position = {k: i for i, k in enumerate(firsts)}
+    return firsts, [sizes[k] for k in firsts], [position[least[k]] for k in keys]
 
 
 def naive_nerve(xm, N):

@@ -427,6 +427,20 @@ def test_gerbe_classify_guard_exit_3(capsys):
     assert "budget" in err
 
 
+def test_gerbe_classify_orbit_budget_exit_3_at_once(capsys):
+    # sphere:5 x (Z4 -> Z2): 65,536 cocycles and 35 generators make
+    # 2,293,760 orbit steps on top of the enumeration bound of 2^20; the
+    # default budget refuses them as soon as the cocycles are counted
+    # (the orbit stage once ran 91 s before it ran out)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "gerbe-classify", "--cover", "sphere:5",
+                             "--xmod", "xmod_mod:4:2")
+    assert time.perf_counter() - t0 < 15.0
+    assert code == 3 and out == ""
+    assert ("gerbe classification: needs ~3342336 steps, budget is 2000000"
+            in err)
+
+
 @pytest.mark.parametrize("command", ["gerbe-classify", "lift"])
 @pytest.mark.parametrize("cover", ["sphere:30", "json-40"])
 def test_cover_closure_over_budget_exit_3(capsys, tmp_path, command, cover):

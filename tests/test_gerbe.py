@@ -15,17 +15,18 @@ from xmodgerbe.fingroup import (cyclic_group, derived_crossed_modules, kernel,
                                 symmetric_group, xmod_automorphism,
                                 xmod_identity, xmod_mod, xmod_trivial_base,
                                 xmod_trivial_fiber)
-from xmodgerbe.gerbe import (GerbeCocycle, LiftPlan, StableWitness,
-                             abelian_oracle, apply_witness, classify_gerbes,
-                             cocycle_to_json, cocycle_to_simplicial_map,
-                             enumerate_cocycles, identity_witness, lift_gerbe,
-                             check_cocycle, map_to_cocycle)
+from xmodgerbe.gerbe import (GerbeCocycle, LiftPlan, abelian_oracle,
+                             classify_gerbes, cocycle_to_json,
+                             cocycle_to_simplicial_map, enumerate_cocycles,
+                             lift_gerbe, check_cocycle, map_to_cocycle)
 from xmodgerbe.intlinalg import solve_mod
-from xmodgerbe.simplicial import ball_cover, circle_cover, sphere_cover
+from xmodgerbe.simplicial import (_radix_encode, ball_cover, circle_cover,
+                                  sphere_cover)
 from xmodgerbe.util import Budget, BudgetError, StructureError
 from xmodgerbe.xnerve import match_wbar_duskin
 
-from _oracles import brute_cech_h2_order, brute_cocycles, relabel
+from _oracles import (StableWitness, apply_witness, brute_cech_h2_order,
+                      brute_cocycles, identity_witness, relabel, search_orbits)
 
 
 def test_cocycle_counts_trivial_base_modules():
@@ -207,6 +208,115 @@ def test_class_counts_invariant_under_relabelling(i, cover, data):
     moved = relabel(xm, perm_h, perm_d)
     assert classify_gerbes(SMALL_COVERS[cover], moved).counts() == \
         _preset_counts(i, cover)
+
+
+def _assert_orbits_match_the_search(cover, xm):
+    # the array orbits against the scalar graph search over apply_witness:
+    # the same orbit of every cocycle, classes in the same order with the
+    # same sizes and least members
+    cl = classify_gerbes(cover, xm)
+    firsts, sizes, orbit_of = search_orbits(
+        cl.cocycles, laws=gerbe._HCompletions(cover, xm))
+    assert cl.orbit_of == orbit_of
+    assert [k.orbit_size for k in cl.classes] == sizes
+    assert [k.key for k in cl.classes] == firsts
+    assert [k.representative.key() for k in cl.classes] == firsts
+
+
+@pytest.mark.parametrize("cover", sorted(SMALL_COVERS))
+@pytest.mark.parametrize("i", range(len(SMALL_PRESETS)),
+                         ids=[xm.name for xm in SMALL_PRESETS])
+@given(data=st.data())
+def test_array_orbits_match_the_search(i, cover, data):
+    xm = SMALL_PRESETS[i]
+    perm_h = data.draw(st.permutations(range(xm.H.order)), label="perm_h")
+    perm_d = data.draw(st.permutations(range(xm.D.order)), label="perm_d")
+    _assert_orbits_match_the_search(SMALL_COVERS[cover],
+                                    relabel(xm, perm_h, perm_d))
+
+
+@pytest.mark.parametrize("xm", [xmod_mod(4, 2),
+                                xmod_automorphism(cyclic_group(3))],
+                         ids=["mod4:2", "aut:Z3"])
+def test_array_orbits_match_the_search_on_sphere4(xm):
+    _assert_orbits_match_the_search(sphere_cover(4), xm)
+
+
+@pytest.mark.parametrize("cover, xm", [
+    (ball_cover(4), xmod_automorphism(cyclic_group(3))),
+    (sphere_cover(4), xmod_mod(4, 2)),
+    (ball_cover(3), xmod_identity(symmetric_group(3))),
+    (ball_cover(4), relabel(xmod_automorphism(cyclic_group(4)),
+                            [3, 1, 0, 2], [1, 0])),
+], ids=["ball4-aut:Z3", "sphere4-mod4:2", "ball3-id:S3", "ball4-aut:Z4-moved"])
+def test_witness_columns_match_apply_witness(cover, xm):
+    # the column formula of the orbit stage, on witnesses that change every
+    # chart and pair at once (no generator does), row for row against the
+    # scalar formula
+    laws = gerbe._HCompletions(cover, xm)
+    table = enumerate_cocycles(cover, xm, laws=laws)
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        r = rng.integers(xm.D.order, size=cover.charts)
+        s = rng.integers(xm.H.order, size=len(laws.pairs))
+        w = StableWitness(dict(enumerate(r.tolist())),
+                          dict(zip(laws.pairs, s.tolist())))
+        d2, h2 = gerbe._witness_columns(table, r, s, laws)
+        for i in rng.choice(len(table), size=min(len(table), 40),
+                            replace=False).tolist():
+            want = apply_witness(table[i], w, laws)
+            assert (tuple(d2[i].tolist()), tuple(h2[i].tolist())) == want.key()
+
+
+def test_classification_charges_what_the_search_charged():
+    # one step per (cocycle, generator) on top of the enumeration bound,
+    # charged up front: the same limit that stopped the graph search stops
+    # the classification, and one step more lets it through
+    cover, xm = circle_cover(3), xmod_trivial_base(symmetric_group(3))
+    table = enumerate_cocycles(cover, xm)
+    steps = len(table) * len(gerbe._generator_witnesses(cover, xm))
+    assert steps == 216 * 15
+    with pytest.raises(BudgetError):
+        search_orbits(table, budget=Budget(steps - 1))
+    search_orbits(table, budget=Budget(steps))
+    bound = gerbe._exhaustive_bound(cover, xm)
+    with pytest.raises(BudgetError):
+        classify_gerbes(cover, xm, budget=Budget(bound + steps - 1))
+    budget = Budget(bound + steps)
+    assert classify_gerbes(cover, xm, budget=budget).counts() == (216, 3)
+    assert budget.used == bound + steps
+
+
+def test_row_index_is_exact_beyond_63_bits():
+    # 70 binary digits: packed into one int64 the first six digits would
+    # wrap away, and a row differing from a table row only there would
+    # find that row
+    rng = np.random.default_rng(5)
+    radix = [2] * 70
+    rows = np.unique(rng.integers(2, size=(300, 70)), axis=0)
+    shadows = rows.copy()
+    shadows[:, :6] ^= 1
+    assert np.array_equal(_radix_encode(list(shadows.T), radix, len(rows)),
+                          _radix_encode(list(rows.T), radix, len(rows)))
+    index = gerbe._RowIndex(rows, radix)
+    assert len(index.blocks) > 1
+    at = {r: i for i, r in enumerate(map(tuple, rows.tolist()))}
+    assert index.find(shadows).tolist() == [at.get(r, -1) for r in
+                                            map(tuple, shadows.tolist())]
+    assert np.array_equal(index.find(rows), np.arange(len(rows)))
+    # mixed radix, 6^30 * 4^30 > 2^63, with the table in no order
+    radix = [6] * 30 + [4] * 30
+    rows = np.hstack((rng.integers(6, size=(400, 30)),
+                      rng.integers(4, size=(400, 30))))
+    rows[200:] = rows[:200]     # pairs of rows one last digit apart
+    rows[:200, -1], rows[200:, -1] = 0, 1
+    index = gerbe._RowIndex(rows, radix)
+    queries = np.vstack((rows[::-1], rows[:, ::-1] % 4))
+    at = {r: i for i, r in enumerate(map(tuple, rows.tolist()))}
+    assert index.find(queries).tolist() == [at.get(r, -1) for r in
+                                            map(tuple, queries.tolist())]
+    with pytest.raises(StructureError, match="repeats a row"):
+        gerbe._RowIndex(np.vstack((rows, rows[7:8])), radix)
 
 
 def test_base_only_module_matches_bundle_count():
@@ -478,7 +588,7 @@ def test_completions_match_the_recursive_search(name):
 
 
 def test_classification_builds_its_laws_once(monkeypatch):
-    # the enumeration searches with the tables the witness checks read
+    # the enumeration searches with the tables the witness columns read
     built = []
 
     class Counted(gerbe._HCompletions):

@@ -1,6 +1,8 @@
-"""No module of the package or of the suite imports a name it never reads."""
+"""No module of the package or of the suite imports a name it never reads,
+and every package function the benchmark's tracer hooks exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +64,21 @@ def test_no_unused_imports():
     assert paths
     assert [f"{p.relative_to(ROOT)}:{line}: {name}"
             for p in paths for line, name in unused_imports(p)] == []
+
+
+def test_tracer_hooks_name_package_functions():
+    # perfbench/tracer.py wraps each (module, function) of its HOOKS with
+    # getattr, so a renamed or removed function fails every traced run
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    hooks = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["HOOKS"])
+    named = [tuple(ast.literal_eval(part) for part in hook.elts[:2])
+             for hook in hooks.elts]
+    assert ("gerbe", "enumerate_cocycles") in named
+    assert [f"{module}.{fn}" for module, fn in named
+            if not callable(getattr(importlib.import_module(
+                f"xmodgerbe.{module}"), fn, None))] == []
 
 
 def test_the_guard_sees_an_unused_import(tmp_path):

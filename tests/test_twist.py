@@ -261,10 +261,11 @@ def test_closed_form_map_refuses_a_wrong_gather(monkeypatch):
     # is a StructureError
     xm = xmod_trivial_fiber(cyclic_group(2))
     cover = ball_cover(3)
-    c = next(c for c in enumerate_cocycles(cover, xm)
-             if c.h[0, 1, 2] != xm.H.identity)
+    table = enumerate_cocycles(cover, xm)
+    i = next(i for i, c in enumerate(table) if c.h[0, 1, 2] != xm.H.identity)
+    one = table[i:i + 1]
     match = match_wbar_duskin(xm, 3)
-    f = ordered_cocycle_maps([c], match)[0]
+    f = ordered_cocycle_maps(one, match)[0]
     assert validate_map(f).ok
     x = f.source
     z = x.labels[2].index((0, 0, 1))
@@ -279,7 +280,7 @@ def test_closed_form_map_refuses_a_wrong_gather(monkeypatch):
 
     monkeypatch.setattr(gerbe, "_ordered_reads", misread)
     with pytest.raises(StructureError, match="degen-commutes-s0@1"):
-        ordered_cocycle_maps([c], match)
+        ordered_cocycle_maps(one, match)
 
 
 @pytest.mark.parametrize("xm", SMALL, ids=[xm.name for xm in SMALL])
