@@ -226,63 +226,20 @@ def _action_trivial(xm: CrossedModule) -> bool:
                for d in range(xm.D.order))
 
 
-def _gauge_classes(xm, cocycles, hint, budget_limit: int
-                   ) -> tuple[list, list[list[int]]]:
-    """The cocycles' maps f: X<= -> W-bar N(H -> D), and their homotopy
-    classes decided as gauge classes of the pulled-back twistings f*tau.
-
-    X<= is the ordered cover nerve, the non-decreasing tuples of charts,
-    and each map is written down by `ordered_cocycle_maps` from the d and
-    h arrays of `cocycles`, a CocycleTable: no search runs to build it.
-    W-bar is Kan, so homotopy classes of maps out of X<= are those out of
-    the full cover nerve.  The partition is `_gauge_partition`'s
-    with `hint` (say, the witness orbits) ordering its searches; each model
-    gets a size budget of the run's limit."""
-    from .gerbe import ordered_cocycle_maps
-    from .xnerve import match_wbar_duskin
-    match = match_wbar_duskin(xm, N=3,
-                              budget=Budget(budget_limit, what="dictionary"))
-    maps = ordered_cocycle_maps(cocycles, match,
-                                budget=Budget(budget_limit, what="nerve"))
-    return maps, _gauge_partition(xm, match, maps, hint, budget_limit)
-
-
-def _gauge_partition(xm, match, maps, hint, budget_limit: int
-                     ) -> list[list[int]]:
-    """Homotopy classes of maps f: X -> W-bar N(H -> D) into the W-bar of
-    `match`, decided as gauge classes of the pulled-back twistings f*tau.
-
-    Maps X -> W-bar G up to homotopy are twistings X -> G up to gauge
-    equivalence (May, Simplicial Objects in Algebraic Topology, 18-21), so
-    the searches run over X, not X x Delta[1].  Each gets a budget of the
-    run's limit, every witness is checked by `twistings_equivalent`, and
-    `hint` only orders the searches; see `partition`."""
-    from .simplicial import partition
-    from .twist import Twisting, pullback_twisting, twistings_equivalent
-    from .xnerve import build_nerve
-    # tau takes values in levels 0-2 of the nerve; a gauge on X reaches
-    # level 3, whose lower levels are the same tables
-    group = build_nerve(xm, 3, budget=Budget(budget_limit, what="nerve"))
-    tau = Twisting(match.wbar, group, list(match.tau.values))
-    twistings = [pullback_twisting(tau, f) for f in maps]
-    classes, _ = partition(
-        len(twistings),
-        lambda r, i, _b: twistings_equivalent(
-            twistings[r], twistings[i],
-            budget=Budget(budget_limit, what="gauge equivalence")),
-        hint=hint)
-    return classes
-
-
-def _homotopy_crosscheck(xm, cl, budget_limit: int) -> dict:
+def _homotopy_crosscheck(cl, budget_limit: int) -> dict:
     """Independent class count through the classification theorem
     H^1(X; H -> D) = [X, B|N(H -> D)|]: the homotopy classes of the
-    cocycles' maps, decided by `_gauge_classes`."""
+    cocycles' maps, decided by `crosscheck.certified_classes`, whose counts
+    go to stderr."""
+    from .crosscheck import certified_classes
     try:
-        _, classes = _gauge_classes(xm, cl.cocycles, cl.orbit_of,
-                                    budget_limit)
+        classes, stats = certified_classes(cl, budget_limit)
     except BudgetError as e:
         return {"checked": False, "reason": f"budget: {e}"}
+    print(f"[gerbe-classify] map_homotopy: {stats['certified']} certified "
+          f"merges, {stats['failed']} failed certificates, "
+          f"{stats['searches']} gauge searches, {stats['refuted']} "
+          "refutations", file=sys.stderr)
     return {"checked": True, "classes": len(classes),
             "agree": len(classes) == len(cl.classes)}
 
@@ -339,7 +296,7 @@ def _gerbe_classify(cfg: RunConfig, cover: CoverComplex,
             code = EXIT_MISMATCH
     else:
         oracles["abelian"] = {"applicable": False}
-    oracles["map_homotopy"] = _homotopy_crosscheck(xm, cl, cfg.budget)
+    oracles["map_homotopy"] = _homotopy_crosscheck(cl, cfg.budget)
     if oracles["map_homotopy"].get("agree") is False:
         code = EXIT_MISMATCH
     report = RunReport(cfg.command, _config_echo(cfg), results, oracles,

@@ -16,11 +16,11 @@ row found by an exact search of the packed keys) and takes the orbits as
 the components those permutations connect.  `abelian_oracle` independently
 computes Čech cohomology of the cover with finite abelian coefficients
 through integer Smith normal form, `LiftPlan` lifts cocycles along alpha
-with an H^3 obstruction cross-check, and `ordered_cocycle_maps` writes each
-cocycle of a table down as a simplicial map from the ordered cover nerve
-into the classifying space, for the homotopy-theoretic count of the same
-classification (`cocycle_to_simplicial_map` extends one to the full cover
-nerve by search).
+with an H^3 obstruction cross-check, and `ordered_cocycle_maps` writes the
+cocycles of a table down as one stack of simplicial maps from the ordered
+cover nerve into the classifying space, for the homotopy-theoretic count of
+the same classification (`cocycle_to_simplicial_map` extends one to the
+full cover nerve by search).
 """
 from __future__ import annotations
 
@@ -292,16 +292,28 @@ def _witness_columns(table: CocycleTable, r: np.ndarray, s: np.ndarray,
         h'_abc = (r_a . s_ab)(r_a d_ab . s_bc)(r_a . h_abc)(r_a . s_ac)^-1
 
     each factor a gather from the crossed module's tables over whole
-    columns.  `laws` are the tables of the table's cover and module."""
+    columns.  Only the columns the witness can move are computed: a pair
+    ab where r_a, r_b or s_ab is not the identity, and a triple abc where
+    r_a, s_ab, s_bc or s_ac is not; the others are copied, so a generator
+    computes a few columns.  `laws` are the tables of the table's cover and
+    module."""
     xm = table.xm
     dmul, dinv, alpha = xm.D.table, xm.D.inverses, xm.alpha.mapping
     hmul, hinv, act = xm.H.table, xm.H.inverses, xm.action.table
-    ends = np.array(laws.pairs, dtype=np.intp).reshape(-1, 2)
-    d2 = dmul[dmul[dmul[r[ends[:, 0]], alpha[s]], table.d], dinv[r[ends[:, 1]]]]
+    r_on, s_on = r != xm.D.identity, s != xm.H.identity
+    a, b = np.array(laws.pairs, dtype=np.intp).reshape(-1, 2).T
+    moved = np.flatnonzero(r_on[a] | r_on[b] | s_on)
+    d2 = table.d.copy()
+    d2[:, moved] = dmul[dmul[dmul[r[a[moved]], alpha[s[moved]]],
+                             table.d[:, moved]], dinv[r[b[moved]]]]
     ab, bc, ac = np.array(laws.edges, dtype=np.intp).reshape(-1, 3).T
-    ra = r[np.array([t[0] for t in laws.triples], dtype=np.intp)]
-    h2 = hmul[hmul[hmul[act[ra, s[ab]], act[dmul[ra, table.d[:, ab]], s[bc]]],
-                   act[ra, table.h]], hinv[act[ra, s[ac]]]]
+    first = np.array([t[0] for t in laws.triples], dtype=np.intp)
+    moved = np.flatnonzero(r_on[first] | s_on[ab] | s_on[bc] | s_on[ac])
+    h2 = table.h.copy()
+    ab, bc, ac, ra = ab[moved], bc[moved], ac[moved], r[first[moved]]
+    h2[:, moved] = hmul[hmul[hmul[act[ra, s[ab]],
+                                  act[dmul[ra, table.d[:, ab]], s[bc]]],
+                             act[ra, table.h[:, moved]]], hinv[act[ra, s[ac]]]]
     return d2, h2
 
 
@@ -411,6 +423,9 @@ class GerbeClassification:
     exhaustive: bool
     # orbit_of[i] is the index in `classes` of the orbit of cocycles[i]
     orbit_of: list[int]
+    # the generator moves (r, s, perm): the witness (r_a, s_ab) takes
+    # cocycles[i] to cocycles[perm[i]]
+    moves: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def counts(self) -> tuple[int, int]:
         return len(self.cocycles), len(self.classes)
@@ -432,7 +447,8 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
     The orbits are the components that the permutations connect
     (`_orbit_least`).  Classes are listed by their least member, which is
     their smallest row index, with a GerbeCocycle for that member only, and
-    `orbit_of` names each cocycle's class.  One budget step per (cocycle,
+    `orbit_of` names each cocycle's class; `moves` keeps each generator
+    with its permutation.  One budget step per (cocycle,
     generator) is charged as soon as the cocycles are counted.  Instances
     beyond the exhaustive-mode guard (> 5 charts or |H|*|D| > 16) require
     `force` and are flagged non-exhaustive.
@@ -451,14 +467,14 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
     index = _RowIndex(np.hstack((table.d, table.h)),
                       [xm.D.order] * len(laws.pairs)
                       + [xm.H.order] * len(laws.triples))
-    perms = []
+    moves = []
     for r, s in gens:
         at = index.find(np.hstack(_witness_columns(table, r, s, laws)))
         if (at < 0).any():
             raise StructureError("witness action left the enumerated "
                                  "cocycle set (enumeration bug)")
-        perms.append(at)
-    least = _orbit_least(perms, len(table))
+        moves.append((r, s, at))
+    least = _orbit_least([perm for _, _, perm in moves], len(table))
     firsts = np.flatnonzero(least == np.arange(len(table)))
     orbit_of = np.searchsorted(firsts, least)
     classes = []
@@ -467,7 +483,8 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
         rep = table[i]
         classes.append(GerbeClass(rep, rep.key(), size))
     return GerbeClassification(cover, xm, table, classes,
-                               exhaustive=not guard, orbit_of=orbit_of.tolist())
+                               exhaustive=not guard, orbit_of=orbit_of.tolist(),
+                               moves=moves)
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +761,10 @@ def _ordered_reads(cover: CoverComplex, x: TruncatedSimplicialSet
 
 
 def ordered_cocycle_maps(table: CocycleTable, match,
-                         budget: Budget | None = None) -> list[SimplicialMap]:
-    """The map X<= -> W-bar of each cocycle of the table, in row order,
-    written down, not searched.
+                         budget: Budget | None = None) -> SimplicialMap:
+    """The maps X<= -> W-bar of the table's cocycles, written down, not
+    searched, as one stack: level n is an array of one row per cocycle, in
+    row order, by the level's simplices.
 
     X<= is `ordered_cover_nerve` of the table's cover at the truncation of
     `match`, a MatchResult for its crossed module.  On X<= the free data of a simplex's image in the 2-nerve are
@@ -754,7 +772,7 @@ def ordered_cocycle_maps(table: CocycleTable, match,
     cocycle or an identity (see `_ordered_reads`), so the map is unique.  A
     level is built for all cocycles at once, as column gathers from the
     table's arrays and one radix encoding, then carried into W-bar by
-    `match.inverse`.  Every map must pass `validate_map`, or this is a
+    `match.inverse`.  Every row must pass `validate_map`, or this is a
     StructureError.  `budget` bounds the size of X<=.
     """
     cover, xm = table.cover, table.xm
@@ -770,16 +788,13 @@ def ordered_cocycle_maps(table: CocycleTable, match,
         radix, _ = _radix_split(match.duskin.radix[n])
         image = _radix_encode(digits, radix, (len(table), x.sizes[n]))
         levels.append(match.inverse[n][image])
-    maps = []
-    for j in range(len(table)):
-        f = SimplicialMap(x, match.wbar, [lvl[j] for lvl in levels],
-                          name=f"cocycle{j}-wmap")
-        rep = validate_map(f)
-        if not rep.ok:
-            raise StructureError(f"closed-form map of cocycle {j} failed "
-                                 f"validation: {rep.summary()}")
-        maps.append(f)
-    return maps
+    f = SimplicialMap(x, match.wbar, levels, name="cocycle-wmaps")
+    rep = validate_map(f)
+    if not rep.ok:
+        raise StructureError(f"closed-form map of cocycle "
+                             f"{int(rep.rows.argmin())} failed validation: "
+                             f"{rep.summary()}")
+    return f
 
 
 @dataclass

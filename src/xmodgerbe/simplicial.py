@@ -271,7 +271,10 @@ class TruncatedSimplicialGroup:
 
 @dataclass
 class SimplicialMap:
-    """A level-wise map commuting with faces and degeneracies."""
+    """A level-wise map commuting with faces and degeneracies.
+
+    A level may also be a stack, one row per map, of the same level of many
+    maps between the same sets; `validate_map` then checks every row."""
 
     source: TruncatedSimplicialSet
     target: TruncatedSimplicialSet
@@ -283,9 +286,9 @@ class SimplicialMap:
             raise StructureError(f"{self.name}: wrong number of levels")
         for n, arr in enumerate(self.levels):
             arr = np.asarray(arr, dtype=np.int64)
-            if arr.shape != (self.source.sizes[n],):
+            if arr.ndim > 2 or arr.shape[-1:] != (self.source.sizes[n],):
                 raise StructureError(f"{self.name}: level {n} wrong length")
-            if len(arr) and (arr.min() < 0 or arr.max() >= self.target.sizes[n]):
+            if arr.size and (arr.min() < 0 or arr.max() >= self.target.sizes[n]):
                 raise StructureError(f"{self.name}: level {n} out of target range")
             self.levels[n] = arr
 
@@ -360,6 +363,8 @@ def validate_simplicial(obj) -> Report:
 
 
 def validate_map(f: SimplicialMap) -> Report:
+    """Every face and degeneracy law of f, with a pass flag per row
+    (`Report.rows`) when f's levels are a stack of maps."""
     rep = Report()
     x, y = f.source, f.target
     if x.N != y.N:
@@ -367,14 +372,14 @@ def validate_map(f: SimplicialMap) -> Report:
         return rep
     for n in range(1, x.N + 1):
         for i in range(n + 1):
-            ok = np.array_equal(f.levels[n - 1][x.faces[n][i]],
-                                y.faces[n][i][f.levels[n]])
-            rep.add(f"face-commutes-d{i}@{n}", ok)
+            rep.add_rows(f"face-commutes-d{i}@{n}",
+                         f.levels[n - 1][..., x.faces[n][i]]
+                         == y.faces[n][i][f.levels[n]])
     for n in range(x.N):
         for i in range(n + 1):
-            ok = np.array_equal(f.levels[n + 1][x.degens[n][i]],
-                                y.degens[n][i][f.levels[n]])
-            rep.add(f"degen-commutes-s{i}@{n}", ok)
+            rep.add_rows(f"degen-commutes-s{i}@{n}",
+                         f.levels[n + 1][..., x.degens[n][i]]
+                         == y.degens[n][i][f.levels[n]])
     return rep
 
 

@@ -42,7 +42,10 @@ __all__ = [
 
 @dataclass
 class Twisting:
-    """tau: X_n -> G_{n-1} for 1 <= n <= X.N; values[0] is unused."""
+    """tau: X_n -> G_{n-1} for 1 <= n <= X.N; values[0] is unused.
+
+    A level may also be a stack, one row per twisting, of the same level of
+    many twistings on one base; `validate_twisting` then checks every row."""
 
     base: TruncatedSimplicialSet
     group: TruncatedSimplicialGroup
@@ -54,9 +57,9 @@ class Twisting:
             raise StructureError(f"{self.name}: need {self.base.N + 1} value levels")
         for n in range(1, self.base.N + 1):
             arr = np.asarray(self.values[n], dtype=np.int64)
-            if arr.shape != (self.base.sizes[n],):
+            if arr.ndim > 2 or arr.shape[-1:] != (self.base.sizes[n],):
                 raise StructureError(f"{self.name}: level {n} wrong length")
-            if len(arr) and (arr.min() < 0 or arr.max() >= self.group.sizes[n - 1]):
+            if arr.size and (arr.min() < 0 or arr.max() >= self.group.sizes[n - 1]):
                 raise StructureError(f"{self.name}: level {n} out of group range")
             self.values[n] = arr
 
@@ -69,7 +72,8 @@ class Twisting:
 
 
 def validate_twisting(t: Twisting) -> Report:
-    """The four twisting conditions, exhaustively within the truncation."""
+    """The four twisting conditions, exhaustively within the truncation,
+    with a pass flag per row (`Report.rows`) when t's values are a stack."""
     rep = Report()
     x, g = t.base, t.group
     N = x.N
@@ -80,27 +84,27 @@ def validate_twisting(t: Twisting) -> Report:
     # (1) d0 tau(z) = tau(d1 z) * tau(d0 z)^-1          (z at level >= 2)
     for n in range(2, N + 1):
         grp = g.groups[n - 2]
-        t1 = t.values[n - 1][x.faces[n][1]]
-        t0 = t.values[n - 1][x.faces[n][0]]
+        t1 = t.values[n - 1][..., x.faces[n][1]]
+        t0 = t.values[n - 1][..., x.faces[n][0]]
         rhs = grp.table[t1, grp.inverses[t0]]
         lhs = g.faces[n - 1][0][t.values[n]]
-        rep.add(f"twist-d0@{n}", np.array_equal(lhs, rhs))
+        rep.add_rows(f"twist-d0@{n}", lhs == rhs)
     # (2) d_i tau(z) = tau(d_{i+1} z)                   (1 <= i <= n-1)
     for n in range(2, N + 1):
         for i in range(1, n):
             lhs = g.faces[n - 1][i][t.values[n]]
-            rhs = t.values[n - 1][x.faces[n][i + 1]]
-            rep.add(f"twist-d{i}@{n}", np.array_equal(lhs, rhs))
+            rhs = t.values[n - 1][..., x.faces[n][i + 1]]
+            rep.add_rows(f"twist-d{i}@{n}", lhs == rhs)
     # (3) s_i tau(z) = tau(s_{i+1} z)                   (0 <= i <= n-1)
     for n in range(1, N):
         for i in range(n):
             lhs = g.degens[n - 1][i][t.values[n]]
-            rhs = t.values[n + 1][x.degens[n][i + 1]]
-            rep.add(f"twist-s{i}@{n}", np.array_equal(lhs, rhs))
+            rhs = t.values[n + 1][..., x.degens[n][i + 1]]
+            rep.add_rows(f"twist-s{i}@{n}", lhs == rhs)
     # (4) tau(s_0 z) = e
     for n in range(N):
-        got = t.values[n + 1][x.degens[n][0]]
-        rep.add(f"twist-s0-e@{n}", bool(np.all(got == g.identity(n))))
+        got = t.values[n + 1][..., x.degens[n][0]]
+        rep.add_rows(f"twist-s0-e@{n}", got == g.identity(n))
     return rep
 
 
@@ -359,32 +363,38 @@ def twistings_equivalent(t1: Twisting, t2: Twisting,
     for values in _Search(spec, budget).solutions(limit=1):
         psi = SimplicialMap(t1.base, t1.group.sset(),
                             [np.array(v, dtype=np.int64) for v in values], name="psi")
-        _check_witness(t1, t2, psi)
+        rep = _check_witness(t1, t2, psi)
+        if not rep.ok:
+            raise StructureError(f"equivalence witness fails: {rep.summary()}")
         return psi
     return None
 
 
-def _check_witness(t1: Twisting, t2: Twisting, psi: SimplicialMap) -> None:
+def _check_witness(t1: Twisting, t2: Twisting, psi: SimplicialMap) -> Report:
+    """Whether psi is a gauge from t1 to t2: d0 psi(z) tau2(z) = tau1(z)
+    psi(d0 z), and psi commutes with the other faces and every degeneracy.
+    Stacks of twistings and gauges are checked row by row, with a pass flag
+    per row in `Report.rows`."""
+    rep = Report()
     x, g = t1.base, t1.group
     for n in range(1, x.N + 1):
         grp = g.groups[n - 1]
         lhs = grp.table[g.faces[n][0][psi.levels[n]], t2.values[n]]
-        rhs = grp.table[t1.values[n], psi.levels[n - 1][x.faces[n][0]]]
-        if not np.array_equal(lhs, rhs):
-            raise StructureError(f"equivalence witness fails twisted d0 at level {n}")
+        rhs = grp.table[t1.values[n], psi.levels[n - 1][..., x.faces[n][0]]]
+        rep.add_rows(f"twisted-d0@{n}", lhs == rhs)
         for i in range(1, n + 1):
-            if not np.array_equal(g.faces[n][i][psi.levels[n]],
-                                  psi.levels[n - 1][x.faces[n][i]]):
-                raise StructureError(f"equivalence witness fails d{i} at level {n}")
+            rep.add_rows(f"d{i}@{n}", g.faces[n][i][psi.levels[n]]
+                         == psi.levels[n - 1][..., x.faces[n][i]])
     for n in range(x.N):
         for i in range(n + 1):
-            if not np.array_equal(g.degens[n][i][psi.levels[n]],
-                                  psi.levels[n + 1][x.degens[n][i]]):
-                raise StructureError(f"equivalence witness fails s{i} at level {n}")
+            rep.add_rows(f"s{i}@{n}", g.degens[n][i][psi.levels[n]]
+                         == psi.levels[n + 1][..., x.degens[n][i]])
+    return rep
 
 
 def pullback_twisting(t: Twisting, f: SimplicialMap, name: str | None = None) -> Twisting:
-    """Compose a twisting with a simplicial map into its base."""
+    """Compose a twisting with a simplicial map into its base (with a stack
+    of maps, the stack of their twistings)."""
     if f.target is not t.base and f.target.sizes != t.base.sizes:
         raise StructureError("map target does not match twisting base")
     vals = [np.zeros(0, dtype=np.int64)]

@@ -59,15 +59,28 @@ def pmap(fn, items, jobs: int = 1, chunksize: int = 1):
 
 @dataclass
 class Report:
-    """Accumulates named check results; `ok` is the conjunction."""
+    """Accumulates named check results; `ok` is the conjunction.
+
+    A check made on a stack of rows (`add_rows`) also keeps a pass flag per
+    row: `rows` is the conjunction, row by row, of every such check."""
 
     checks: list[tuple[str, bool]] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
+    rows: object = None
 
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append((name, bool(ok)))
         if not ok:
             self.violations.append(f"{name}: {detail}" if detail else name)
+
+    def add_rows(self, name: str, ok) -> None:
+        """Record a law checked elementwise: `ok` is a boolean array whose
+        last axis runs over simplices, with one row per stacked item or no
+        leading axis for a single item; a row passes when all its entries
+        do."""
+        per_row = ok.all(axis=-1).reshape(-1)
+        self.rows = per_row if self.rows is None else self.rows & per_row
+        self.add(name, per_row.all())
 
     @property
     def ok(self) -> bool:

@@ -530,3 +530,39 @@ def brute_automorphisms(g) -> list[list[int]]:
     return [list(p) for p in itertools.permutations(range(n))
             if all(p[t[a][b]] == t[p[a]][p[b]]
                    for a in range(n) for b in range(n))]
+
+
+def map_rows(f):
+    """The maps of a stacked SimplicialMap, one per row."""
+    from xmodgerbe.simplicial import SimplicialMap
+    return [SimplicialMap(f.source, f.target, [lvl[j] for lvl in f.levels],
+                          name=f"{f.name}[{j}]")
+            for j in range(len(f.levels[0]))]
+
+
+def gauge_partition(xm, match, maps):
+    """Homotopy classes of maps f: X -> W-bar N(H -> D) into the W-bar of
+    `match`, decided as gauge classes of the pulled-back twistings f*tau by
+    search alone: every item is tested with `twistings_equivalent` against
+    one representative per class, as `partition` does.
+
+    Maps X -> W-bar G up to homotopy are twistings X -> G up to gauge
+    equivalence (May, Simplicial Objects in Algebraic Topology, 18-21), so
+    the searches run over X, not X x Delta[1], each with the default
+    budget.  The map-homotopy cross-check of `gerbe-classify` merges along
+    certified generator moves instead; this is the search-only reference it
+    is held to."""
+    from xmodgerbe.simplicial import partition
+    from xmodgerbe.twist import Twisting, pullback_twisting, twistings_equivalent
+    from xmodgerbe.util import Budget
+    from xmodgerbe.xnerve import build_nerve
+    # tau takes values in levels 0-2 of the nerve; a gauge on X reaches
+    # level 3, whose lower levels are the same tables
+    tau = Twisting(match.wbar, build_nerve(xm, 3), list(match.tau.values))
+    twistings = [pullback_twisting(tau, f) for f in maps]
+    classes, _ = partition(
+        len(twistings),
+        lambda r, i, _b: twistings_equivalent(
+            twistings[r], twistings[i],
+            budget=Budget(what="gauge equivalence")))
+    return classes

@@ -161,6 +161,12 @@ def test_gerbe_classify_counts_and_out(capsys, tmp_path):
         "cac7485e4de2527eef189169febf30d42bc7b703555dfb1f65fc9c3385a44c1d"
     assert hashlib.sha256(files[0].read_bytes()).hexdigest() == \
         "92816f01e4ab9d21ef579022e87fa1e9d40f9ec99bcd8dc2fbb6d3ea2825a3fa"
+    # how the map-homotopy cross-check decided goes to stderr alone: 213
+    # merges along certified generator moves join the 216 cocycles into the
+    # 3 orbits, and 3 exhausted searches keep those apart
+    assert [ln.rpartition(" ")[0] for ln in err.splitlines()] == [
+        "[gerbe-classify] map_homotopy: 213 certified merges, 0 failed "
+        "certificates, 3 gauge searches, 3", "[gerbe-classify] elapsed"]
 
 
 def test_gerbe_classify_cache_round_trip(capsys, tmp_path):
@@ -225,7 +231,7 @@ def test_map_homotopy_names_its_budget_and_a_disagreement_exits_1(
         capsys, monkeypatch):
     # with the order cap gone, a forced run whose classification fits the
     # budget but whose W-bar does not says so; a contradicted count exits 1
-    from xmodgerbe import cli
+    from xmodgerbe import crosscheck
     argv = ("gerbe-classify", "--cover", "circle:3", "--xmod", "xmod_mod:8:4",
             "--force", "--format", "json")
     code, out, _ = run_cli(capsys, *argv, "--budget", "5000")
@@ -233,7 +239,9 @@ def test_map_homotopy_names_its_budget_and_a_disagreement_exits_1(
     assert code == 0 and check["checked"] is False
     assert check["reason"].startswith("budget: Wbar(N(Z8->Z4)) level 3 has "
                                       "32768 simplices")
-    monkeypatch.setattr(cli, "_gauge_classes", lambda *args: (None, [[0], [1]]))
+    stats = dict.fromkeys(("certified", "failed", "searches", "refuted"), 0)
+    monkeypatch.setattr(crosscheck, "certified_classes",
+                        lambda *args: ([[0], [1]], stats))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out)["oracles"]["map_homotopy"] == {

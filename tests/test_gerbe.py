@@ -250,15 +250,17 @@ def test_array_orbits_match_the_search_on_sphere4(xm):
                             [3, 1, 0, 2], [1, 0])),
 ], ids=["ball4-aut:Z3", "sphere4-mod4:2", "ball3-id:S3", "ball4-aut:Z4-moved"])
 def test_witness_columns_match_apply_witness(cover, xm):
-    # the column formula of the orbit stage, on witnesses that change every
-    # chart and pair at once (no generator does), row for row against the
-    # scalar formula
+    # the column formula of the orbit stage, row for row against the scalar
+    # formula, which recomputes every value: on witnesses that change every
+    # chart and pair at once (no generator does), and on every generator,
+    # for which only the columns it can move are gathered
     laws = gerbe._HCompletions(cover, xm)
     table = enumerate_cocycles(cover, xm, laws=laws)
     rng = np.random.default_rng(11)
-    for _ in range(12):
-        r = rng.integers(xm.D.order, size=cover.charts)
-        s = rng.integers(xm.H.order, size=len(laws.pairs))
+    witnesses = [(rng.integers(xm.D.order, size=cover.charts),
+                  rng.integers(xm.H.order, size=len(laws.pairs)))
+                 for _ in range(12)]
+    for r, s in witnesses + gerbe._generator_witnesses(cover, xm):
         w = StableWitness(dict(enumerate(r.tolist())),
                           dict(zip(laws.pairs, s.tolist())))
         d2, h2 = gerbe._witness_columns(table, r, s, laws)

@@ -1,16 +1,17 @@
 """Twistings, twisted products, and bundle classification."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from xmodgerbe import gerbe
-from xmodgerbe.cli import _gauge_classes, _gauge_partition, parse_xmod
+from xmodgerbe import crosscheck, gerbe
+from xmodgerbe.cli import parse_xmod
 from xmodgerbe.fingroup import (cyclic_group, preset_corpus, symmetric_group,
                                 xmod_identity, xmod_mod, xmod_trivial_fiber)
-from xmodgerbe.gerbe import (cocycle_to_simplicial_map, enumerate_cocycles,
-                             ordered_cocycle_maps)
+from xmodgerbe.gerbe import (classify_gerbes, cocycle_to_simplicial_map,
+                             enumerate_cocycles, ordered_cocycle_maps)
 from xmodgerbe.simplicial import (SimplicialMap, _Search, ball_cover, circle,
                                   circle_cover, constant_simplicial_group,
                                   cover_nerve, homotopy_classes, sphere_cover,
@@ -23,7 +24,8 @@ from xmodgerbe.twist import (Twisting, _check_witness, _twisting_spec,
 from xmodgerbe.util import DEFAULT_BUDGET, Budget, StructureError
 from xmodgerbe.xnerve import build_nerve, match_wbar_duskin
 
-from _oracles import naive_wbar, relabel, scan_sigma_bar
+from _oracles import (gauge_partition, map_rows, naive_wbar, relabel,
+                      scan_sigma_bar)
 
 
 def test_enumerate_twistings_circle_s3():
@@ -210,7 +212,7 @@ def test_gauge_and_prism_routes_partition_alike(cover, xm, most):
     cocycles = _strided(enumerate_cocycles(cover, xm), most)
     match = match_wbar_duskin(xm, 3)
     maps = _searched_maps(cocycles, match)
-    gauge = _gauge_partition(xm, match, maps, None, DEFAULT_BUDGET)
+    gauge = gauge_partition(xm, match, maps)
     assert gauge == _prism_classes(maps, gauge)
 
 
@@ -219,10 +221,12 @@ def test_gauge_and_prism_routes_partition_alike(cover, xm, most):
 def test_gauge_and_prism_routes_partition_alike_on_the_ordered_nerve(
         cover, xm, most):
     # the same two routes on the ordered nerve X<=, where the cross-check
-    # of `gerbe-classify` runs
+    # of `gerbe-classify` runs, with the maps it writes down
     cocycles = _strided(enumerate_cocycles(cover, xm), most)
-    maps, gauge = _gauge_classes(xm, cocycles, None, DEFAULT_BUDGET)
+    match = match_wbar_duskin(xm, 3)
+    maps = map_rows(ordered_cocycle_maps(cocycles, match))
     assert all(f.source.name.startswith("ordered-nerve") for f in maps)
+    gauge = gauge_partition(xm, match, maps)
     assert gauge == _prism_classes(maps, gauge)
 
 
@@ -236,7 +240,7 @@ def test_closed_form_maps_restrict_the_searched_maps(cover, xm, most):
     # strided subset, as above).
     cocycles = enumerate_cocycles(cover, xm)
     match = match_wbar_duskin(xm, 3)
-    ordered = ordered_cocycle_maps(cocycles, match)
+    ordered = map_rows(ordered_cocycle_maps(cocycles, match))
     searched = _searched_maps(cocycles, match)
     x, full = ordered[0].source, searched[0].source
     where = [np.array([full.index(n, t) for t in x.labels[n]])
@@ -247,10 +251,8 @@ def test_closed_form_maps_restrict_the_searched_maps(cover, xm, most):
             assert np.array_equal(f.levels[n], g.levels[n][where[n]]), \
                 (c.key(), n)
     keep = _strided(list(range(len(cocycles))), most)
-    on_ordered = _gauge_partition(xm, match, [ordered[i] for i in keep],
-                                  None, DEFAULT_BUDGET)
-    on_full = _gauge_partition(xm, match, [searched[i] for i in keep],
-                               None, DEFAULT_BUDGET)
+    on_ordered = gauge_partition(xm, match, [ordered[i] for i in keep])
+    on_full = gauge_partition(xm, match, [searched[i] for i in keep])
     assert on_ordered == on_full
 
 
@@ -265,7 +267,7 @@ def test_closed_form_map_refuses_a_wrong_gather(monkeypatch):
     i = next(i for i, c in enumerate(table) if c.h[0, 1, 2] != xm.H.identity)
     one = table[i:i + 1]
     match = match_wbar_duskin(xm, 3)
-    f = ordered_cocycle_maps(one, match)[0]
+    f = ordered_cocycle_maps(one, match)
     assert validate_map(f).ok
     x = f.source
     z = x.labels[2].index((0, 0, 1))
@@ -281,6 +283,118 @@ def test_closed_form_map_refuses_a_wrong_gather(monkeypatch):
     monkeypatch.setattr(gerbe, "_ordered_reads", misread)
     with pytest.raises(StructureError, match="degen-commutes-s0@1"):
         ordered_cocycle_maps(one, match)
+
+
+def _pulled_back(cl):
+    """The pulled-back twistings f*tau of cl's cocycles on X<=, one row per
+    cocycle."""
+    match = match_wbar_duskin(cl.xm, 3)
+    tau = Twisting(match.wbar, build_nerve(cl.xm, 3), list(match.tau.values))
+    return pullback_twisting(tau, ordered_cocycle_maps(cl.cocycles, match))
+
+
+def _rows(t, rows):
+    """The twistings of the stack t at `rows`."""
+    return Twisting(t.base, t.group,
+                    t.values[:1] + [v[rows] for v in t.values[1:]])
+
+
+@pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
+                         ids=[c[0] for c in ROUTE_CASES])
+def test_closed_form_gauges_pass_for_every_move(cover, xm, most):
+    # for every (cocycle, generator) pair the gauge written down from the
+    # move is a gauge from f_c*tau to f_{g.c}*tau: each move is checked on
+    # all cocycles in one batched call
+    cl = classify_gerbes(cover, xm)
+    tw = _pulled_back(cl)
+    for r, s, perm in cl.moves:
+        moved = _rows(tw, perm)
+        psi = crosscheck.move_gauge(tw, moved, cover.simplices(1), r, s)
+        rep = _check_witness(tw, moved, psi)
+        assert rep.ok and rep.rows.shape == (len(cl.cocycles),)
+
+
+@pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
+                         ids=[c[0] for c in ROUTE_CASES])
+def test_certified_partition_is_the_search_partition(cover, xm, most):
+    # merging along certified moves and searching only between the
+    # components gives the classes that searching alone gives, first
+    # members included; on ball:4 both are compared on the strided subset
+    # of the other route tests (the certified classes restricted to it)
+    cl = classify_gerbes(cover, xm)
+    classes, stats = crosscheck.certified_classes(cl, DEFAULT_BUDGET)
+    assert stats["failed"] == 0 and stats["refuted"] == stats["searches"]
+    assert stats["certified"] == len(cl.cocycles) - len(cl.classes)
+    keep = _strided(list(range(len(cl.cocycles))), most)
+    at = {row: k for k, row in enumerate(keep)}
+    restricted = sorted(filter(None, ([at[i] for i in cls if i in at]
+                                      for cls in classes)))
+    match = match_wbar_duskin(xm, 3)
+    maps = map_rows(ordered_cocycle_maps(_strided(cl.cocycles, most), match))
+    assert restricted == gauge_partition(xm, match, maps)
+    assert len(classes) == len(cl.classes)
+
+
+def test_a_changed_gauge_value_fails_its_row_and_the_search_decides(
+        monkeypatch):
+    # one value of one gauge changed: the batched check fails that row
+    # alone; inside the cross-check the edge it certified is left to the
+    # search, which joins the same class
+    cover, xm = circle_cover(3), parse_xmod("xmod_base:symmetric:3")
+    cl = classify_gerbes(cover, xm)
+    tw = _pulled_back(cl)
+    r, s, perm = cl.moves[0]
+    psi = crosscheck.move_gauge(tw, _rows(tw, perm), cover.simplices(1), r, s)
+    k, z = 17, 4
+    levels = [np.array(lvl) for lvl in psi.levels]
+    levels[2][k, z] = (levels[2][k, z] + 1) % psi.target.sizes[2]
+    changed = SimplicialMap(psi.source, psi.target, levels)
+    rows = _check_witness(tw, _rows(tw, perm), changed).rows
+    assert np.flatnonzero(~rows).tolist() == [k]
+
+    # ball:3 x (Z3 -> 1): three cocycles, one class; the first generator
+    # alone proposes two spanning edges, and the first one's gauge is broken
+    cover, xm = ball_cover(3), parse_xmod("xmod_fiber:cyclic:3")
+    cl = classify_gerbes(cover, xm)
+    one = replace(cl, moves=cl.moves[:1])
+    assert crosscheck.certified_classes(one, DEFAULT_BUDGET) == (
+        [[0, 1, 2]], {"certified": 2, "failed": 0, "searches": 0,
+                      "refuted": 0})
+    real = crosscheck.move_gauge
+
+    def broken(t1, t2, pairs, r, s):
+        psi = real(t1, t2, pairs, r, s)
+        psi.levels[2] = psi.levels[2].copy()
+        psi.levels[2][0, 0] = (psi.levels[2][0, 0] + 1) % psi.target.sizes[2]
+        return psi
+    monkeypatch.setattr(crosscheck, "move_gauge", broken)
+    assert crosscheck.certified_classes(one, DEFAULT_BUDGET) == (
+        [[0, 1, 2]], {"certified": 1, "failed": 1, "searches": 1,
+                      "refuted": 0})
+
+
+def test_a_fake_move_between_orbits_merges_nothing():
+    # a move that swaps the least cocycles of two orbits proposes an edge
+    # between classes; its gauge fails the check, and the real moves and
+    # searches then give the true classes
+    cover, xm = circle_cover(3), parse_xmod("xmod_base:symmetric:3")
+    cl = classify_gerbes(cover, xm)
+    i, j = cl.orbit_of.index(0), cl.orbit_of.index(1)
+    r, s, _ = cl.moves[0]
+    perm = np.arange(len(cl.cocycles))
+    perm[[i, j]] = j, i
+    fake = replace(cl, moves=[(r, s, perm)] + cl.moves)
+    classes, stats = crosscheck.certified_classes(fake, DEFAULT_BUDGET)
+    assert stats == {"certified": 213, "failed": 1, "searches": 3,
+                     "refuted": 3}
+    assert classes == crosscheck.certified_classes(cl, DEFAULT_BUDGET)[0]
+    match = match_wbar_duskin(xm, 3)
+    assert classes == gauge_partition(
+        xm, match, map_rows(ordered_cocycle_maps(cl.cocycles, match)))
+    alone = replace(cl, moves=[(r, s, perm)])
+    classes, stats = crosscheck.certified_classes(alone, DEFAULT_BUDGET)
+    assert stats["certified"] == 0 and stats["failed"] == 1
+    assert len(classes) == 3
 
 
 @pytest.mark.parametrize("xm", SMALL, ids=[xm.name for xm in SMALL])
@@ -311,7 +425,7 @@ def test_check_witness_refuses_a_changed_d0_value():
     t = Twisting(x, g, [np.zeros(0, dtype=np.int64),
                         np.full(x.sizes[1], g.identity(0))])
     psi = twistings_equivalent(t, t)
-    _check_witness(t, t, psi)
+    assert _check_witness(t, t, psi).ok
     h = next(h for h in range(xm.H.order) if h != xm.H.identity)
     k = g.identity(0) * xm.H.order + h
     assert g.faces[1][1][k] == g.identity(0) != g.faces[1][0][k]
@@ -319,5 +433,6 @@ def test_check_witness_refuses_a_changed_d0_value():
     levels = [a.copy() for a in psi.levels]
     levels[1][z] = g.groups[1].table[levels[1][z], k]
     changed = SimplicialMap(x, g.sset(), levels, name="psi'")
-    with pytest.raises(StructureError, match="twisted d0 at level 1"):
-        _check_witness(t, t, changed)
+    rep = _check_witness(t, t, changed)
+    assert rep.rows.tolist() == [False]
+    assert rep.violations == ["twisted-d0@1"]
