@@ -54,18 +54,6 @@ class RunConfig:
     tolerance: float | None = None
     out: str | None = None
 
-    def semantic_key(self) -> dict:
-        """Everything that can influence results (not timing or layout)."""
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "truncation": self.truncation,
-            "budget": self.budget,
-            "force": self.force,
-            "fd_step": self.fd_step,
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass
 class RunReport:
@@ -439,13 +427,15 @@ CACHE_FORMAT = 4
 
 def _cache_path(cfg: RunConfig, cover: CoverComplex,
                 xm: CrossedModule) -> str | None:
-    """Entry path keyed on the run's semantic key and on the content of the
+    """Entry path keyed on the command, on the config its report echoes
+    (everything that can influence results) and on the content of the
     resolved inputs, so an edited input file never serves the old result."""
     if not cfg.cache_dir:
         return None
     import hashlib
     from .fingroup import xmod_to_json
-    key = {"format": CACHE_FORMAT, "run": cfg.semantic_key(),
+    key = {"format": CACHE_FORMAT, "command": cfg.command,
+           "run": _config_echo(cfg),
            "cover": cover.to_json(),
            "xmod": dict(xmod_to_json(xm), name=xm.name)}
     digest = hashlib.sha256(

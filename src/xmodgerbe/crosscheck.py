@@ -9,17 +9,17 @@ equivalence (May, Simplicial Objects in Algebraic Topology, 18-21), so the
 classes are gauge classes of the pulled-back twistings f*tau.
 
 `certified_classes` merges two classes only along an edge whose gauge
-passed `twist._check_witness`: the generator moves of the classification
-propose the edges, and `move_gauge` writes each one's gauge down in closed
-form.  A class is founded only once `twistings_equivalent` searches have
-refuted every earlier class's representative.  Only `gerbe-classify` loads
-this module.
+passed `twist._check_witness`: the spanning forest of the classification's
+orbits proposes the edges, and `move_gauge` writes each one's gauge down in
+closed form.  A class is founded only once `twistings_equivalent` searches
+have refuted every earlier class's representative.  Only `gerbe-classify`
+loads this module.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .gerbe import GerbeClassification, ordered_cocycle_maps
+from .gerbe import GerbeClassification, _spanning, ordered_cocycle_maps
 from .simplicial import SimplicialMap, partition
 from .twist import (Twisting, _check_witness, pullback_twisting,
                     twistings_equivalent)
@@ -62,34 +62,6 @@ def move_gauge(t1: Twisting, t2: Twisting, pairs: list, r: np.ndarray,
     return SimplicialMap(x, group.sset(), psi, name="psi")
 
 
-def _spanning(lo: np.ndarray, hi: np.ndarray,
-              n: int) -> tuple[np.ndarray, np.ndarray]:
-    """A spanning forest of the edges (lo[k], hi[k]), lo < hi, between
-    labels below n: (the positions k of its edges, ascending; each label's
-    root, the least label it is joined to).
-
-    In each round every label that is some edge's larger end takes the
-    first such edge down to the smaller end; the links only point down, so
-    the chosen edges form a forest.  The labels are then replaced by their
-    roots (pointer jumping), and the edges still between two roots go to
-    the next round."""
-    keep = [np.zeros(0, dtype=np.intp)]
-    pos = np.arange(len(lo))
-    root = np.arange(n)
-    while len(pos):
-        order = np.argsort(hi, kind="stable")
-        first = order[np.r_[True, hi[order][1:] != hi[order][:-1]]]
-        keep.append(pos[first])
-        root[hi[first]] = lo[first]
-        while not np.array_equal(jumped := root[root], root):
-            root = jumped
-        lo, hi = root[lo], root[hi]
-        live = lo != hi
-        lo, hi = np.minimum(lo, hi)[live], np.maximum(lo, hi)[live]
-        pos = pos[live]
-    return np.sort(np.concatenate(keep)), root
-
-
 def certified_classes(cl: GerbeClassification,
                       budget_limit: int) -> tuple[list[list[int]], dict]:
     """The homotopy classes of the maps X<= -> W-bar N(H -> D) of the
@@ -97,17 +69,16 @@ def certified_classes(cl: GerbeClassification,
     f*tau, and counts of how the merges and splits were decided.
 
     `ordered_cocycle_maps` writes the maps down from the cocycle table a
-    block of rows at a time.  Classes are merged along the generator moves
-    of `cl`: a union-find over each move's edges c -> g.c keeps one edge
-    per merge of two components, `move_gauge` writes down its gauge, and
-    the edge joins the components only when `_check_witness` passes that
-    gauge.  The components' least rows are then partitioned by
-    `twistings_equivalent` searches, with the orbit labels only ordering
-    them, so a class is founded only once every earlier class's
-    representative is refuted.  The moves only propose edges: a gauge that
-    fails its check costs a search, never a verdict.  Classes come out as
-    `partition` gives them, rows ascending and first members first, and
-    each model and search gets a budget of the run's limit."""
+    block of rows at a time.  Classes are merged along the spanning forest
+    of the orbits that the generator moves of `cl` carry: `move_gauge`
+    writes down each forest edge's gauge, and the edges whose gauge passes
+    `_check_witness` join their ends (`_spanning`).  The least rows of the
+    components are then partitioned by `twistings_equivalent` searches, so
+    a class is founded only once every earlier class's representative is
+    refuted.  The moves only propose edges: a gauge that fails its check
+    costs a search, never a verdict.  Classes come out as `partition` gives
+    them, rows ascending and first members first, and each model and
+    search gets a budget of the run's limit."""
     xm = cl.xm
     match = match_wbar_duskin(xm, N=3,
                               budget=Budget(budget_limit, what="dictionary"))
@@ -128,22 +99,17 @@ def certified_classes(cl: GerbeClassification,
         """The pulled-back twistings of `rows`, an int or an index array."""
         return Twisting(x, group, values[:1] + [v[rows] for v in values[1:]])
     stats = {"certified": 0, "failed": 0, "searches": 0, "refuted": 0}
-    label = np.arange(len(table))      # each row's component: its least row
-    for r, s, perm in cl.moves:
-        cross = np.flatnonzero(label != label[perm])
-        lo = np.minimum(label, label[perm])[cross]
-        hi = np.maximum(label, label[perm])[cross]
-        keep, _ = _spanning(lo, hi, len(table))
-        passed = np.zeros(len(keep), dtype=bool)
-        for k in range(0, len(keep), BLOCK):
-            edges = cross[keep[k:k + BLOCK]]
-            t1, t2 = stack(edges), stack(perm[edges])
+    ends = [np.zeros((2, 0), dtype=np.intp)]     # the passed edges' ends
+    for r, s, perm, edges in cl.moves:
+        for k in range(0, len(edges), BLOCK):
+            rows = edges[k:k + BLOCK]
+            t1, t2 = stack(rows), stack(perm[rows])
             psi = move_gauge(t1, t2, table.cover.simplices(1), r, s)
-            passed[k:k + BLOCK] = _check_witness(t1, t2, psi).rows
-        stats["certified"] += int(passed.sum())
-        stats["failed"] += int(len(keep) - passed.sum())
-        keep = keep[passed]
-        label = _spanning(lo[keep], hi[keep], len(table))[1][label]
+            ok = _check_witness(t1, t2, psi).rows
+            stats["certified"] += int(ok.sum())
+            stats["failed"] += int((~ok).sum())
+            ends.append(np.sort((rows, perm[rows]), axis=0)[:, ok])
+    label = _spanning(*np.hstack(ends), len(table))[1]
     reps = np.flatnonzero(label == np.arange(len(table))).tolist()
 
     def decide(a: int, b: int, _budget):
@@ -153,8 +119,7 @@ def certified_classes(cl: GerbeClassification,
             budget=Budget(budget_limit, what="gauge equivalence"))
         stats["refuted"] += w is None
         return w
-    joined, _ = partition(len(reps), decide,
-                          hint=[cl.orbit_of[i] for i in reps])
+    joined, _ = partition(len(reps), decide)
     class_of = np.empty(len(table), dtype=np.intp)
     for c, members in enumerate(joined):
         class_of[[reps[i] for i in members]] = c

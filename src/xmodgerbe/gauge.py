@@ -132,31 +132,21 @@ def _stack_inv(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MatrixGroupDesc:
-    """A matrix group given by a Lie-algebra basis and an element map.
-
-    `elem` sends parameter vectors (..., param_dim) to group matrices
-    (..., dim, dim); the default is exp of the corresponding algebra
-    combination.  `basis` spans the Lie algebra inside dim x dim matrices.
+    """A matrix group given by a Lie-algebra basis; its elements are exp of
+    the algebra combinations.  `basis` spans the Lie algebra inside
+    dim x dim matrices.
     """
 
     name: str
     dim: int
     basis: list
-    elem: Callable | None = None
 
     def __post_init__(self):
         self.basis = [np.asarray(b, dtype=np.complex128) for b in self.basis]
-        if self.elem is None:
-            self.elem = self._exp_elem
 
     @property
     def param_dim(self) -> int:
         return len(self.basis)
-
-    def _exp_elem(self, params: np.ndarray) -> np.ndarray:
-        params = np.asarray(params, dtype=np.float64)
-        alg = np.tensordot(params, np.stack(self.basis), axes=([-1], [0]))
-        return matrix_exp(alg)
 
     def algebra(self, params: np.ndarray) -> np.ndarray:
         params = np.asarray(params, dtype=np.float64)
@@ -166,7 +156,8 @@ class MatrixGroupDesc:
         return np.eye(self.dim, dtype=np.complex128)
 
     def random(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        return self.elem(rng.normal(scale=scale, size=self.param_dim))
+        return matrix_exp(self.algebra(rng.normal(scale=scale,
+                                                  size=self.param_dim)))
 
 
 @dataclass
@@ -175,7 +166,7 @@ class MatrixCrossedModule:
 
     alpha maps H-matrices to D-matrices; action maps (D-matrix, H-matrix)
     to an H-matrix.  dalpha/daction are the corresponding Lie-algebra maps
-    and tangent(x, h) is T_x(h) of compute_T; when omitted they are
+    and tangent(x, h) is T_x(h) of compute_T; when tangent is omitted it is
     evaluated by central differences on exp-curves.
     """
 
@@ -184,25 +175,11 @@ class MatrixCrossedModule:
     D: MatrixGroupDesc
     alpha: Callable
     action: Callable
-    dalpha: Callable | None = None
-    daction: Callable | None = None
+    dalpha: Callable
+    daction: Callable
     tangent: Callable | None = None
     h_abelian: bool = False
     t_step: float = DEFAULT_T_STEP
-
-    def dalpha_of(self, x: np.ndarray) -> np.ndarray:
-        if self.dalpha is not None:
-            return self.dalpha(x)
-        t = self.t_step
-        return (self.alpha(matrix_exp(t * x))
-                - self.alpha(matrix_exp(-t * x))) / (2.0 * t)
-
-    def daction_of(self, d: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.daction is not None:
-            return self.daction(d, y)
-        t = self.t_step
-        return (self.action(d, matrix_exp(t * y))
-                - self.action(d, matrix_exp(-t * y))) / (2.0 * t)
 
 
 def compute_T(a_value: np.ndarray, h: np.ndarray, xm: MatrixCrossedModule,
@@ -596,7 +573,7 @@ def check_connection(gcd: GaugeChartData, dinvs: list, hinvs: list,
                 raise StructureError(f"overlap ({o.a},{o.b}): a_form was "
                                      "released before the connection laws")
             if o.a_form is not None:
-                corr = xm.dalpha_of(o.a_form[:, mu])
+                corr = xm.dalpha(o.a_form[:, mu])
             # A is gathered one axis at a time: a gather of both components
             # would hold the other axis through this one's law
             lhs = ca.A[o.ia, mu]
@@ -619,7 +596,7 @@ def check_connection(gcd: GaugeChartData, dinvs: list, hinvs: list,
         for mu in range(gcd.dim):
             der, valid = _central_diff(hinv, t.shape, mu, ca.steps[mu],
                                        t.periodic[mu])
-            lhs = a_ab[:, mu] + xm.daction_of(d_ab, a_bc[:, mu])
+            lhs = a_ab[:, mu] + xm.daction(d_ab, a_bc[:, mu])
             if xm.tangent is None:
                 tan = compute_T(ca.A[t.ia, mu], hinv, xm, gcd.t_step,
                                 hinv_inv)
@@ -644,7 +621,7 @@ def check_bfield(gcd: GaugeChartData, hinvs: list, table: dict) -> Residual:
             raise StructureError(f"charts ({o.a},{o.b}) lack B-field samples")
         for c in range(n2):
             lhs = ca.B[o.ia][:, c]
-            rhs = xm.daction_of(o.d, cb.B[o.ib][:, c]) + o.delta[:, c]
+            rhs = xm.daction(o.d, cb.B[o.ib][:, c]) + o.delta[:, c]
             res.add(f"bfield-overlap[{c}]", lhs - rhs)
     for k, t in enumerate(gcd.triples):
         what = f"triple({t.a},{t.b},{t.c})"
@@ -655,7 +632,7 @@ def check_bfield(gcd: GaugeChartData, hinvs: list, table: dict) -> Residual:
         ba = gcd.charts[t.a].B[t.ia]
         hinv = hinvs[k]
         for c in range(n2):
-            lhs = de_ab[:, c] + xm.daction_of(d_ab, de_bc[:, c])
+            lhs = de_ab[:, c] + xm.daction(d_ab, de_bc[:, c])
             rhs = (t.h @ de_ac[:, c] @ hinv
                    + ba[:, c] - t.h @ ba[:, c] @ hinv)
             res.add(f"bfield-triple[{c}]", lhs - rhs)
@@ -709,7 +686,7 @@ def curvature_and_nu(gcd: GaugeChartData, dinvs: list) -> CurvatureReport:
         if ch.B is not None:
             # nu is built in F's buffer: nothing reads F on its own
             for c in range(n2):
-                f[:, c] += xm.dalpha_of(ch.B[:, c])
+                f[:, c] += xm.dalpha(ch.B[:, c])
         nus.append(f[:, :n2])
         valids.append(valid)
     glue = Residual(f"nu-gluing {gcd.name}")

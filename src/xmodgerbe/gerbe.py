@@ -380,31 +380,32 @@ class _RowIndex:
         return np.where(hit, self.position[rank], -1)
 
 
-def _orbit_least(perms: list[np.ndarray], n: int) -> np.ndarray:
-    """The least member of each index's orbit under the group that the
-    permutations `perms` of range(n) generate.
+def _spanning(lo: np.ndarray, hi: np.ndarray,
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A spanning forest of the edges (lo[k], hi[k]), lo < hi, between
+    labels below n: (the positions k of its edges, ascending; each label's
+    root, the least label it is joined to).
 
-    Min-label propagation: every label takes the least of its own and the
-    labels of its images under each permutation and its inverse, then each
-    label is replaced by its label's label until none moves (pointer
-    jumping); the rounds stop when a round moves no label."""
-    steps = []
-    for p in perms:
-        inv = np.full(n, -1, dtype=np.intp)
-        inv[p] = np.arange(n)
-        if (inv < 0).any():
-            raise StructureError("a witness action is not one-to-one on the "
-                                 "enumerated cocycles")
-        steps += [p, inv]
-    label = np.arange(n)
-    while True:
-        before = label
-        for p in steps:
-            label = np.minimum(label, label[p])
-        while not np.array_equal(jumped := label[label], label):
-            label = jumped
-        if np.array_equal(label, before):
-            return label
+    In each round every label that is some edge's larger end takes the
+    first such edge down to the smaller end; the links only point down, so
+    the chosen edges form a forest.  The labels are then replaced by their
+    roots (pointer jumping), and the edges still between two roots go to
+    the next round."""
+    keep = [np.zeros(0, dtype=np.intp)]
+    pos = np.arange(len(lo))
+    root = np.arange(n)
+    while len(pos):
+        order = np.argsort(hi, kind="stable")
+        first = order[np.r_[True, hi[order][1:] != hi[order][:-1]]]
+        keep.append(pos[first])
+        root[hi[first]] = lo[first]
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+        lo, hi = root[lo], root[hi]
+        live = lo != hi
+        lo, hi = np.minimum(lo, hi)[live], np.maximum(lo, hi)[live]
+        pos = pos[live]
+    return np.sort(np.concatenate(keep)), root
 
 
 @dataclass
@@ -423,9 +424,10 @@ class GerbeClassification:
     exhaustive: bool
     # orbit_of[i] is the index in `classes` of the orbit of cocycles[i]
     orbit_of: list[int]
-    # the generator moves (r, s, perm): the witness (r_a, s_ab) takes
-    # cocycles[i] to cocycles[perm[i]]
-    moves: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    # the generator moves (r, s, perm, edges): the witness (r_a, s_ab)
+    # takes cocycles[i] to cocycles[perm[i]], and the edges c -> perm[c],
+    # c in `edges`, are the ones the move adds to the orbits' spanning forest
+    moves: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
     def counts(self) -> tuple[int, int]:
         return len(self.cocycles), len(self.classes)
@@ -444,14 +446,17 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
     generator witness acts on all of its rows at once (`_witness_columns`),
     and `_RowIndex` finds every image row, so the witness is a permutation
     of the row indices; an image outside the table is a StructureError.
-    The orbits are the components that the permutations connect
-    (`_orbit_least`).  Classes are listed by their least member, which is
-    their smallest row index, with a GerbeCocycle for that member only, and
-    `orbit_of` names each cocycle's class; `moves` keeps each generator
-    with its permutation.  One budget step per (cocycle,
-    generator) is charged as soon as the cocycles are counted.  Instances
-    beyond the exhaustive-mode guard (> 5 charts or |H|*|D| > 16) require
-    `force` and are flagged non-exhaustive.
+    The orbits are the components that the permutations connect, grown
+    as one spanning forest a move at a time: `_spanning` keeps one edge
+    c -> perm[c] per merge of two orbits so far, and an image that two rows
+    share is a StructureError.  Classes are listed by their least member,
+    which is their smallest row index, with a GerbeCocycle for that member
+    only, and `orbit_of` names each cocycle's class; `moves` keeps each
+    generator with its permutation and the forest rows it added.  One
+    budget step per (cocycle, generator) is charged as soon as the
+    cocycles are counted.  Instances beyond the exhaustive-mode guard
+    (> 5 charts or |H|*|D| > 16) require `force` and are flagged
+    non-exhaustive.
     """
     guard = cover.charts > GUARD_CHARTS or xm.H.order * xm.D.order > GUARD_ORDER
     budget = budget or Budget(what="gerbe classification")
@@ -468,15 +473,23 @@ def classify_gerbes(cover: CoverComplex, xm: CrossedModule,
                       [xm.D.order] * len(laws.pairs)
                       + [xm.H.order] * len(laws.triples))
     moves = []
+    label = np.arange(len(table))      # each row's orbit so far: its least row
     for r, s in gens:
         at = index.find(np.hstack(_witness_columns(table, r, s, laws)))
         if (at < 0).any():
             raise StructureError("witness action left the enumerated "
                                  "cocycle set (enumeration bug)")
-        moves.append((r, s, at))
-    least = _orbit_least([perm for _, _, perm in moves], len(table))
-    firsts = np.flatnonzero(least == np.arange(len(table)))
-    orbit_of = np.searchsorted(firsts, least)
+        if (np.bincount(at, minlength=len(table)) != 1).any():
+            raise StructureError("a witness action is not one-to-one on the "
+                                 "enumerated cocycles")
+        image = label[at]
+        cross = np.flatnonzero(label != image)
+        keep, root = _spanning(np.minimum(label, image)[cross],
+                               np.maximum(label, image)[cross], len(table))
+        moves.append((r, s, at, cross[keep]))
+        label = root[label]
+    firsts = np.flatnonzero(label == np.arange(len(table)))
+    orbit_of = np.searchsorted(firsts, label)
     classes = []
     for i, size in zip(firsts.tolist(),
                        np.bincount(orbit_of, minlength=len(firsts)).tolist()):

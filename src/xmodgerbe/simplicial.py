@@ -1280,8 +1280,8 @@ def simplicially_homotopic(f: SimplicialMap, g: SimplicialMap,
                             name="homotopy"), None)
 
 
-def partition(n: int, decide, probe: int | None = None,
-              hint: list | None = None) -> tuple[list[list[int]], dict]:
+def partition(n: int, decide,
+              probe: int | None = None) -> tuple[list[list[int]], dict]:
     """Partition items 0..n-1 under an equivalence relation; returns
     (classes, witnesses).
 
@@ -1300,27 +1300,12 @@ def partition(n: int, decide, probe: int | None = None,
     budget), so the expensive full refutations happen once per new class,
     not once per item.  Without `probe` every call gets `budget` None and
     a BudgetError ends the partition.
-
-    `hint`, one label per item (say, the witness orbit of the cocycle a
-    map extends), only orders the probes: an item is probed first against
-    the classes whose representative has its label, then against the rest
-    in the order the classes were made, and cut probes are retried in the
-    same order.  Without a hint every item meets the classes in creation
-    order.  The result cannot depend on the hint: an item joins a class
-    only with a witness, and it starts a new class only once every
-    representative is refuted, so any probe order gives the same classes
-    with the same first members.  A wrong hint costs probes, never a
-    verdict.
     """
-    if hint is not None and len(hint) != n:
-        raise ValueError(f"hint has {len(hint)} labels for {n} items")
     classes: list[list[int]] = []
     witnesses: dict = {}
     for i in range(n):
-        order = classes if hint is None else sorted(
-            classes, key=lambda cls: hint[cls[0]] != hint[i])
         undecided: list[list[int]] = []
-        for cls in order:
+        for cls in classes:
             try:
                 w = decide(cls[0], i, None if probe is None else
                            Budget(limit=probe, what="homotopy probe"))
@@ -1346,8 +1331,7 @@ def partition(n: int, decide, probe: int | None = None,
 
 def homotopy_classes(maps: list[SimplicialMap],
                      budget: Budget | None = None,
-                     probe: int = 20_000,
-                     hint: list | None = None) -> tuple[list[list[int]], dict]:
+                     probe: int = 20_000) -> tuple[list[list[int]], dict]:
     """Partition `maps` into homotopy classes by prism searches on
     X x Delta[1]; returns (classes, witnesses).
 
@@ -1355,13 +1339,11 @@ def homotopy_classes(maps: list[SimplicialMap],
     those the homotopy relation is an equivalence, so `partition` may test
     against one representative per class.  Probes run under the node cap
     `probe`; a cut pair is retried under `budget`, which all full searches
-    share (a fresh unnamed budget each when None).  `hint` only orders the
-    probes; see `partition`.  The map-homotopy cross-check of
-    `gerbe-classify` decides by gauge equivalence instead; this prism
-    route serves the suite's direct checks and `classify_bundles`.
+    share (a fresh unnamed budget each when None).  The map-homotopy
+    cross-check of `gerbe-classify` decides by gauge equivalence instead;
+    this prism route serves the suite's direct checks and
+    `classify_bundles`.
     """
-    if hint is not None and len(hint) != len(maps):
-        raise ValueError(f"hint has {len(hint)} labels for {len(maps)} maps")
     if not maps:
         return [], {}
     y = maps[0].target
@@ -1379,7 +1361,7 @@ def homotopy_classes(maps: list[SimplicialMap],
         return simplicially_homotopic(maps[r], maps[i], budget=b,
                                       prism=prism, d1=d1)
 
-    return partition(len(maps), decide, probe=probe, hint=hint)
+    return partition(len(maps), decide, probe=probe)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,9 @@ def test_broken_matrix_xmod_fails_peiffer():
     so3 = so3_group()
     bad = MatrixCrossedModule("so3-broken", so3, so3,
                               alpha=lambda h: h,
-                              action=lambda d, h: h)
+                              action=lambda d, h: h,
+                              dalpha=lambda x: x,
+                              daction=lambda d, y: y)
     rep = validate_matrix_xmod(bad)
     assert not rep.ok
     assert any("peiffer" in name for name, ok in rep.checks if not ok)

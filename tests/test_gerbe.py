@@ -321,6 +321,33 @@ def test_row_index_is_exact_beyond_63_bits():
         gerbe._RowIndex(np.vstack((rows, rows[7:8])), radix)
 
 
+def test_an_image_outside_the_table_is_refused(monkeypatch):
+    # 1 -> Z2 identity on ball:3: alpha is one-to-one, so d fixes h_012,
+    # and a row with its h_012 changed is no cocycle
+    real = gerbe._witness_columns
+
+    def off(table, r, s, laws):
+        d, h = real(table, r, s, laws)
+        h[0, 0] = (h[0, 0] + 1) % table.xm.H.order
+        return d, h
+    monkeypatch.setattr(gerbe, "_witness_columns", off)
+    with pytest.raises(StructureError, match="witness action left the "
+                                             "enumerated cocycle set"):
+        classify_gerbes(ball_cover(3), xmod_identity(cyclic_group(2)))
+
+
+def test_two_rows_sent_to_one_row_are_refused(monkeypatch):
+    real = gerbe._witness_columns
+
+    def merged(table, r, s, laws):
+        d, h = real(table, r, s, laws)
+        d[1], h[1] = d[0], h[0]
+        return d, h
+    monkeypatch.setattr(gerbe, "_witness_columns", merged)
+    with pytest.raises(StructureError, match="not one-to-one"):
+        classify_gerbes(ball_cover(3), xmod_identity(cyclic_group(2)))
+
+
 def test_base_only_module_matches_bundle_count():
     # (1 -> Z3) gerbes over the circle = conjugacy classes of Z3 = 3,
     # the same count the bundle classifier produces

@@ -234,24 +234,18 @@ def test_search_order_is_pinned():
 
 def _gerbe_maps(cover, xm, spent=None):
     """The cocycle maps into W-bar; `spent` collects each extension's nodes."""
-    return _classified_maps(cover, xm, spent)[0]
-
-
-def _classified_maps(cover, xm, spent=None):
-    """The cocycle maps into W-bar and the witness orbit of each."""
-    from xmodgerbe.gerbe import classify_gerbes, cocycle_to_simplicial_map
+    from xmodgerbe.gerbe import cocycle_to_simplicial_map, enumerate_cocycles
     from xmodgerbe.xnerve import match_wbar_duskin
-    cl = classify_gerbes(cover, xm, budget=Budget(what="gerbes"))
     match = match_wbar_duskin(xm, 3, budget=Budget(what="dictionary"))
     nerve, maps = None, []
-    for c in cl.cocycles:
+    for c in enumerate_cocycles(cover, xm, budget=Budget(what="gerbes")):
         budget = Budget(what="extension")
         cm = cocycle_to_simplicial_map(c, match, nerve=nerve, budget=budget)
         nerve = cm.nerve
         maps.append(cm.wbar_map)
         if spent is not None:
             spent.append(budget.used)
-    return maps, cl.orbit_of
+    return maps
 
 
 def test_extension_nodes_are_pinned():
@@ -286,57 +280,6 @@ def test_homotopy_nodes_are_pinned(monkeypatch, cover, xm, cut, probe, want):
     classes, _ = homotopy_classes(maps, budget=full, probe=probe)
     probes = [b.used for b in made if b.what == "homotopy probe"]
     assert (len(classes), len(probes), sum(probes), full.used) == want
-
-
-@pytest.mark.parametrize("cover, xm", [
-    (circle_cover(3), xmod_trivial_base(symmetric_group(3))),
-    (circle_cover(3), xmod_trivial_fiber(cyclic_group(2))),
-    (ball_cover(3), xmod_trivial_fiber(cyclic_group(3))),
-], ids=["circle3-S3", "circle3-Z2", "ball3-Z3"])
-def test_hint_orders_probes_but_not_classes(cover, xm):
-    # the hint only orders probes: right, relabelled, constant and wrong
-    # hints all give the unhinted classes, first members included
-    maps, orbit = _classified_maps(cover, xm)
-    k = max(orbit) + 1
-    hints = {"orbit": orbit,
-             "relabelled": [f"orbit {(o + 1) % k}" for o in orbit],
-             "constant": [0] * len(maps),
-             "rotated": orbit[1:] + orbit[:1]}
-    want = homotopy_classes(maps, budget=Budget(what="homotopy"))[0]
-    assert len(want) == k
-    for name, hint in hints.items():
-        got = homotopy_classes(maps, budget=Budget(what="homotopy"), hint=hint)
-        assert got[0] == want, name
-
-
-def test_hinted_probes_are_pinned(monkeypatch):
-    # (classes, probes, refuted probes, full-search nodes) on circle:3 x S3
-    # with the witness orbits as the hint: 213 maps meet their own class
-    # first, so only the three class founders are refuted
-    made = []
-
-    class Counted(Budget):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    maps, orbit = _classified_maps(circle_cover(3),
-                                   xmod_trivial_base(symmetric_group(3)))
-    monkeypatch.setattr(simplicial, "Budget", Counted)
-    full = Budget(what="homotopy")
-    classes, witnesses = homotopy_classes(maps, budget=full, hint=orbit)
-    probes = [b for b in made if b.what == "homotopy probe"]
-    assert (len(classes), len(probes), len(probes) - len(witnesses),
-            full.used) == (3, 216, 3, 0)
-
-
-def test_hint_of_the_wrong_length_is_refused():
-    maps = _gerbe_maps(ball_cover(3), xmod_trivial_fiber(cyclic_group(3)))
-    for hint in ([0] * (len(maps) - 1), [0] * (len(maps) + 1)):
-        with pytest.raises(ValueError, match="labels for 3 maps"):
-            homotopy_classes(maps, hint=hint)
-    with pytest.raises(ValueError):
-        homotopy_classes([], hint=[0])
 
 
 def _assert_at_rest(search):

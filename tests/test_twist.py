@@ -191,13 +191,8 @@ def _searched_maps(cocycles, match):
     return maps
 
 
-def _prism_classes(maps, gauge):
-    # the gauge classes only order the prism probes; the prism classes
-    # cannot depend on the order (test_hint_orders_probes_but_not_classes)
-    label = {i: ci for ci, cls in enumerate(gauge) for i in cls}
-    prism, _ = homotopy_classes(maps, budget=Budget(what="homotopy"),
-                                hint=[label[i] for i in range(len(maps))])
-    return prism
+def _prism_classes(maps):
+    return homotopy_classes(maps, budget=Budget(what="homotopy"))[0]
 
 
 @pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
@@ -213,7 +208,7 @@ def test_gauge_and_prism_routes_partition_alike(cover, xm, most):
     match = match_wbar_duskin(xm, 3)
     maps = _searched_maps(cocycles, match)
     gauge = gauge_partition(xm, match, maps)
-    assert gauge == _prism_classes(maps, gauge)
+    assert gauge == _prism_classes(maps)
 
 
 @pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
@@ -227,7 +222,7 @@ def test_gauge_and_prism_routes_partition_alike_on_the_ordered_nerve(
     maps = map_rows(ordered_cocycle_maps(cocycles, match))
     assert all(f.source.name.startswith("ordered-nerve") for f in maps)
     gauge = gauge_partition(xm, match, maps)
-    assert gauge == _prism_classes(maps, gauge)
+    assert gauge == _prism_classes(maps)
 
 
 @pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
@@ -307,11 +302,28 @@ def test_closed_form_gauges_pass_for_every_move(cover, xm, most):
     # all cocycles in one batched call
     cl = classify_gerbes(cover, xm)
     tw = _pulled_back(cl)
-    for r, s, perm in cl.moves:
+    for r, s, perm, _ in cl.moves:
         moved = _rows(tw, perm)
         psi = crosscheck.move_gauge(tw, moved, cover.simplices(1), r, s)
         rep = _check_witness(tw, moved, psi)
         assert rep.ok and rep.rows.shape == (len(cl.cocycles),)
+
+
+@pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
+                         ids=[c[0] for c in ROUTE_CASES])
+def test_the_moves_carry_a_spanning_forest_of_the_orbits(cover, xm, most):
+    # the forest edges c -> perm[c] of the moves: one per merge of two
+    # orbits, each inside one orbit, and together they join the orbits
+    cl = classify_gerbes(cover, xm)
+    ends = np.hstack([np.zeros((2, 0), dtype=np.intp)]
+                     + [np.sort((edges, perm[edges]), axis=0)
+                        for _, _, perm, edges in cl.moves])
+    assert ends.shape[1] == len(cl.cocycles) - len(cl.classes)
+    orbit = np.array(cl.orbit_of)
+    assert np.array_equal(orbit[ends[0]], orbit[ends[1]])
+    _, root = gerbe._spanning(ends[0], ends[1], len(cl.cocycles))
+    firsts = np.flatnonzero(root == np.arange(len(root)))
+    assert np.searchsorted(firsts, root).tolist() == cl.orbit_of
 
 
 @pytest.mark.parametrize("cover, xm, most", [c[1:] for c in ROUTE_CASES],
@@ -343,7 +355,7 @@ def test_a_changed_gauge_value_fails_its_row_and_the_search_decides(
     cover, xm = circle_cover(3), parse_xmod("xmod_base:symmetric:3")
     cl = classify_gerbes(cover, xm)
     tw = _pulled_back(cl)
-    r, s, perm = cl.moves[0]
+    r, s, perm, _ = cl.moves[0]
     psi = crosscheck.move_gauge(tw, _rows(tw, perm), cover.simplices(1), r, s)
     k, z = 17, 4
     levels = [np.array(lvl) for lvl in psi.levels]
@@ -353,11 +365,11 @@ def test_a_changed_gauge_value_fails_its_row_and_the_search_decides(
     assert np.flatnonzero(~rows).tolist() == [k]
 
     # ball:3 x (Z3 -> 1): three cocycles, one class; the first generator
-    # alone proposes two spanning edges, and the first one's gauge is broken
+    # carries both forest edges, and the first one's gauge is broken
     cover, xm = ball_cover(3), parse_xmod("xmod_fiber:cyclic:3")
     cl = classify_gerbes(cover, xm)
-    one = replace(cl, moves=cl.moves[:1])
-    assert crosscheck.certified_classes(one, DEFAULT_BUDGET) == (
+    assert len(cl.moves[0][3]) == 2
+    assert crosscheck.certified_classes(cl, DEFAULT_BUDGET) == (
         [[0, 1, 2]], {"certified": 2, "failed": 0, "searches": 0,
                       "refuted": 0})
     real = crosscheck.move_gauge
@@ -368,22 +380,23 @@ def test_a_changed_gauge_value_fails_its_row_and_the_search_decides(
         psi.levels[2][0, 0] = (psi.levels[2][0, 0] + 1) % psi.target.sizes[2]
         return psi
     monkeypatch.setattr(crosscheck, "move_gauge", broken)
-    assert crosscheck.certified_classes(one, DEFAULT_BUDGET) == (
+    assert crosscheck.certified_classes(cl, DEFAULT_BUDGET) == (
         [[0, 1, 2]], {"certified": 1, "failed": 1, "searches": 1,
                       "refuted": 0})
 
 
 def test_a_fake_move_between_orbits_merges_nothing():
-    # a move that swaps the least cocycles of two orbits proposes an edge
-    # between classes; its gauge fails the check, and the real moves and
-    # searches then give the true classes
+    # a move that swaps the least cocycles of two orbits, with that swap as
+    # its forest edge, proposes an edge between classes; its gauge fails
+    # the check, and the real forest and searches then give the true classes
     cover, xm = circle_cover(3), parse_xmod("xmod_base:symmetric:3")
     cl = classify_gerbes(cover, xm)
     i, j = cl.orbit_of.index(0), cl.orbit_of.index(1)
-    r, s, _ = cl.moves[0]
+    r, s, _, _ = cl.moves[0]
     perm = np.arange(len(cl.cocycles))
     perm[[i, j]] = j, i
-    fake = replace(cl, moves=[(r, s, perm)] + cl.moves)
+    swap = (r, s, perm, np.array([i]))
+    fake = replace(cl, moves=[swap] + cl.moves)
     classes, stats = crosscheck.certified_classes(fake, DEFAULT_BUDGET)
     assert stats == {"certified": 213, "failed": 1, "searches": 3,
                      "refuted": 3}
@@ -391,7 +404,7 @@ def test_a_fake_move_between_orbits_merges_nothing():
     match = match_wbar_duskin(xm, 3)
     assert classes == gauge_partition(
         xm, match, map_rows(ordered_cocycle_maps(cl.cocycles, match)))
-    alone = replace(cl, moves=[(r, s, perm)])
+    alone = replace(cl, moves=[swap])
     classes, stats = crosscheck.certified_classes(alone, DEFAULT_BUDGET)
     assert stats["certified"] == 0 and stats["failed"] == 1
     assert len(classes) == 3
