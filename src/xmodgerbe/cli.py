@@ -4,7 +4,7 @@ One binary with subcommands.  Reports are emitted on stdout as
 deterministically ordered JSON (or a flat table); timing and cache notices
 go to stderr so repeated runs produce byte-identical reports regardless of
 parallelism.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
-parse error, 3 budget exhausted.
+parse error, 3 budget or memory exhausted.
 """
 
 from __future__ import annotations
@@ -370,10 +370,6 @@ def cmd_lift(cfg: RunConfig) -> tuple[RunReport, int]:
     cover = parse_cover(cfg.inputs["cover"], Budget(cfg.budget, what="cover"))
     target = parse_xmod(cfg.inputs["xmod"])
     plan = LiftPlan(cover, target)
-    if (cfg.inputs.get("base_xmod")
-            and not plan.is_base(parse_xmod(cfg.inputs["base_xmod"]))):
-        raise StructureError("--base-xmod does not match the image "
-                             "module of the target")
     budget = Budget(cfg.budget, what="lift")
     cocycles = enumerate_cocycles(cover, plan.base, budget=budget,
                                   laws=plan.base_laws)
@@ -557,16 +553,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      "obstruction")
     sp.add_argument("--cover", required=True)
     sp.add_argument("--xmod", required=True, help="target crossed module")
-    sp.add_argument("--base-xmod", default=None,
-                    help="optional: module the cocycles live over "
-                         "(defaults to the image module)")
     common(sp)
     return p
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     inputs = {}
-    for key in ("xmod", "cover", "sset", "group", "case", "base_xmod"):
+    for key in ("xmod", "cover", "sset", "group", "case"):
         if hasattr(args, key) and getattr(args, key) is not None:
             inputs[key] = getattr(args, key)
     if args.budget <= 0:
@@ -608,6 +601,10 @@ def main(argv=None) -> int:
         return code
     except BudgetError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as e:
+        # a table no budget guard counts (a nerve level) ends like a budget
+        print(f"out of memory: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except json.JSONDecodeError as e:
         print(f"parse error: {e}", file=sys.stderr)

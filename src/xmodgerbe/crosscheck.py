@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gerbe import GerbeClassification, _spanning, ordered_cocycle_maps
-from .simplicial import SimplicialMap, partition
+from .gerbe import GerbeClassification, _slots, _spanning, ordered_cocycle_maps
+from .simplicial import CoverComplex, SimplicialMap, partition
 from .twist import (Twisting, _check_witness, pullback_twisting,
                     twistings_equivalent)
 from .util import Budget
@@ -34,12 +34,12 @@ __all__ = ["certified_classes", "move_gauge"]
 BLOCK = 4096
 
 
-def move_gauge(t1: Twisting, t2: Twisting, pairs: list, r: np.ndarray,
-               s: np.ndarray) -> SimplicialMap:
+def move_gauge(t1: Twisting, t2: Twisting, cover: CoverComplex,
+               r: np.ndarray, s: np.ndarray) -> SimplicialMap:
     """The gauge psi: X<= -> N(H -> D) that the generator move (r, s) gives
     from tau1 = f_c*tau to tau2 = f_{g.c}*tau, written down for a stack of
     edges c -> g.c: t1 and t2 are the stacks of their pulled-back
-    twistings, and `pairs` the cover's pairs, which s runs over.
+    twistings, on the ordered nerve of `cover`, whose pairs s runs over.
 
     psi(a) = r_a^-1 on a chart, and psi(a, b) = (r_a^-1; s_ab^-1), with the
     identity of H for a = b.  On a level-n simplex z, n >= 2, psi(z) is the
@@ -48,12 +48,11 @@ def move_gauge(t1: Twisting, t2: Twisting, pairs: list, r: np.ndarray,
     checks every row."""
     x, group = t1.base, t1.group
     H = group.xm.H
-    at = {p: i for i, p in enumerate(pairs)}
     s_inv = np.append(H.inverses[s], H.identity)
     psi = [np.broadcast_to(group.xm.D.inverses[r],
                            (len(t1.values[1]), x.sizes[0]))]
     psi.append(psi[0][:, x.faces[1][1]] * H.order
-               + s_inv[[at.get(t, len(at)) for t in x.labels[1]]])
+               + s_inv[_slots(cover, x, 1)])
     for n in range(2, x.N + 1):
         grp = group.groups[n - 1]
         last = grp.table[grp.table[t1.values[n], psi[n - 1][:, x.faces[n][0]]],
@@ -104,7 +103,7 @@ def certified_classes(cl: GerbeClassification,
         for k in range(0, len(edges), BLOCK):
             rows = edges[k:k + BLOCK]
             t1, t2 = stack(rows), stack(perm[rows])
-            psi = move_gauge(t1, t2, table.cover.simplices(1), r, s)
+            psi = move_gauge(t1, t2, table.cover, r, s)
             ok = _check_witness(t1, t2, psi).rows
             stats["certified"] += int(ok.sum())
             stats["failed"] += int((~ok).sum())

@@ -165,13 +165,6 @@ class GroupHom:
         m = self.mapping
         return np.array_equal(m[self.source.table], t[np.ix_(m, m)])
 
-    def compose(self, other: GroupHom) -> GroupHom:
-        """self after other."""
-        if other.target is not self.source and other.target.order != self.source.order:
-            raise StructureError("composition mismatch")
-        return GroupHom(other.source, self.target, self.mapping[other.mapping],
-                        name=f"{self.name}.{other.name}")
-
 
 @dataclass
 class GroupAction:

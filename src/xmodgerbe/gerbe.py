@@ -162,31 +162,35 @@ class _HCompletions:
     per (cover, crossed module); its tables are also the ones
     check_cocycle reads.
 
-    d and h are read by position in the cover's pair and triple lists:
-    `edges` holds each triple's (ab, bc, ac) pairs, `quads` each quad's
-    (ab, abc, acd, bcd, abd) positions in the cover's quad order, and
-    `by_depth[i]` the quads whose lexicographically last triple is triple
-    i, which the search checks as soon as it sets that triple.
+    d and h are read by position in the cover's pair and triple lists, as
+    the cover's `faces` give them: `edges` holds each triple's (ab, bc, ac)
+    pairs, `quads` each quad's (ab, abc, acd, bcd, abd), and `by_depth[i]`
+    the quads whose lexicographically last triple is triple i, which the
+    search checks as soon as it sets that triple.  `_witness_columns`
+    gathers with `ends` (each pair's a, b), `edge_cols` and `first`.
     """
 
     def __init__(self, cover: CoverComplex, xm: CrossedModule):
         self.pairs, self.triples = cover.simplices(1), cover.simplices(2)
         self.tetras = cover.simplices(3)
         self.pair_set, self.triple_set = set(self.pairs), set(self.triples)
-        pidx = {p: i for i, p in enumerate(self.pairs)}
-        tidx = {t: i for i, t in enumerate(self.triples)}
         self.dmul, self.dinv = xm.D.table.tolist(), xm.D.inverses.tolist()
         self.hmul, self.act = xm.H.table.tolist(), xm.action.table.tolist()
         self.alpha = xm.alpha.mapping.tolist()
         self.pre: list[list[int]] = [[] for _ in range(xm.D.order)]
         for hval, dval in enumerate(self.alpha):
             self.pre[dval].append(hval)
-        self.edges = [(pidx[a, b], pidx[b, c], pidx[a, c]) for (a, b, c) in tidx]
-        self.quads = [(pidx[a, b], tidx[a, b, c], tidx[a, c, d], tidx[b, c, d],
-                       tidx[a, b, d]) for (a, b, c, d) in self.tetras]
-        self.by_depth: list[list[tuple]] = [[] for _ in tidx]
+        triple_faces, quad_faces = cover.faces(2), cover.faces(3)
+        edges = triple_faces[:, [2, 0, 1]]
+        self.edges = edges.tolist()
+        self.quads = np.column_stack((triple_faces[quad_faces[:, 3], 2],
+                                      quad_faces[:, [3, 1, 0, 2]])).tolist()
+        self.by_depth: list[list[list[int]]] = [[] for _ in self.triples]
         for q in self.quads:
             self.by_depth[max(q[1:])].append(q)
+        self.ends = cover.faces(1)[:, ::-1].T
+        self.edge_cols = edges.T
+        self.first = self.ends[0][self.edge_cols[0]]
 
     def cosets(self, d) -> list[list[int]]:
         """Per triple, the alpha-preimage of d_ab d_bc d_ac^-1: the values
@@ -301,13 +305,13 @@ def _witness_columns(table: CocycleTable, r: np.ndarray, s: np.ndarray,
     dmul, dinv, alpha = xm.D.table, xm.D.inverses, xm.alpha.mapping
     hmul, hinv, act = xm.H.table, xm.H.inverses, xm.action.table
     r_on, s_on = r != xm.D.identity, s != xm.H.identity
-    a, b = np.array(laws.pairs, dtype=np.intp).reshape(-1, 2).T
+    a, b = laws.ends
     moved = np.flatnonzero(r_on[a] | r_on[b] | s_on)
     d2 = table.d.copy()
     d2[:, moved] = dmul[dmul[dmul[r[a[moved]], alpha[s[moved]]],
                              table.d[:, moved]], dinv[r[b[moved]]]]
-    ab, bc, ac = np.array(laws.edges, dtype=np.intp).reshape(-1, 3).T
-    first = np.array([t[0] for t in laws.triples], dtype=np.intp)
+    ab, bc, ac = laws.edge_cols
+    first = laws.first
     moved = np.flatnonzero(r_on[first] | s_on[ab] | s_on[bc] | s_on[ac])
     h2 = table.h.copy()
     ab, bc, ac, ra = ab[moved], bc[moved], ac[moved], r[first[moved]]
@@ -513,26 +517,20 @@ class CohomologyResult:
     torsion: list[int]             # integral torsion in this degree
 
 
-def _boundary_matrix(cover: CoverComplex, k: int) -> list[list[int]] | None:
-    """Integer matrix of the k-th simplicial boundary on increasing tuples."""
-    rows = cover.simplices(k - 1)
-    cols = cover.simplices(k)
-    if not rows or not cols:
-        return None
-    ridx = {s: i for i, s in enumerate(rows)}
-    mat = [[0] * len(cols) for _ in rows]
-    for j, s in enumerate(cols):
-        for i in range(k + 1):
-            face = s[:i] + s[i + 1:]
-            mat[ridx[face]][j] += (-1) ** i
+def _boundary_matrix(cover: CoverComplex, k: int) -> np.ndarray:
+    """Integer matrix of the k-th boundary on increasing tuples, k >= 1:
+    (-1)^i at face i of each k-simplex's column, set by one scatter."""
+    faces = cover.faces(k)
+    mat = np.zeros((len(cover.position(k - 1)), len(faces)), dtype=np.int64)
+    mat[faces, np.arange(len(faces))[:, None]] = (-1) ** np.arange(k + 1)
     return mat
 
 
 def _integral_homology(cover: CoverComplex, k: int) -> tuple[int, list[int]]:
     if k < 0 or not cover.simplices(k):
         return 0, []
-    return homology(_boundary_matrix(cover, k), _boundary_matrix(cover, k + 1),
-                    len(cover.simplices(k)))
+    return homology(_boundary_matrix(cover, k) if k else None,
+                    _boundary_matrix(cover, k + 1), len(cover.simplices(k)))
 
 
 def abelian_oracle(cover: CoverComplex, a: FiniteGroup, degree: int) -> CohomologyResult:
@@ -645,7 +643,6 @@ class LiftPlan:
         self.action_trivial = all(int(xm.action.table[d, int(k)]) == int(k)
                                   for d in D.elements() for k in ker_inc.mapping)
 
-        self.triples = cover.simplices(2)
         self.quads = cover.simplices(3)
         self.search = _HCompletions(cover, xm)
         self.base_laws = _HCompletions(cover, self.base)
@@ -657,12 +654,7 @@ class LiftPlan:
             self.ker_back = {int(v): i for i, v in enumerate(ker_inc.mapping)}
             self.hinv = H.inverses.tolist()
             # coboundary from triples to quads, one row per quad
-            self.mat = [[0] * len(self.triples) for _ in self.quads]
-            for row, (_ab, abc, acd, bcd, abd) in zip(self.mat, self.search.quads):
-                row[abc] += 1
-                row[acd] += 1
-                row[abd] -= 1
-                row[bcd] -= 1
+            self.mat = (-_boundary_matrix(cover, 3).T).tolist()
             self.solvers = ([ModSolver(self.mat, m) for m in self.moduli]
                             if self.quads else [])
 
@@ -702,7 +694,7 @@ class LiftPlan:
         lifted = None
         h = next(search.completions(d, budget), None)
         if h is not None:
-            lifted = GerbeCocycle(c.cover, xm, dict(c.d), dict(zip(self.triples, h)),
+            lifted = GerbeCocycle(c.cover, xm, dict(c.d), dict(zip(search.triples, h)),
                                   name=f"{c.name}-lift")
             check_cocycle(lifted, "lift search returned an invalid cocycle",
                           search)
@@ -748,29 +740,30 @@ def lift_gerbe(c: GerbeCocycle, xm: CrossedModule,
 
 
 def _ordered_reads(cover: CoverComplex, x: TruncatedSimplicialSet
-                   ) -> list[tuple[list[list[int]], list[list[int]]]]:
+                   ) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
     """What the map of a cocycle reads on each simplex of x, the ordered
     nerve of `cover`: per level n, the pair each spine edge (i, i+1) reads,
-    then the triple each free triangle (i, i+1, k) of the 2-nerve reads, as
-    positions in cover.simplices(1) and cover.simplices(2), one list per
-    edge or triangle over the level's simplices.  The position one past the
-    last pair (triple) stands for the identity of D (H), which an edge on a
-    repeated chart reads, and so does a triangle with a repeated chart, as
-    in the 2-nerve's own degeneracies."""
-    from .xnerve import _free_triples   # loaded with the 2-nerve already
-    pairs, triples = cover.simplices(1), cover.simplices(2)
-    at_d = {p: i for i, p in enumerate(pairs)}
-    at_h = {t: i for i, t in enumerate(triples)}
+    then the triple each free triangle (i, i+1, k) of the 2-nerve reads, one
+    array over the level's simplices each, gathered from the `_slots` of
+    the edges and triangles through x's faces.  The slot past the last pair
+    (triple) reads the identity of D (H), as the 2-nerve's degeneracies do."""
+    from .xnerve import _face_on, _free_triples   # loaded with the 2-nerve
+    d_slot, h_slot = _slots(cover, x, 1), _slots(cover, x, 2)
     reads = []
     for n in range(x.N + 1):
-        tuples = x.labels[n]
-        edges = [[len(pairs) if t[i] == t[i + 1] else at_d[t[i], t[i + 1]]
-                  for t in tuples] for i in range(n)]
-        tris = [[len(triples) if t[i] == t[i + 1] or t[i + 1] == t[k]
-                 else at_h[t[i], t[i + 1], t[k]] for t in tuples]
+        edges = [d_slot[_face_on(x, n, (i, i + 1))] for i in range(n)]
+        tris = [h_slot[_face_on(x, n, (i, i + 1, k))]
                 for i, k in _free_triples(n)]
         reads.append((edges, tris))
     return reads
+
+
+def _slots(cover: CoverComplex, x: TruncatedSimplicialSet,
+           k: int) -> np.ndarray:
+    """The position in cover.simplices(k) of each level-k simplex of x, the
+    ordered nerve of `cover`, or one past the last on a repeated chart."""
+    at = cover.position(k)
+    return np.array([at.get(t, len(at)) for t in x.labels[k]], dtype=np.intp)
 
 
 def ordered_cocycle_maps(table: CocycleTable, match,

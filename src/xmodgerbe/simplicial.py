@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -575,13 +575,14 @@ def sset_product(x: TruncatedSimplicialSet, y: TruncatedSimplicialSet,
 class CoverComplex:
     """An abstract cover: chart count plus the family of overlapping subsets.
 
-    The family is stored downward-closed and always contains the singletons;
-    `closure_added` records whether closing the input family added sets.
+    The family is stored downward-closed and always contains the singletons.
+    Its indexing, `simplices`, `position` and `faces`, is built once here.
     """
 
     charts: int
     sets: frozenset
-    closure_added: bool = False
+    _faces: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @staticmethod
     def from_sets(charts: int, intersections,
@@ -611,29 +612,45 @@ class CoverComplex:
         if closure > limit:
             raise BudgetError(f"closure of a cover of {charts} charts",
                               closure, limit)
-        fam = {frozenset([i]) for i in range(charts)}
-        closed = set(fam)
+        closed = {frozenset([i]) for i in range(charts)}
         for fs in declared:
             for r in range(1, len(fs) + 1):
                 for sub in itertools.combinations(sorted(fs), r):
                     closed.add(frozenset(sub))
-        added = bool(closed - (declared | fam))
-        return CoverComplex(charts, frozenset(closed), closure_added=added)
+        return CoverComplex(charts, frozenset(closed))
 
     def admissible(self, support) -> bool:
         return frozenset(support) in self.sets
 
     def simplices(self, k: int) -> list[tuple[int, ...]]:
         """Sorted (k+1)-subsets in the family: the k-simplices of the nerve."""
-        return list(self._simplices.get(k, ()))
+        return list(self.position(k))
+
+    def position(self, k: int) -> dict[tuple[int, ...], int]:
+        """Each k-simplex's index in simplices(k), in that order; a shared
+        dict, which callers only read."""
+        return self._position.get(k, {})
 
     @cached_property
-    def _simplices(self) -> dict[int, list[tuple[int, ...]]]:
+    def _position(self) -> dict[int, dict[tuple[int, ...], int]]:
         # built on first use; nothing reassigns `sets` after construction
         by_dim: dict[int, list[tuple[int, ...]]] = {}
         for s in self.sets:
             by_dim.setdefault(len(s) - 1, []).append(tuple(sorted(s)))
-        return {k: sorted(v) for k, v in by_dim.items()}
+        return {k: {s: i for i, s in enumerate(sorted(v))}
+                for k, v in by_dim.items()}
+
+    def faces(self, k: int) -> np.ndarray:
+        """A read-only int array, k >= 1, with one row per k-simplex: column
+        i is the position of the simplex without its i-th chart (shape
+        (0, k + 1) for an absent level).  A vertex's position is its chart."""
+        if k not in self._faces:
+            at = self.position(k - 1)
+            self._faces[k] = np.array(
+                [[at[s[:i] + s[i + 1:]] for i in range(k + 1)]
+                 for s in self.position(k)], dtype=np.intp).reshape(-1, k + 1)
+            self._faces[k].flags.writeable = False
+        return self._faces[k]
 
     def to_json(self) -> dict:
         return {"charts": self.charts,

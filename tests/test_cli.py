@@ -60,6 +60,21 @@ def test_xmod_check_unknown_preset_exit_2(capsys):
     assert code == 2
 
 
+def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
+    # an allocation the machine cannot meet, such as a nerve level no
+    # budget guard counts, ends the run as an exhausted budget does
+    from xmodgerbe import cli
+
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 1.42 GiB")
+    monkeypatch.setitem(cli.DISPATCH, "xmod-check", too_large)
+    code, out, err = run_cli(capsys, "xmod-check", "xmod_mod:4:2",
+                             "--format", "json")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["out of memory: Unable to allocate 1.42 GiB"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("classify-bundles", "--sset", "circle", "--group",
      "product:cyclic:2:cyclic:3"),

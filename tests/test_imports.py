@@ -1,5 +1,6 @@
 """No module of the package or of the suite imports a name it never reads,
-and every package function the benchmark's tracer hooks exists."""
+no package function is named nowhere, and every package function the
+benchmark's tracer hooks exists."""
 
 import ast
 import importlib
@@ -64,6 +65,64 @@ def test_no_unused_imports():
     assert paths
     assert [f"{p.relative_to(ROOT)}:{line}: {name}"
             for p in paths for line, name in unused_imports(p)] == []
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Every name, attribute and string constant of `tree`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unnamed_functions(defining: list[Path], reading: list[Path]) -> list[str]:
+    """Each function or non-dunder method defined in `defining` whose name
+    no file of `reading` uses as a name, an attribute or a string, as
+    "file:line: name"."""
+    named = set()
+    for path in reading:
+        named |= _named(ast.parse(path.read_text(), str(path)))
+    out = []
+    for path in defining:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))
+                    and node.name not in named):
+                out.append(f"{path.name}:{node.lineno}: {node.name}")
+    return out
+
+
+def test_no_package_function_is_named_nowhere():
+    # a function of the package that neither the package, the suite, the
+    # benchmark nor the tools name is dead code
+    defining = sorted(ROOT.glob("src/xmodgerbe/*.py"))
+    reading = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/*.py"),
+                      *ROOT.glob("perfbench/*.py"), *ROOT.glob("tools/*.py")])
+    assert defining
+    assert unnamed_functions(defining, reading) == []
+
+
+def test_the_guard_sees_an_unnamed_function(tmp_path):
+    src = tmp_path / "probe.py"
+    src.write_text(
+        "class A:\n"
+        "    def __len__(self):\n"
+        "        return 0\n"
+        "    def read(self):\n"
+        "        return self.called()\n"
+        "    def called(self):\n"
+        "        return hooked\n"
+        "    def dead(self):\n"
+        "        return 1\n"
+        "def hooked():\n"
+        "    return getattr(A, 'read')\n")
+    assert unnamed_functions([src], [src]) == ["probe.py:8: dead"]
 
 
 def test_tracer_hooks_name_package_functions():

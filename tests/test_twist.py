@@ -12,8 +12,8 @@ from xmodgerbe.fingroup import (cyclic_group, preset_corpus, symmetric_group,
                                 xmod_identity, xmod_mod, xmod_trivial_fiber)
 from xmodgerbe.gerbe import (classify_gerbes, cocycle_to_simplicial_map,
                              enumerate_cocycles, ordered_cocycle_maps)
-from xmodgerbe.simplicial import (SimplicialMap, _Search, ball_cover, circle,
-                                  circle_cover, constant_simplicial_group,
+from xmodgerbe.simplicial import (CoverComplex, SimplicialMap, _Search,
+                                  ball_cover, circle, circle_cover, constant_simplicial_group,
                                   cover_nerve, homotopy_classes, sphere_cover,
                                   validate_map, validate_simplicial)
 from xmodgerbe.twist import (Twisting, _check_witness, _twisting_spec,
@@ -173,6 +173,36 @@ ROUTE_CASES = (
     + [(f"sphere4-{spec}", sphere_cover(4), parse_xmod(spec), None)
        for spec in ("xmod_fiber:cyclic:2", "xmod_id:cyclic:2", "xmod_mod:2:2")])
 
+# the distinct covers of ROUTE_CASES, and a 6-chart family of triple and
+# pair overlaps
+INDEX_COVERS = {name.split("-")[0]: cover for name, cover, _, _ in ROUTE_CASES}
+INDEX_COVERS["json6"] = CoverComplex.from_sets(
+    6, [[0, 1, 2], [2, 3, 4], [1, 4, 5], [0, 5]])
+
+
+@pytest.mark.parametrize("cover", INDEX_COVERS.values(), ids=INDEX_COVERS)
+def test_cover_positions_and_faces_index_the_simplices(cover):
+    # position(k) inverts simplices(k), column i of faces(k) is the
+    # position of the tuple without its i-th chart, and the boundary
+    # matrices built from the faces square to zero
+    top = max(len(s) for s in cover.sets)
+    for k in range(top + 1):
+        simplices = cover.simplices(k)
+        at = cover.position(k)
+        assert len(at) == len(simplices)
+        assert [at[s] for s in simplices] == list(range(len(simplices)))
+        if k:
+            assert cover.faces(k).shape == (len(simplices), k + 1)
+            assert cover.faces(k).tolist() == [
+                [cover.simplices(k - 1).index(s[:i] + s[i + 1:])
+                 for i in range(k + 1)] for s in simplices]
+    for k in (2, 3):
+        product = (gerbe._boundary_matrix(cover, k - 1)
+                   @ gerbe._boundary_matrix(cover, k))
+        assert product.shape == (len(cover.simplices(k - 2)),
+                                 len(cover.simplices(k)))
+        assert not product.any()
+
 
 def _strided(cocycles, most):
     """An evenly strided subset of at most `most` cocycles (all for None)."""
@@ -304,7 +334,7 @@ def test_closed_form_gauges_pass_for_every_move(cover, xm, most):
     tw = _pulled_back(cl)
     for r, s, perm, _ in cl.moves:
         moved = _rows(tw, perm)
-        psi = crosscheck.move_gauge(tw, moved, cover.simplices(1), r, s)
+        psi = crosscheck.move_gauge(tw, moved, cover, r, s)
         rep = _check_witness(tw, moved, psi)
         assert rep.ok and rep.rows.shape == (len(cl.cocycles),)
 
@@ -356,7 +386,7 @@ def test_a_changed_gauge_value_fails_its_row_and_the_search_decides(
     cl = classify_gerbes(cover, xm)
     tw = _pulled_back(cl)
     r, s, perm, _ = cl.moves[0]
-    psi = crosscheck.move_gauge(tw, _rows(tw, perm), cover.simplices(1), r, s)
+    psi = crosscheck.move_gauge(tw, _rows(tw, perm), cover, r, s)
     k, z = 17, 4
     levels = [np.array(lvl) for lvl in psi.levels]
     levels[2][k, z] = (levels[2][k, z] + 1) % psi.target.sizes[2]
@@ -374,8 +404,8 @@ def test_a_changed_gauge_value_fails_its_row_and_the_search_decides(
                       "refuted": 0})
     real = crosscheck.move_gauge
 
-    def broken(t1, t2, pairs, r, s):
-        psi = real(t1, t2, pairs, r, s)
+    def broken(t1, t2, cover, r, s):
+        psi = real(t1, t2, cover, r, s)
         psi.levels[2] = psi.levels[2].copy()
         psi.levels[2][0, 0] = (psi.levels[2][0, 0] + 1) % psi.target.sizes[2]
         return psi
