@@ -373,15 +373,9 @@ def cmd_lift(cfg: RunConfig) -> tuple[RunReport, int]:
     budget = Budget(cfg.budget, what="lift")
     cocycles = enumerate_cocycles(cover, plan.base, budget=budget,
                                   laws=plan.base_laws)
-    lifted = 0
-    obstruction_zero = 0
-    agree_all = True
-    for c in cocycles:
-        r = plan.lift(c, budget=budget)
-        lifted += r.lifted is not None
-        obstruction_zero += bool(r.obstruction_zero)
-        if r.agreement is False:
-            agree_all = False
+    lifts = plan.lift_table(cocycles, budget=budget)
+    lifted = int(lifts.found.sum())
+    agree_all = lifts.agreement is None or bool(lifts.agreement.all())
     results = {
         "cover": cover.to_json(),
         "target_xmod": target.name,
@@ -394,7 +388,7 @@ def cmd_lift(cfg: RunConfig) -> tuple[RunReport, int]:
     if plan.emitted:
         oracles["obstruction"] = {
             "emitted": True,
-            "zero_count": obstruction_zero,
+            "zero_count": int(lifts.obstruction_zero.sum()),
             "h3_kernel_invariants": plan.oracle.invariants,
             "agree": agree_all,
         }

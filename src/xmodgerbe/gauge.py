@@ -506,15 +506,17 @@ def validate_chart_data(gcd: GaugeChartData, tol: float = 1e-9) -> Report:
     for o in gcd.overlaps:
         ca, cb = gcd.charts[o.a], gcd.charts[o.b]
         checks.append((f"overlap({o.a},{o.b})-points",
-                       match(ca.grid[o.ia], cb.grid[o.ib]) <= tol))
+                       match(np.take(ca.grid, o.ia, axis=0),
+                             np.take(cb.grid, o.ib, axis=0)) <= tol))
         checks.append((f"overlap({o.a},{o.b})-steps",
                        ca.steps == cb.steps))
         checks.append((f"overlap({o.a},{o.b})-shape",
                        int(np.prod(o.shape)) == len(o.ia) == len(o.ib)))
     for t in gcd.triples:
         ca, cb, cc = gcd.charts[t.a], gcd.charts[t.b], gcd.charts[t.c]
-        ok = (match(ca.grid[t.ia], cb.grid[t.ib]) <= tol
-              and match(ca.grid[t.ia], cc.grid[t.ic]) <= tol)
+        pa = np.take(ca.grid, t.ia, axis=0)
+        ok = (match(pa, np.take(cb.grid, t.ib, axis=0)) <= tol
+              and match(pa, np.take(cc.grid, t.ic, axis=0)) <= tol)
         checks.append((f"triple({t.a},{t.b},{t.c})-points", ok))
     rep = Report()
     for cname, ok in checks:

@@ -8,23 +8,25 @@ pairs and h_abc in H to admissible increasing triples, subject to
 
 where . is the crossed-module action.  `enumerate_cocycles` lists every
 cocycle of a cover as a `CocycleTable`, two int arrays (d over the pairs, h
-over the triples) with one row per cocycle in key order.  Stable
+over the triples) with one row per cocycle in key order, grown as one
+array frontier; `check_table` checks the laws on every row of a table at
+once, as `check_cocycle` does on one cocycle.  Stable
 equivalence is generated by witnesses (r_a, s_ab); `classify_gerbes` turns
 each single-chart / single-pair generator witness into a permutation of the
 table's rows (the transformation law applied to whole columns, each image
 row found by an exact search of the packed keys) and takes the orbits as
 the components those permutations connect.  `abelian_oracle` independently
 computes Čech cohomology of the cover with finite abelian coefficients
-through integer Smith normal form, `LiftPlan` lifts cocycles along alpha
-with an H^3 obstruction cross-check, and `ordered_cocycle_maps` writes the
-cocycles of a table down as one stack of simplicial maps from the ordered
-cover nerve into the classifying space, for the homotopy-theoretic count of
-the same classification (`cocycle_to_simplicial_map` extends one to the
-full cover nerve by search).
+through integer Smith normal form, `LiftPlan` lifts a table of cocycles
+along alpha with an H^3 obstruction cross-check, and `ordered_cocycle_maps`
+writes the cocycles of a table down as one stack of simplicial maps from
+the ordered cover nerve into the classifying space, for the
+homotopy-theoretic count of the same classification
+(`cocycle_to_simplicial_map` extends one to the full cover nerve by
+search).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +44,7 @@ __all__ = [
     "GerbeCocycle",
     "CocycleTable",
     "check_cocycle",
+    "check_table",
     "enumerate_cocycles",
     "GerbeClass",
     "GerbeClassification",
@@ -49,6 +52,7 @@ __all__ = [
     "CohomologyResult",
     "abelian_oracle",
     "LiftResult",
+    "TableLift",
     "LiftPlan",
     "lift_gerbe",
     "CocycleMaps",
@@ -117,40 +121,72 @@ def _int_rows(rows: list, width: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), width)
 
 
+def _row_table(c: GerbeCocycle, what: str,
+               laws: _HCompletions) -> CocycleTable:
+    """c as a one-row table, after the domain checks of check_cocycle:
+    StructureError "<what>: d-domain" ("h-domain") unless d (h) holds one
+    value of D (H) on each pair (triple) of the cover."""
+    if (c.d.keys() != laws.pair_set
+            or not all(0 <= v < laws.D.order for v in c.d.values())):
+        raise StructureError(f"{what}: d-domain")
+    if (c.h.keys() != laws.triple_set
+            or not all(0 <= v < len(laws.hmul) for v in c.h.values())):
+        raise StructureError(f"{what}: h-domain")
+    d, h = [c.d[p] for p in laws.pairs], [c.h[t] for t in laws.triples]
+    return CocycleTable(c.cover, c.xm, _int_rows([d], len(d)),
+                        _int_rows([h], len(h)))
+
+
 def check_cocycle(c: GerbeCocycle, what: str,
                   laws: _HCompletions | None = None) -> None:
     """Raise StructureError "<what>: <check>" at the first failing check of
     c: its d-domain or h-domain, the edge condition on a triple
     ("edge@a,b,c") or the tetrahedron condition on a quad
-    ("tetra@a,b,c,d"); a cocycle passes silently.
+    ("tetra@a,b,c,d"); a cocycle passes silently.  The laws are checked by
+    check_table on c as a one-row table.
 
     `laws` are the tables of c's cover and crossed module; without them
     they are built here, so a caller that checks many cocycles passes them.
     """
     laws = laws or _HCompletions(c.cover, c.xm)
-    if (c.d.keys() != laws.pair_set
-            or not all(0 <= v < len(laws.dmul) for v in c.d.values())):
-        raise StructureError(f"{what}: d-domain")
-    if (c.h.keys() != laws.triple_set
-            or not all(0 <= v < len(laws.hmul) for v in c.h.values())):
-        raise StructureError(f"{what}: h-domain")
-    d = [c.d[p] for p in laws.pairs]
-    h = [c.h[t] for t in laws.triples]
-    dmul, alpha = laws.dmul, laws.alpha
-    for t, (ab, bc, ac), hv in zip(laws.triples, laws.edges, h):
-        if dmul[d[ab]][d[bc]] != dmul[alpha[hv]][d[ac]]:
-            raise StructureError(f"{what}: edge@{','.join(map(str, t))}")
-    for q, pos in zip(laws.tetras, laws.quads):
-        lhs, rhs = _tetra_sides(laws.hmul, laws.act, d, h, *pos)
-        if lhs != rhs:
-            raise StructureError(f"{what}: tetra@{','.join(map(str, q))}")
+    check_table(_row_table(c, what, laws), what, laws)
 
 
-def _tetra_sides(hmul, act, d, h, ab, abc, acd, bcd, abd) -> tuple[int, int]:
-    """Both sides, h_abc h_acd and (d_ab . h_bcd) h_abd, of the tetrahedron
-    law, with H's product and the action as lists and d, h read at the
-    positions (or keys) ab, abc, acd, bcd, abd of a quad's pair and triples."""
-    return hmul[h[abc]][h[acd]], hmul[act[d[ab]][h[bcd]]][h[abd]]
+def check_table(table: CocycleTable, what: str,
+                laws: _HCompletions | None = None) -> None:
+    """check_cocycle for every row of a table at once: the domains, the
+    edge laws and the tetrahedron laws are column gathers over all rows.  A
+    failure raises the StructureError of the first failing row, naming its
+    first failing check: the domains, then the edges in triple order, then
+    the tetrahedra in quad order; `laws` are as for check_cocycle."""
+    laws = laws or _HCompletions(table.cover, table.xm)
+    xm = table.xm
+    d, h = table.d, table.h
+    fails = [((d < 0) | (d >= xm.D.order)).any(axis=1, keepdims=True),
+             ((h < 0) | (h >= xm.H.order)).any(axis=1, keepdims=True)]
+    # out-of-range values are clipped for the gathers; their rows already
+    # fail on the domain, which is reported first
+    d, h = np.clip(d, 0, xm.D.order - 1), np.clip(h, 0, xm.H.order - 1)
+    fails.append(laws.edge_values(d) != xm.alpha.mapping[h])
+    fails.append(np.not_equal(*_tetra_gathers(xm, d, h, laws.quad_cols)))
+    fails = np.hstack(fails)
+    if fails.any():
+        row = fails[fails.any(axis=1).argmax()]
+        names = (["d-domain", "h-domain"]
+                 + [f"edge@{','.join(map(str, t))}" for t in laws.triples]
+                 + [f"tetra@{','.join(map(str, q))}" for q in laws.tetras])
+        raise StructureError(f"{what}: {names[row.argmax()]}")
+
+
+def _tetra_gathers(xm: CrossedModule, d: np.ndarray, h: np.ndarray,
+                   quad_cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides, h_abc h_acd and (d_ab . h_bcd) h_abd, of every quad's
+    tetrahedron law over all rows of the d and h arrays, with `quad_cols`
+    the columns (ab, abc, acd, bcd, abd) of each quad."""
+    hmul = xm.H.table
+    ab, abc, acd, bcd, abd = quad_cols
+    return (hmul[h[:, abc], h[:, acd]],
+            hmul[xm.action.table[d[:, ab], h[:, bcd]], h[:, abd]])
 
 
 # ---------------------------------------------------------------------------
@@ -158,52 +194,64 @@ def _tetra_sides(hmul, act, d, h, ab, abc, acd, bcd, abd) -> tuple[int, int]:
 
 
 class _HCompletions:
-    """The search for the h-values completing a d-assignment, built once
-    per (cover, crossed module); its tables are also the ones
-    check_cocycle reads.
+    """The laws of the cocycles of one (cover, crossed module), built once:
+    the tables check_table reads, the array frontier of enumerate_cocycles,
+    and the depth-first search for the h-values completing one
+    d-assignment, which LiftPlan runs.
 
     d and h are read by position in the cover's pair and triple lists, as
-    the cover's `faces` give them: `edges` holds each triple's (ab, bc, ac)
-    pairs, `quads` each quad's (ab, abc, acd, bcd, abd), and `by_depth[i]`
-    the quads whose lexicographically last triple is triple i, which the
-    search checks as soon as it sets that triple.  `_witness_columns`
-    gathers with `ends` (each pair's a, b), `edge_cols` and `first`.
+    the cover's `faces` give them: `edge_cols` holds the (ab, bc, ac) pair
+    columns of each triple, `quad_cols` the (ab, abc, acd, bcd, abd) pair
+    and triple columns of each quad, and `by_depth[i]` the quads whose
+    lexicographically last triple is triple i, which the search and the
+    frontier check as soon as they set that triple, as the frontier checks
+    the triples of `closed_by[j]` once it sets pair j, their last.
+    `pre[x]` (`coset[x]` as an array row) lists the alpha-preimage of x in
+    ascending order for x in the image, which `in_image` marks.
+    `_witness_columns` gathers with `ends` (each pair's a, b), `edge_cols`
+    and `first`.
     """
 
     def __init__(self, cover: CoverComplex, xm: CrossedModule):
         self.pairs, self.triples = cover.simplices(1), cover.simplices(2)
         self.tetras = cover.simplices(3)
         self.pair_set, self.triple_set = set(self.pairs), set(self.triples)
-        self.dmul, self.dinv = xm.D.table.tolist(), xm.D.inverses.tolist()
+        self.D = xm.D
         self.hmul, self.act = xm.H.table.tolist(), xm.action.table.tolist()
-        self.alpha = xm.alpha.mapping.tolist()
         self.pre: list[list[int]] = [[] for _ in range(xm.D.order)]
-        for hval, dval in enumerate(self.alpha):
+        for hval, dval in enumerate(xm.alpha.mapping.tolist()):
             self.pre[dval].append(hval)
+        self.in_image = np.array([bool(p) for p in self.pre])
+        kernel_size = len(self.pre[xm.D.identity])
+        self.coset = np.array([p or [0] * kernel_size for p in self.pre],
+                              dtype=np.intp)
         triple_faces, quad_faces = cover.faces(2), cover.faces(3)
-        edges = triple_faces[:, [2, 0, 1]]
-        self.edges = edges.tolist()
-        self.quads = np.column_stack((triple_faces[quad_faces[:, 3], 2],
-                                      quad_faces[:, [3, 1, 0, 2]])).tolist()
+        self.edge_cols = triple_faces[:, [2, 0, 1]].T
+        self.quad_cols = np.column_stack((triple_faces[quad_faces[:, 3], 2],
+                                          quad_faces[:, [3, 1, 0, 2]])).T
         self.by_depth: list[list[list[int]]] = [[] for _ in self.triples]
-        for q in self.quads:
+        for q in self.quad_cols.T.tolist():
             self.by_depth[max(q[1:])].append(q)
+        self.closed_by: list[list[int]] = [[] for _ in self.pairs]
+        for t, e in enumerate(self.edge_cols.T.tolist()):
+            self.closed_by[max(e)].append(t)
         self.ends = cover.faces(1)[:, ::-1].T
-        self.edge_cols = edges.T
         self.first = self.ends[0][self.edge_cols[0]]
 
-    def cosets(self, d) -> list[list[int]]:
-        """Per triple, the alpha-preimage of d_ab d_bc d_ac^-1: the values
-        the edge condition leaves h_abc."""
-        dmul, dinv, pre = self.dmul, self.dinv, self.pre
-        return [pre[dmul[dmul[d[ab]][d[bc]]][dinv[d[ac]]]]
-                for ab, bc, ac in self.edges]
+    def edge_values(self, d: np.ndarray, triples=slice(None)) -> np.ndarray:
+        """d_ab d_bc d_ac^-1 of every row of `d` (an array whose first
+        columns are the pairs) on each of `triples`, all by default: the
+        value alpha(h_abc) must take; one column for an int `triples`."""
+        mul, inv = self.D.table, self.D.inverses
+        ab, bc, ac = self.edge_cols[:, triples]
+        return mul[mul[d[:, ab], d[:, bc]], inv[d[:, ac]]]
 
-    def completions(self, d, budget: Budget | None = None):
-        """Every h completing the d-assignment to a cocycle, in lexicographic
-        order, each as a list over the triples; each value tried is charged
-        to `budget` when one is given."""
-        cosets = self.cosets(d)
+    def completions(self, d, edge, budget: Budget | None = None):
+        """Every h completing the d-assignment `d` to a cocycle, in
+        lexicographic order, each as a list over the triples, with `edge`
+        d's edge_values as a list; each value tried is charged to `budget`
+        when one is given."""
+        cosets = [self.pre[x] for x in edge]
         hmul, act, by_depth = self.hmul, self.act, self.by_depth
         if not cosets:
             yield []
@@ -223,9 +271,8 @@ class _HCompletions:
                 budget.spend()
             h[i] = cosets[i][cursor[i]]
             cursor[i] += 1
-            for q in by_depth[i]:
-                lhs, rhs = _tetra_sides(hmul, act, d, h, *q)
-                if lhs != rhs:
+            for ab, abc, acd, bcd, abd in by_depth[i]:
+                if hmul[h[abc]][h[acd]] != hmul[act[d[ab]][h[bcd]]][h[abd]]:
                     break
             else:
                 if i == last:
@@ -247,21 +294,45 @@ def enumerate_cocycles(cover: CoverComplex, xm: CrossedModule,
     """All valid cocycles, in lexicographic (d, h) order: a row's index is
     its key's rank.
 
-    d runs over all assignments to increasing pairs; for each, the h values
-    are confined to alpha-preimage cosets forced by the edge condition and
-    filtered by the tetrahedron condition.  `laws` are the tables of the
-    cover and crossed module, as for check_cocycle.
+    The rows grow as one array frontier of partial assignments, a column
+    at a time and each row into every value of the new column in ascending
+    order, so the frontier stays in lexicographic order.  The pairs come
+    first: once pair j is set, the rows failing the edge condition of a
+    triple whose last pair is j (d_ab d_bc d_ac^-1 outside the image of
+    alpha) are dropped.  Then each triple takes the values of its
+    alpha-preimage coset, and the rows failing a tetrahedron condition
+    whose last triple that is are dropped.  The up-front charge
+    |D|^pairs * |ker alpha|^triples also bounds every frontier.  `laws`
+    are the tables of the cover and crossed module, as for check_cocycle.
     """
     budget = budget or Budget(what="cocycle enumeration")
     budget.spend(_exhaustive_bound(cover, xm))
-    search = laws or _HCompletions(cover, xm)
-    ds, hs = [], []
-    for d in itertools.product(range(xm.D.order), repeat=len(search.pairs)):
-        for h in search.completions(d):
-            ds.append(d)
-            hs.append(h)
-    return CocycleTable(cover, xm, _int_rows(ds, len(search.pairs)),
-                        _int_rows(hs, len(search.triples)))
+    laws = laws or _HCompletions(cover, xm)
+    npairs = len(laws.pairs)
+    rows = np.zeros((1, npairs + len(laws.triples)),
+                    dtype=np.min_scalar_type(max(xm.D.order, xm.H.order)))
+
+    def grow(j: int, values: np.ndarray) -> np.ndarray:
+        """Each row repeated once per entry of its row of `values`, which
+        column j then holds."""
+        out = np.repeat(rows, values.shape[1], axis=0)
+        out[:, j] = values.ravel()
+        return out
+
+    for j, closed in enumerate(laws.closed_by):
+        rows = grow(j, np.broadcast_to(np.arange(xm.D.order),
+                                       (len(rows), xm.D.order)))
+        if closed:
+            rows = rows[laws.in_image[laws.edge_values(rows, closed)]
+                        .all(axis=1)]
+    for i, quads in enumerate(laws.by_depth):
+        rows = grow(npairs + i, laws.coset[laws.edge_values(rows, i)])
+        if quads:
+            lhs, rhs = _tetra_gathers(xm, rows[:, :npairs], rows[:, npairs:],
+                                      np.array(quads).T)
+            rows = rows[(lhs == rhs).all(axis=1)]
+    return CocycleTable(cover, xm, rows[:, :npairs].astype(np.int64),
+                        rows[:, npairs:].astype(np.int64))
 
 
 def _generator_witnesses(cover: CoverComplex, xm: CrossedModule
@@ -619,17 +690,49 @@ class LiftResult:
     defect: dict | None                # quad -> kernel coordinates of the defect
 
 
+@dataclass
+class TableLift:
+    """The lifts of a table's rows, one entry per row: `found` whether the
+    row lifts and `h` the h-values of its lift (the d-values are the row's;
+    a row that does not lift holds zeros).  When the obstruction is
+    emitted, `defect` holds the kernel coordinates of the defect on each
+    quad, `obstruction_zero` whether its class vanishes and `agreement`
+    whether that matches `found`; otherwise the three are None."""
+
+    found: np.ndarray
+    h: np.ndarray
+    obstruction_zero: np.ndarray | None = None
+    agreement: np.ndarray | None = None
+    defect: np.ndarray | None = None
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the first position of each distinct row of `rows`, each row's index
+    among those), by one lexsort; np.unique would load numpy.ma, which no
+    command loads otherwise."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+_INVALID_INPUT = "cannot lift an invalid cocycle"
+
+
 class LiftPlan:
     """Lifting data of a (cover, target) pair, built once for all cocycles.
 
     Only the search and the defect 3-cochain depend on the cocycle.  The
     plan holds the rest: the image module the cocycles live over, ker alpha
-    with its centrality and action checks, the h-completion search of the
-    target, the cocycle laws of the image module and, when the obstruction
-    is emitted, H^3 of the cover in ker alpha, cyclic coordinates of ker
-    alpha, the coboundary matrix from triples to quads and, when there are
-    quads, one factored solver of that matrix per cyclic modulus of ker
-    alpha.
+    with its centrality and action checks, the laws of the target (with
+    its h-completion search) and of the image module and, when the
+    obstruction is emitted, H^3 of the cover in ker alpha, the cyclic
+    coordinates of ker alpha, the coboundary matrix from triples to quads
+    and, when there are quads, one factored solver of that matrix per
+    cyclic modulus of ker alpha.
     """
 
     def __init__(self, cover: CoverComplex, xm: CrossedModule):
@@ -650,9 +753,12 @@ class LiftPlan:
         self.oracle: CohomologyResult | None = None
         if self.emitted:
             self.oracle = abelian_oracle(cover, ker_g, 3)
-            _, self.moduli, self.coord = _abelian_coordinates(ker_g)
-            self.ker_back = {int(v): i for i, v in enumerate(ker_inc.mapping)}
-            self.hinv = H.inverses.tolist()
+            _, self.moduli, coord = _abelian_coordinates(ker_g)
+            # each element of ker alpha: its cyclic coordinates (the row
+            # of an element outside the kernel is never read)
+            self.coord = np.zeros((H.order, len(self.moduli)), dtype=np.int64)
+            for i, v in enumerate(ker_inc.mapping.tolist()):
+                self.coord[v] = coord[i]
             # coboundary from triples to quads, one row per quad
             self.mat = (-_boundary_matrix(cover, 3).T).tolist()
             self.solvers = ([ModSolver(self.mat, m) for m in self.moduli]
@@ -671,58 +777,89 @@ class LiftPlan:
             and np.array_equal(m.D.table, base.D.table)
             and np.array_equal(m.alpha.mapping, base.alpha.mapping))
 
-    def lift(self, c: GerbeCocycle, budget: Budget | None = None) -> LiftResult:
-        """Lift a cocycle over `self.base` to one for the target, if possible.
+    def _check_own(self, cocycles: GerbeCocycle | CocycleTable) -> None:
+        """StructureError unless the cocycles are over the image module and
+        on the plan's cover."""
+        if not self.is_base(cocycles.xm):
+            raise StructureError("cocycle is not over the image module of the target")
+        if ((cocycles.cover.charts, cocycles.cover.sets)
+                != (self.cover.charts, self.cover.sets)):
+            raise StructureError("cocycle is not on the cover of the lift plan")
 
-        The lift is the first h-completion of c's d-values for the target:
-        each h_abc runs over the alpha-preimage coset the edge condition
-        forces, against the tetrahedron condition.  When the obstruction is
-        emitted, the defect 3-cochain of an arbitrary set-level lift is
-        computed and its class is tested for triviality by linear algebra;
-        the two verdicts are cross-checked.
+    def lift(self, c: GerbeCocycle, budget: Budget | None = None) -> LiftResult:
+        """Lift one cocycle over `self.base`: the one-row case of lift_table,
+        with the lift named after c."""
+        self._check_own(c)
+        out = self.lift_table(_row_table(c, _INVALID_INPUT, self.base_laws),
+                              budget)
+        lifted = None
+        if out.found[0]:
+            lifted = GerbeCocycle(c.cover, self.xm, dict(c.d),
+                                  dict(zip(self.search.triples,
+                                           out.h[0].tolist())),
+                                  name=f"{c.name}-lift")
+        if not self.emitted:
+            return LiftResult(lifted, self.central, self.action_trivial,
+                              None, None, None, None)
+        defect = {q: tuple(e) for q, e in zip(self.quads,
+                                              out.defect[0].tolist())}
+        return LiftResult(lifted, self.central, self.action_trivial,
+                          bool(out.obstruction_zero[0]),
+                          bool(out.agreement[0]), self.oracle, defect)
+
+    def lift_table(self, table: CocycleTable,
+                   budget: Budget | None = None) -> TableLift:
+        """Lift every row of a table of cocycles over `self.base` to a
+        cocycle for the target, if possible.
+
+        A row's lift is the first h-completion of its d-values for the
+        target: each h_abc runs over the alpha-preimage coset the edge
+        condition forces, against the tetrahedron condition, row by row,
+        each value tried charged to `budget`.  The input rows and the lifts
+        are checked by check_table.  When the obstruction is emitted, the
+        defect 3-cochain of an arbitrary set-level lift (the first value of
+        every coset) is gathered for all rows at once, its class is tested
+        for triviality by linear algebra once per distinct defect, and the
+        two verdicts are cross-checked.
         """
         budget = budget or Budget(what="gerbe lift")
-        if not self.is_base(c.xm):
-            raise StructureError("cocycle is not over the image module of the target")
-        if (c.cover.charts, c.cover.sets) != (self.cover.charts, self.cover.sets):
-            raise StructureError("cocycle is not on the cover of the lift plan")
-        check_cocycle(c, "cannot lift an invalid cocycle", self.base_laws)
-        xm = self.xm
+        self._check_own(table)
+        check_table(table, _INVALID_INPUT, self.base_laws)
         search = self.search
-        d, _ = c.key()
+        edge = search.edge_values(table.d)
+        firsts = [next(search.completions(d, e, budget), None)
+                  for d, e in zip(table.d.tolist(), edge.tolist())]
+        found = np.array([h is not None for h in firsts], dtype=bool)
+        h = _int_rows([f or [0] * len(search.triples) for f in firsts],
+                      len(search.triples))
+        check_table(CocycleTable(table.cover, self.xm, table.d[found],
+                                 h[found]),
+                    "lift search returned an invalid cocycle", search)
+        out = TableLift(found, h)
+        if not self.emitted:
+            return out
+        xm = self.xm
+        lhs, rhs = _tetra_gathers(xm, table.d, search.coset[edge, 0],
+                                  search.quad_cols)
+        z = xm.H.table[xm.H.inverses[rhs], lhs]
+        if (xm.alpha.mapping[z] != xm.D.identity).any():
+            raise StructureError("lift defect landed outside ker alpha")
+        out.defect = self.coord[z]
+        out.obstruction_zero = np.ones(len(table), dtype=bool)
+        if self.solvers and len(table):
+            distinct, inverse = _distinct_rows(
+                out.defect.reshape(len(table), -1))
+            out.obstruction_zero = np.array(
+                [self._class_vanishes(out.defect[i]) for i in distinct]
+            )[inverse]
+        out.agreement = found == out.obstruction_zero
+        return out
 
-        lifted = None
-        h = next(search.completions(d, budget), None)
-        if h is not None:
-            lifted = GerbeCocycle(c.cover, xm, dict(c.d), dict(zip(search.triples, h)),
-                                  name=f"{c.name}-lift")
-            check_cocycle(lifted, "lift search returned an invalid cocycle",
-                          search)
-
-        obstruction_zero = None
-        agreement = None
-        defect_out = None
-        if self.emitted:
-            ref = [cs[0] for cs in search.cosets(d)]     # arbitrary set-level lift
-            defect_out = {}
-            zrows = []
-            for q, pos in zip(self.quads, search.quads):
-                lhs, rhs = _tetra_sides(search.hmul, search.act, d, ref, *pos)
-                z = search.hmul[self.hinv[rhs]][lhs]
-                if z not in self.ker_back:
-                    raise StructureError("lift defect landed outside ker alpha")
-                exps = self.coord[self.ker_back[z]]
-                defect_out[q] = tuple(int(e) for e in exps)
-                zrows.append(exps)
-            obstruction_zero = True
-            for ci, solver in enumerate(self.solvers):
-                rhs_vec = [(-row[ci]) % solver.mod for row in zrows]
-                if solver.solve(rhs_vec) is None:
-                    obstruction_zero = False
-                    break
-            agreement = (lifted is not None) == obstruction_zero
-        return LiftResult(lifted, self.central, self.action_trivial,
-                          obstruction_zero, agreement, self.oracle, defect_out)
+    def _class_vanishes(self, defect: np.ndarray) -> bool:
+        """Whether a defect (quads x kernel coordinates) is a coboundary:
+        one solve per cyclic modulus, until one has no solution."""
+        return all(solver.solve(((-defect[:, ci]) % solver.mod).tolist())
+                   is not None for ci, solver in enumerate(self.solvers))
 
 
 def lift_gerbe(c: GerbeCocycle, xm: CrossedModule,

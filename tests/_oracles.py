@@ -380,6 +380,123 @@ def brute_cocycles(cover, xm) -> list[tuple]:
     return out
 
 
+def check_cocycle_loops(c, what):
+    """Raise the StructureError `check_cocycle` raises for c, by scalar
+    loops over its dicts as the package checked one cocycle before its
+    table check: the d- and h-domains, the edge law d_ab d_bc =
+    alpha(h_abc) d_ac on each triple, then the tetrahedron law
+    h_abc h_acd = (d_ab . h_bcd) h_abd on each quad, in cover order."""
+    from xmodgerbe.util import StructureError
+    xm, cover = c.xm, c.cover
+    dt, ht = xm.D.table, xm.H.table
+    al, act = xm.alpha.mapping, xm.action.table
+    d, h = c.d, c.h
+    if (set(d) != set(cover.simplices(1))
+            or not all(0 <= v < xm.D.order for v in d.values())):
+        raise StructureError(f"{what}: d-domain")
+    if (set(h) != set(cover.simplices(2))
+            or not all(0 <= v < xm.H.order for v in h.values())):
+        raise StructureError(f"{what}: h-domain")
+    for (a, b, cc) in cover.simplices(2):
+        if dt[d[(a, b)], d[(b, cc)]] != dt[al[h[(a, b, cc)]], d[(a, cc)]]:
+            raise StructureError(f"{what}: edge@{a},{b},{cc}")
+    for (a, b, cc, e) in cover.simplices(3):
+        lhs = ht[h[(a, b, cc)], h[(a, cc, e)]]
+        rhs = ht[act[d[(a, b)], h[(b, cc, e)]], h[(a, b, e)]]
+        if lhs != rhs:
+            raise StructureError(f"{what}: tetra@{a},{b},{cc},{e}")
+
+
+def completions(cover, xm, d, budget=None):
+    """Every h completing the d-assignment `d` (a dict over the cover's
+    pairs) to a cocycle, as dicts over the triples, depth-first in
+    lexicographic order.
+
+    h_abc runs over the alpha-preimage of d_ab d_bc d_ac^-1 in ascending
+    order, one `budget` step for each value set, and the tetrahedron law of
+    a quad is checked as soon as its last triple is set; a d with an empty
+    preimage on some triple has no completion and charges nothing.
+    """
+    triples = cover.simplices(2)
+    dt, ht = xm.D.table, xm.H.table
+    al, act = xm.alpha.mapping, xm.action.table
+    cosets = []
+    for (a, b, c) in triples:
+        x = int(dt[dt[d[(a, b)]][d[(b, c)]]][xm.D.inverses[d[(a, c)]]])
+        cosets.append([v for v in range(xm.H.order) if int(al[v]) == x])
+    if not all(cosets):
+        return
+    last = {t: [] for t in triples}
+    for (a, b, c, e) in cover.simplices(3):
+        faces = [(a, b, c), (a, c, e), (b, c, e), (a, b, e)]
+        last[max(faces, key=triples.index)].append(faces)
+    h = {}
+
+    def extend(i):
+        if i == len(triples):
+            yield dict(h)
+            return
+        for v in cosets[i]:
+            if budget is not None:
+                budget.spend()
+            h[triples[i]] = v
+            if all(int(ht[h[abc]][h[ace]])
+                   == int(ht[act[d[abc[:2]]][h[bce]]][h[abe]])
+                   for abc, ace, bce, abe in last[triples[i]]):
+                yield from extend(i + 1)
+        del h[triples[i]]
+
+    yield from extend(0)
+
+
+def dfs_cocycles(cover, xm):
+    """(d rows, h rows) of every gerbe cocycle in lexicographic order: d
+    runs over D^pairs in itertools.product order and each d over its
+    `completions`, the depth-first enumeration the package used before its
+    array frontier."""
+    import itertools
+    pairs, triples = cover.simplices(1), cover.simplices(2)
+    ds, hs = [], []
+    for dvals in itertools.product(range(xm.D.order), repeat=len(pairs)):
+        for h in completions(cover, xm, dict(zip(pairs, dvals))):
+            ds.append(list(dvals))
+            hs.append([h[t] for t in triples])
+    return ds, hs
+
+
+def lift_one(plan, c, budget=None):
+    """(lifted h as a dict or None, obstruction zero, agreement, defect) of
+    one cocycle over the image module, as `LiftPlan.lift` computed them
+    one cocycle at a time before the table lift: the first of c's
+    `completions` for the target, and, when the obstruction is emitted,
+    the defect of the set-level lift taking the least value of every coset,
+    in `plan.coord`'s kernel coordinates per quad, with a fresh
+    `solve_mod` per cyclic modulus.  The rest are None when not emitted."""
+    from xmodgerbe.intlinalg import solve_mod
+    xm, cover = plan.xm, plan.cover
+    lifted = next(completions(cover, xm, c.d, budget), None)
+    if not plan.emitted:
+        return lifted, None, None, None
+    ht, hinv, act = xm.H.table, xm.H.inverses, xm.action.table
+    dt, dinv, al = xm.D.table, xm.D.inverses, xm.alpha.mapping
+    ref = {}
+    for (a, b, cc) in cover.simplices(2):
+        x = dt[dt[c.d[(a, b)]][c.d[(b, cc)]]][dinv[c.d[(a, cc)]]]
+        ref[(a, b, cc)] = min(v for v in range(xm.H.order) if al[v] == x)
+    defect = {}
+    for (a, b, cc, e) in plan.quads:
+        lhs = ht[ref[(a, b, cc)]][ref[(a, cc, e)]]
+        rhs = ht[act[c.d[(a, b)]][ref[(b, cc, e)]]][ref[(a, b, e)]]
+        z = int(ht[hinv[rhs]][lhs])
+        assert al[z] == xm.D.identity, "defect outside ker alpha"
+        defect[(a, b, cc, e)] = tuple(int(v) for v in plan.coord[z])
+    zero = all(
+        solve_mod(plan.mat, [(-defect[q][ci]) % m for q in plan.quads],
+                  m) is not None
+        for ci, m in enumerate(plan.moduli)) if plan.quads else True
+    return lifted, zero, (lifted is not None) == zero, defect
+
+
 @dataclass
 class StableWitness:
     """(r_a, s_ab) data acting on cocycles; any assignment is allowed."""
@@ -393,9 +510,9 @@ def identity_witness(cover, xm) -> StableWitness:
                          {p: xm.H.identity for p in cover.simplices(1)})
 
 
-def apply_witness(c, w: StableWitness, laws=None):
+def apply_witness(c, w: StableWitness):
     """Act on a GerbeCocycle by a witness, one value at a time; the result is
-    re-validated by `check_cocycle`, with `laws` as there.
+    re-validated by `check_cocycle_loops`.
 
     d'_ab  = r_a alpha(s_ab) d_ab r_b^-1
     h'_abc = (r_a . s_ab)(r_a d_ab . s_bc)(r_a . h_abc)(r_a . s_ac)^-1
@@ -403,7 +520,7 @@ def apply_witness(c, w: StableWitness, laws=None):
     A validation failure of the output is a hard error: it would mean the
     transformation law itself is wrong, not the input.
     """
-    from xmodgerbe.gerbe import GerbeCocycle, check_cocycle
+    from xmodgerbe.gerbe import GerbeCocycle
     xm = c.xm
     D, H = xm.D, xm.H
     d2: dict[tuple[int, int], int] = {}
@@ -419,11 +536,11 @@ def apply_witness(c, w: StableWitness, laws=None):
         t4 = H.inv(xm.act(ra, w.s[(a, cc)]))
         h2[(a, b, cc)] = H.mul(H.mul(H.mul(t1, t2), t3), t4)
     out = GerbeCocycle(c.cover, xm, d2, h2, name=c.name)
-    check_cocycle(out, "witness action broke the cocycle conditions", laws)
+    check_cocycle_loops(out, "witness action broke the cocycle conditions")
     return out
 
 
-def search_orbits(cocycles, budget=None, laws=None):
+def search_orbits(cocycles, budget=None):
     """(least keys, orbit sizes, orbit_of) of the witness orbits of every
     cocycle in `cocycles` (GerbeCocycles), by graph search over the keys.
 
@@ -459,7 +576,7 @@ def search_orbits(cocycles, budget=None, laws=None):
             for w in gens:
                 if budget is not None:
                     budget.spend()
-                nxt = apply_witness(cur, w, laws)
+                nxt = apply_witness(cur, w)
                 nk = nxt.key()
                 assert nk in index, "witness action left the cocycle set"
                 if nk not in orbit:

@@ -15,10 +15,11 @@ from xmodgerbe.fingroup import (cyclic_group, derived_crossed_modules, kernel,
                                 symmetric_group, xmod_automorphism,
                                 xmod_identity, xmod_mod, xmod_trivial_base,
                                 xmod_trivial_fiber)
-from xmodgerbe.gerbe import (GerbeCocycle, LiftPlan, abelian_oracle,
+from xmodgerbe.gerbe import (CocycleTable, GerbeCocycle, LiftPlan,
+                             abelian_oracle, check_cocycle, check_table,
                              classify_gerbes, cocycle_to_json,
                              cocycle_to_simplicial_map, enumerate_cocycles,
-                             lift_gerbe, check_cocycle, map_to_cocycle)
+                             lift_gerbe, map_to_cocycle)
 from xmodgerbe.intlinalg import solve_mod
 from xmodgerbe.simplicial import (_radix_encode, ball_cover, circle_cover,
                                   sphere_cover)
@@ -26,7 +27,8 @@ from xmodgerbe.util import Budget, BudgetError, StructureError
 from xmodgerbe.xnerve import match_wbar_duskin
 
 from _oracles import (StableWitness, apply_witness, brute_cech_h2_order,
-                      brute_cocycles, identity_witness, relabel, search_orbits)
+                      brute_cocycles, check_cocycle_loops, identity_witness,
+                      lift_one, relabel, search_orbits)
 
 
 def test_cocycle_counts_trivial_base_modules():
@@ -73,6 +75,72 @@ def test_corrupted_tetrahedron_rejected():
     bad = GerbeCocycle(c.cover, c.xm, dict(c.d), h, name="bad")
     with pytest.raises(StructureError, match=r"^corrupted: tetra@0,1,2,3$"):
         check_cocycle(bad, "corrupted")
+
+
+def _one_cell(table, row, where, col, value):
+    """The table with the cell (row, col) of its d or h array set to value."""
+    d, h = table.d.copy(), table.h.copy()
+    (d if where == "d" else h)[row, col] = value
+    return CocycleTable(table.cover, table.xm, d, h)
+
+
+def _message(check, *args):
+    with pytest.raises(StructureError) as got:
+        check(*args)
+    return str(got.value)
+
+
+# each corruption of one cell of row r, as (array, column, new value from
+# the row): d off D, h off H, h_012 off its coset, h_013 times 2 (which
+# alpha sends to 0, so only the tetrahedron law fails), d_01 changed
+CORRUPTIONS = pytest.mark.parametrize("where, col, value", [
+    ("d", 2, lambda d, h: 9),
+    ("h", 3, lambda d, h: -1),
+    ("h", 0, lambda d, h: (h[0] + 1) % 4),
+    ("h", 1, lambda d, h: (h[1] + 2) % 4),
+    ("d", 0, lambda d, h: 1 - d[0]),
+], ids=["d-value", "h-value", "edge", "tetra", "d-edge"])
+
+
+@CORRUPTIONS
+def test_check_table_raises_the_message_of_the_first_bad_row(where, col,
+                                                            value):
+    # ball:4 x xmod_mod:4:2 has 512 cocycles and one quad; a bad cell in
+    # row r gives the message the scalar loops give for row r, also when a
+    # later row is bad in another way, and check_cocycle gives it for row r
+    xm = xmod_mod(4, 2)
+    table = enumerate_cocycles(ball_cover(4), xm)
+    check_table(table, "corrupted")
+    for row in (0, 77, len(table) - 1):
+        d, h = table.d[row].tolist(), table.h[row].tolist()
+        bad = _one_cell(table, row, where, col, value(d, h))
+        want = _message(check_cocycle_loops, bad[row], "corrupted")
+        assert want.startswith("corrupted: ")
+        assert _message(check_table, bad, "corrupted") == want
+        assert _message(check_cocycle, bad[row], "corrupted") == want
+        if row + 1 < len(table):
+            worse = _one_cell(bad, len(table) - 1, "d", 0, -3)
+            assert _message(check_table, worse, "corrupted") == want
+
+
+@pytest.mark.parametrize("where, col, value", [
+    ("d", 2, lambda d, h: 9),
+    ("h", 3, lambda d, h: -1),
+    ("h", 0, lambda d, h: 1 - h[0]),
+    ("d", 0, lambda d, h: 1 - d[0]),
+], ids=["d-value", "h-value", "edge", "d-edge"])
+def test_lift_table_refuses_a_corrupted_cell(where, col, value):
+    # over the image module Z2 -> Z2 of xmod_mod:4:2 alpha is one-to-one,
+    # so every corruption in range breaks an edge law
+    plan = LiftPlan(ball_cover(4), xmod_mod(4, 2))
+    table = enumerate_cocycles(plan.cover, plan.base)
+    row = len(table) // 2
+    bad = _one_cell(table, row, where, col,
+                    value(table.d[row].tolist(), table.h[row].tolist()))
+    want = _message(check_cocycle_loops, bad[row],
+                    "cannot lift an invalid cocycle")
+    assert _message(plan.lift_table, bad) == want
+    assert _message(plan.lift, bad[row]) == want
 
 
 @pytest.mark.parametrize("corrupt, named", [
@@ -215,8 +283,7 @@ def _assert_orbits_match_the_search(cover, xm):
     # the same orbit of every cocycle, classes in the same order with the
     # same sizes and least members
     cl = classify_gerbes(cover, xm)
-    firsts, sizes, orbit_of = search_orbits(
-        cl.cocycles, laws=gerbe._HCompletions(cover, xm))
+    firsts, sizes, orbit_of = search_orbits(cl.cocycles)
     assert cl.orbit_of == orbit_of
     assert [k.orbit_size for k in cl.classes] == sizes
     assert [k.key for k in cl.classes] == firsts
@@ -266,7 +333,7 @@ def test_witness_columns_match_apply_witness(cover, xm):
         d2, h2 = gerbe._witness_columns(table, r, s, laws)
         for i in rng.choice(len(table), size=min(len(table), 40),
                             replace=False).tolist():
-            want = apply_witness(table[i], w, laws)
+            want = apply_witness(table[i], w)
             assert (tuple(d2[i].tolist()), tuple(h2[i].tolist())) == want.key()
 
 
@@ -442,6 +509,28 @@ def test_lift_plan_solvers_match_a_fresh_solve_per_cocycle(cover, target):
 
 
 @LIFT_CASES
+def test_lift_table_matches_the_per_cocycle_reference(cover, target):
+    # every row of the table lift against the per-cocycle lift of the
+    # reference: the lifted h, the verdicts, the defect and the budget
+    plan = LiftPlan(cover, target)
+    table = enumerate_cocycles(cover, plan.base)
+    used, want_used = Budget(what="lift"), Budget(what="lift")
+    got = plan.lift_table(table, budget=used)
+    assert got.found.shape == got.obstruction_zero.shape == (len(table),)
+    for i, c in enumerate(table):
+        lifted, zero, agreement, defect = lift_one(plan, c, want_used)
+        assert bool(got.found[i]) == (lifted is not None)
+        if lifted is not None:
+            assert got.h[i].tolist() == [lifted[t]
+                                         for t in cover.simplices(2)]
+        assert got.obstruction_zero[i] == zero
+        assert got.agreement[i] == agreement
+        assert {q: tuple(v) for q, v in zip(plan.quads,
+                                             got.defect[i].tolist())} == defect
+    assert used.used == want_used.used > 0
+
+
+@LIFT_CASES
 def test_lift_plan_factors_once_per_modulus(monkeypatch, cover, target):
     calls = []
     real = intlinalg.smith_normal_form
@@ -459,8 +548,10 @@ def test_lift_plan_factors_once_per_modulus(monkeypatch, cover, target):
     solver_calls = len(calls) - oracle_calls
     assert solver_calls == (len(plan.moduli) if plan.quads else 0)
     calls.clear()
-    for c in enumerate_cocycles(cover, plan.base):
+    table = enumerate_cocycles(cover, plan.base)
+    for c in table:
         plan.lift(c)
+    plan.lift_table(table)
     assert calls == []
 
 
@@ -478,8 +569,8 @@ def test_cocycle_json_round_trip():
     assert read(d["d"]) == c.d and read(d["h"]) == c.h
 
 
-# enumeration and lifting run one h-completion search; a brute force and
-# figures pinned before the two searches were merged hold both to the old ones
+# the enumeration's array frontier against a brute force, and the lift's
+# depth-first search and budget against figures pinned before the table lift
 
 
 @pytest.mark.parametrize("cover, xm", [
@@ -503,6 +594,10 @@ def test_lift_budget_use_pinned(k, used):
     for c in enumerate_cocycles(plan.cover, plan.base, budget=budget):
         plan.lift(c, budget=budget)
     assert budget.used == used
+    budget = Budget(what="lift")
+    plan.lift_table(enumerate_cocycles(plan.cover, plan.base, budget=budget),
+                    budget=budget)
+    assert budget.used == used
 
 
 def test_lift_defects_pinned():
@@ -518,7 +613,7 @@ def _recursive_completions(laws, d, budget=None):
     """The h-completion search as a recursive generator: h_i runs over its
     coset in order, each value charged before it is set, and the quads
     triple i closes are checked before h_{i+1} is tried."""
-    cosets = laws.cosets(d)
+    cosets = [laws.pre[x] for x in _edge(laws, d)]
     hmul, act = laws.hmul, laws.act
     h = [0] * len(cosets)
 
@@ -552,7 +647,12 @@ def _completion_laws():
 
 
 def _d_assignments(laws):
-    return itertools.product(range(len(laws.dmul)), repeat=len(laws.pairs))
+    return itertools.product(range(laws.D.order), repeat=len(laws.pairs))
+
+
+def _edge(laws, d):
+    """The edge values of one d-assignment, as a list."""
+    return laws.edge_values(np.array([d]))[0].tolist()
 
 
 def _searched(search, laws, budget, first_only, tape=None):
@@ -596,7 +696,7 @@ def test_completions_match_the_recursive_search(name):
     laws = _completion_laws()[name]
 
     def flat(laws, d, budget):
-        return laws.completions(d, budget)
+        return laws.completions(d, _edge(laws, d), budget)
 
     for first_only in (False, True):
         want, ran_out = _searched(_recursive_completions, laws, Budget(),
@@ -613,7 +713,8 @@ def test_completions_match_the_recursive_search(name):
                                         True)
     # without a budget nothing is charged, and the same lists come out
     d = next(_d_assignments(laws))
-    assert list(laws.completions(d)) == list(_recursive_completions(laws, d))
+    assert (list(laws.completions(d, _edge(laws, d)))
+            == list(_recursive_completions(laws, d)))
 
 
 def test_classification_builds_its_laws_once(monkeypatch):

@@ -4,6 +4,9 @@ benchmark's tracer hooks exists."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -138,6 +141,29 @@ def test_tracer_hooks_name_package_functions():
     assert [f"{module}.{fn}" for module, fn in named
             if not callable(getattr(importlib.import_module(
                 f"xmodgerbe.{module}"), fn, None))] == []
+
+
+def test_tracer_install_resolves_every_hook():
+    # the tracer's own install() reads each hook with getattr and no
+    # default; it runs in a child, so the suite's modules stay unwrapped
+    code = (
+        "import importlib.util, sys, xmodgerbe\n"
+        "spec = importlib.util.spec_from_file_location('tracer', sys.argv[1])\n"
+        "tracer = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracer)\n"
+        "tracer.Tracer('probe').install(xmodgerbe)\n"
+        "for module, name, *_ in tracer.HOOKS:\n"
+        "    fn = getattr(importlib.import_module('xmodgerbe.' + module), name)\n"
+        "    print(module, name, hasattr(fn, '__wrapped__'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code,
+                          str(ROOT / "perfbench" / "tracer.py")],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) >= 20
+    assert [line for line in lines if not line.endswith(" True")] == []
 
 
 def test_the_guard_sees_an_unused_import(tmp_path):

@@ -9,7 +9,8 @@ import pytest
 from xmodgerbe import crosscheck, gerbe
 from xmodgerbe.cli import parse_xmod
 from xmodgerbe.fingroup import (cyclic_group, preset_corpus, symmetric_group,
-                                xmod_identity, xmod_mod, xmod_trivial_fiber)
+                                xmod_automorphism, xmod_identity, xmod_mod,
+                                xmod_trivial_base, xmod_trivial_fiber)
 from xmodgerbe.gerbe import (classify_gerbes, cocycle_to_simplicial_map,
                              enumerate_cocycles, ordered_cocycle_maps)
 from xmodgerbe.simplicial import (CoverComplex, SimplicialMap, _Search,
@@ -24,8 +25,8 @@ from xmodgerbe.twist import (Twisting, _check_witness, _twisting_spec,
 from xmodgerbe.util import DEFAULT_BUDGET, Budget, StructureError
 from xmodgerbe.xnerve import build_nerve, match_wbar_duskin
 
-from _oracles import (gauge_partition, map_rows, naive_wbar, relabel,
-                      scan_sigma_bar)
+from _oracles import (dfs_cocycles, gauge_partition, map_rows, naive_wbar,
+                      relabel, scan_sigma_bar)
 
 
 def test_enumerate_twistings_circle_s3():
@@ -172,6 +173,33 @@ ROUTE_CASES = (
      for xm in SMALL]
     + [(f"sphere4-{spec}", sphere_cover(4), parse_xmod(spec), None)
        for spec in ("xmod_fiber:cyclic:2", "xmod_id:cyclic:2", "xmod_mod:2:2")])
+
+# the route cases, and seven instances up to 65,536 cocycles on which the
+# array frontier was first compared with the depth-first enumeration (two
+# of them are route cases too)
+FRONTIER_CASES = list({case[0]: case[:3] for case in ROUTE_CASES + [
+    (f"{name}-{xm.name}", cover, xm, None) for name, cover, xm in (
+        ("sphere4", sphere_cover(4), xmod_mod(4, 2)),
+        ("sphere4", sphere_cover(4), xmod_automorphism(cyclic_group(3))),
+        ("sphere4", sphere_cover(4), xmod_identity(cyclic_group(5))),
+        ("circle3", circle_cover(3), xmod_trivial_base(symmetric_group(3))),
+        ("circle3", circle_cover(3), xmod_trivial_base(symmetric_group(4))),
+        ("ball4", ball_cover(4), xmod_automorphism(cyclic_group(3))),
+        ("sphere5", sphere_cover(5), xmod_mod(4, 2)))]}.values())
+
+
+@pytest.mark.parametrize("cover, xm", [c[1:] for c in FRONTIER_CASES],
+                         ids=[c[0] for c in FRONTIER_CASES])
+def test_enumeration_matches_the_depth_first_reference(cover, xm):
+    # the same int64 arrays, row order included
+    table = enumerate_cocycles(cover, xm)
+    d, h = dfs_cocycles(cover, xm)
+    assert d
+    assert table.d.dtype == table.h.dtype == np.int64
+    assert table.d.tolist() == d and table.h.tolist() == h
+    assert table.d.shape == (len(d), len(cover.simplices(1)))
+    assert table.h.shape == (len(d), len(cover.simplices(2)))
+
 
 # the distinct covers of ROUTE_CASES, and a 6-chart family of triple and
 # pair overlaps
