@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from xmodgerbe import gauge
 from xmodgerbe.gauge import (_RELEASED, DEFAULT_TOLS, MatrixCrossedModule,
-                             Residual, _central_diff, _pair_fetch, _pair_maps,
-                             _stack_inv, builtin_cases,
+                             Residual, _central_diff, _is_identity,
+                             _pair_fetch, _pair_maps, _run, _stack_inv,
+                             _take, builtin_cases,
                              case_u1_circle_three, case_u1_sphere_monopole,
                              case_u1_torus_three,
                              check_bfield, check_connection,
@@ -214,15 +216,16 @@ def _stacks():
     signed = np.array([[[complex(-0.0, -1.0)]], [[complex(0.0, -1.0)]]])
     signed3 = np.array([np.eye(3, dtype=np.complex128)] * 3)
     signed3[2, 0, 0] = complex(1.0, -0.0)
+    # the flag: a zero-stride stack, which _stack_inv inverts once
     return {
-        "constant": (u, True),
-        "constant-3x3": (np.array([so3] * 5), True),
+        "constant": (u, False),
+        "constant-3x3": (np.array([so3] * 5), False),
         "broadcast-3x3": (np.broadcast_to(so3, (5, 3, 3)), True),
         "varying": (varying, False),
         "varying-3x3": (np.stack([so3_group().random(rng) for _ in range(4)]),
                         False),
         "empty": (np.zeros((0, 1, 1), dtype=np.complex128), False),
-        "one": (varying[:1], True),
+        "one": (varying[:1], False),
         "signed-zero": (signed, False),
         "signed-zero-3x3": (signed3, False),
     }
@@ -230,12 +233,12 @@ def _stacks():
 
 @pytest.mark.parametrize("name", sorted(_stacks()))
 def test_stack_inverse_has_the_bits_of_inv(name):
-    x, constant = _stacks()[name]
+    x, zero_stride = _stacks()[name]
     got = _stack_inv(x)
     assert _same_bits(got, np.linalg.inv(x))
-    # a constant stack is one inverse broadcast, read-only; any other stack
-    # is inverted in full
-    assert (got.strides[0] == 0 and not got.flags.writeable) == constant
+    # a zero-stride stack is one inverse broadcast, read-only; any other
+    # stack, a materialised constant one too, is inverted in full
+    assert (got.strides[0] == 0 and not got.flags.writeable) == zero_stride
     if name.startswith("signed-zero"):
         assert not _same_bits(np.linalg.inv(x)[-1], np.linalg.inv(x)[0])
     # the laws multiply by the inverses: a broadcast operand changes no bit
@@ -476,6 +479,72 @@ def test_law_order_and_releases_change_no_bit(name):
     assert _bits(run_case(name)) == _bits(want)
 
 
+@pytest.mark.parametrize("idx, view", [
+    (np.arange(3, 9), True),
+    (np.arange(3, 9)[::-1], False),
+    (np.array([3, 4, 5, 7, 8]), False),
+    (np.array([3, 5, 4, 6]), False),
+    (np.zeros(0, dtype=np.int64), False),
+    (np.arange(-2, 4), False),
+], ids=["run", "reversed-run", "gap", "shuffled-run", "empty",
+        "negative-start"])
+def test_take_reads_a_run_in_place_and_gathers_the_rest(idx, view):
+    # a run starting at a negative point must gather, wrapping as indexing
+    # does, not become a slice: slice(-2, 4) would read nothing
+    x = np.arange(40.0).reshape(10, 2, 2)
+    got = _take(x, idx)
+    assert _same_bits(got, x[idx])
+    assert np.shares_memory(got, x) == view
+    assert (_run(idx, len(x)) is not None) == view
+    if view:
+        # the run moved past the end is refused as indexing refuses it,
+        # not truncated to the points a slice would find
+        with pytest.raises(IndexError):
+            _take(x, idx + 5)
+
+
+@pytest.mark.parametrize("step", [None, 0.02, 0.05])
+@pytest.mark.parametrize("name", sorted(builtin_cases()))
+def test_views_give_the_bits_of_gathers(monkeypatch, name, step):
+    # every overlap, triple and pair-table read of the built-in cases is a
+    # run, read in place; gathering all of them changes no bit
+    viewed = _bits(run_case(name, step=step))
+    monkeypatch.setattr(gauge, "_run", lambda idx, n: None)
+    assert _bits(run_case(name, step=step)) == viewed
+
+
+def test_a_constant_stack_that_is_not_the_identity_is_multiplied():
+    # only an identity constant skips its products and its central
+    # difference: a broadcast exp(0.3i) transition goes through the full
+    # path and gives the bits of the same stack materialised
+    u = np.full((1, 1, 1), np.exp(0.3j))
+    copies = []
+    for materialise in (False, True):
+        gcd = case_u1_torus_three()
+        for o in gcd.overlaps:
+            o.d = np.broadcast_to(u, o.d.shape)
+            if materialise:
+                o.d = np.array(o.d)
+        dinvs = [_stack_inv(o.d) for o in gcd.overlaps]
+        hinvs = [_stack_inv(t.h) for t in gcd.triples]
+        table = _pair_maps(gcd)
+        copies.append([check_gerbe_cocycle_smooth(gcd, table),
+                       check_connection(gcd, dinvs, hinvs, table),
+                       check_bfield(gcd, hinvs, table),
+                       curvature_and_nu(gcd, dinvs).gluing])
+        if not materialise:
+            assert all(o.d.strides[0] == 0 and not _is_identity(o.d)
+                       and not _is_identity(v)
+                       for o, v in zip(gcd.overlaps, dinvs))
+    # the triangle law fails by |exp(0.6i) - exp(0.3i)|: a skipped product
+    # would show
+    assert copies[0][0].max() > 0.25
+    for got, want in zip(*copies):
+        assert got.equations.keys() == want.equations.keys()
+        for eq, v in want.equations.items():
+            assert _same_bits(got.equations[eq], v), (got.name, eq)
+
+
 def test_a_law_run_after_a_release_fails():
     # a released a_form is not taken for an absent one (no dalpha
     # correction), and released triples are not taken for none
@@ -491,8 +560,8 @@ def test_a_law_run_after_a_release_fails():
 
 def test_torus_case_traced_peak_is_bounded():
     # the torus case builds about 118 MB of samples; with each field
-    # released after its last law the traced peak is about 126 MB, and
-    # about 195 MB with the whole case alive to the end
+    # released after its last law and runs read in place the traced peak
+    # is about 125 MB, and about 195 MB with the whole case alive to the end
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
