@@ -2,9 +2,10 @@
 
 One binary with subcommands.  Reports are emitted on stdout as
 deterministically ordered JSON (or a flat table); timing and cache notices
-go to stderr so repeated runs produce byte-identical reports regardless of
-parallelism.  Exit codes: 0 success, 1 verification mismatch, 2 usage or
-parse error, 3 budget or memory exhausted.
+go to stderr so repeated runs produce byte-identical reports.  Every command
+runs serially, so the report is the same for any --jobs value.  Exit codes:
+0 success, 1 verification mismatch, 2 usage or parse error (a flag the
+subcommand does not read included), 3 budget or memory exhausted.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ DEFAULT_TRUNCATION = 3
 
 @dataclass
 class RunConfig:
-    """Resolved knobs of one invocation; output options never enter the
-    report payload, so runs differing only in them match bytewise."""
+    """Resolved knobs of one invocation.  The report's config echoes the
+    ones that can change results; `fmt`, `cache_dir` and `out` are not
+    echoed, but `duskin-compare --out` names its dictionary file in the
+    results (`dictionary_file`)."""
 
     command: str
     inputs: dict
@@ -472,6 +475,33 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
+# how each flag that some subcommand reads is parsed
+FLAGS = {
+    "--truncation": dict(type=int, help="simplicial truncation level (2..4)"),
+    "--budget": dict(type=int, help="search node budget"),
+    "--cache-dir": dict(help="directory for the result cache"),
+    "--force": dict(action="store_true",
+                    help="run past exhaustive-mode guards"),
+    "--out": dict(help="directory for artifact files"),
+    "--fd-step": dict(type=float, help="grid step for finite differences; "
+                      "only the grid cases take it (--case all passes it to "
+                      "those, and so3-conjugation-T alone refuses it)"),
+    "--tolerance": dict(type=float, help="residual tolerance"),
+}
+# The flags each subcommand reads, besides --format and --jobs, which all
+# take.  A subcommand offers only its own, so any other flag is a usage
+# error (exit 2); a field it does not read keeps its RunConfig default,
+# which the config echo and the cache key still show.
+READS = {
+    "xmod-check": (),
+    "gerbe-classify": ("--budget", "--cache-dir", "--force", "--out"),
+    "duskin-compare": ("--truncation", "--budget", "--out"),
+    "classify-bundles": ("--truncation", "--budget"),
+    "gauge-verify": ("--fd-step", "--tolerance", "--budget"),
+    "lift": ("--budget",),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="xmodgerbe",
@@ -479,100 +509,61 @@ def build_parser() -> argparse.ArgumentParser:
                     "numerical gauge-law checks.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, truncation: bool = False, residuals: bool = False):
-        if truncation:
-            sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
-                            help="simplicial truncation level (2..4)")
-        else:
-            # not read here, so an explicit --truncation is a usage error;
-            # the default still fills the config echo and the cache key
-            sp.set_defaults(truncation=DEFAULT_TRUNCATION)
-        if residuals:
-            sp.add_argument("--fd-step", type=float, default=None,
-                            help="grid step for finite differences; only "
-                                 "the grid cases take it (--case all passes "
-                                 "it to those, and so3-conjugation-T alone "
-                                 "refuses it)")
-            sp.add_argument("--tolerance", type=float, default=None,
-                            help="residual tolerance")
-        else:
-            # only the gauge checks read these; elsewhere they are a usage error
-            sp.set_defaults(fd_step=None, tolerance=None)
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="search node budget")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility (N >= 1); every "
-                             "command runs serially")
-        sp.add_argument("--cache-dir", default=None,
-                        help="directory for the result cache")
-        sp.add_argument("--format", choices=("table", "json"),
-                        default="table", dest="fmt")
-        sp.add_argument("--force", action="store_true",
-                        help="run past exhaustive-mode guards")
-        sp.add_argument("--out", default=None,
-                        help="directory for artifact files")
+    def command(name: str, text: str) -> argparse.ArgumentParser:
+        # an absent flag sets no attribute, so RunConfig fills its default
+        return sub.add_parser(name, help=text,
+                              argument_default=argparse.SUPPRESS)
 
-    sp = sub.add_parser("xmod-check", help="validate a crossed module")
+    sp = command("xmod-check", "validate a crossed module")
     sp.add_argument("xmod", help="preset spec (e.g. xmod_mod:4:2) or "
                                  "JSON file")
-    common(sp)
-
-    sp = sub.add_parser("gerbe-classify",
-                        help="classify gerbe cocycles on a cover")
+    sp = command("gerbe-classify", "classify gerbe cocycles on a cover")
     sp.add_argument("--cover", required=True,
                     help="circle:n | ball:k | sphere:k | JSON file")
     sp.add_argument("--xmod", required=True)
-    common(sp)
-
-    sp = sub.add_parser("duskin-compare",
-                        help="match the classifying space of the nerve "
-                             "against the 2-nerve model")
+    sp = command("duskin-compare", "match the classifying space of the "
+                                   "nerve against the 2-nerve model")
     sp.add_argument("--xmod", required=True)
-    common(sp, truncation=True)
-
-    sp = sub.add_parser("classify-bundles",
-                        help="count principal bundles two ways")
+    sp = command("classify-bundles", "count principal bundles two ways")
     sp.add_argument("--sset", required=True, help="circle | delta1 | file")
     sp.add_argument("--group", required=True, help="e.g. symmetric:3")
-    common(sp, truncation=True)
-
-    sp = sub.add_parser("gauge-verify",
-                        help="run residual checks on a bundled gauge case")
-    sp.add_argument("--case", required=True,
-                    help="case name or 'all'")
-    common(sp, residuals=True)
-
-    sp = sub.add_parser("lift", help="lift cocycles along a surjective "
-                                     "fiber quotient and cross-check the "
-                                     "obstruction")
+    sp = command("gauge-verify", "run residual checks on a bundled gauge "
+                                 "case")
+    sp.add_argument("--case", required=True, help="case name or 'all'")
+    sp = command("lift", "lift cocycles along a surjective fiber quotient "
+                         "and cross-check the obstruction")
     sp.add_argument("--cover", required=True)
     sp.add_argument("--xmod", required=True, help="target crossed module")
-    common(sp)
+    for name, sp in sub.choices.items():
+        for flag in READS[name]:
+            sp.add_argument(flag, **FLAGS[flag])
+        sp.add_argument("--format", choices=("table", "json"),
+                        default="table", dest="fmt")
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility (N >= 1); every "
+                             "command runs serially")
     return p
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs = {}
-    for key in ("xmod", "cover", "sset", "group", "case"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            inputs[key] = getattr(args, key)
-    if args.budget <= 0:
+    given = vars(args)
+    inputs = {key: given.pop(key) for key in ("xmod", "cover", "sset",
+                                              "group", "case") if key in given}
+    jobs = given.pop("jobs")
+    cfg = RunConfig(inputs=inputs, **given)
+    if cfg.budget <= 0:
         raise StructureError("budget must be positive")
-    if args.jobs < 1:
+    if jobs < 1:
         raise StructureError("jobs must be >= 1")
-    if args.fd_step is not None and not (math.isfinite(args.fd_step)
-                                         and args.fd_step > 0):
+    if cfg.fd_step is not None and not (math.isfinite(cfg.fd_step)
+                                        and cfg.fd_step > 0):
         raise StructureError(f"fd-step must be a positive number, not "
-                             f"{args.fd_step}")
-    if args.tolerance is not None and not (math.isfinite(args.tolerance)
-                                           and args.tolerance >= 0):
+                             f"{cfg.fd_step}")
+    if cfg.tolerance is not None and not (math.isfinite(cfg.tolerance)
+                                          and cfg.tolerance >= 0):
         raise StructureError(f"tolerance must be a number >= 0, not "
-                             f"{args.tolerance}")
-    return RunConfig(command=args.command, inputs=inputs,
-                     truncation=args.truncation, budget=args.budget,
-                     cache_dir=args.cache_dir, fmt=args.fmt,
-                     force=args.force, fd_step=args.fd_step,
-                     tolerance=args.tolerance, out=args.out)
+                             f"{cfg.tolerance}")
+    return cfg
 
 
 def _emit(payload_json: str, fmt: str) -> None:

@@ -756,13 +756,52 @@ def group_to_json(g: FiniteGroup) -> dict:
             "table": [[int(x) for x in row] for row in g.table]}
 
 
+def _json_object(d, what: str, keys) -> None:
+    """A StructureError unless `d` is a JSON object with every field in
+    `keys`."""
+    if not isinstance(d, dict):
+        raise StructureError(f"{what} json must be an object, not {d!r:.40}")
+    for key in keys:
+        if key not in d:
+            raise StructureError(f"{what} json missing field {key!r}")
+
+
+def _json_int(v, name: str) -> int:
+    """`v` when it is a JSON integer; a bool, float, string or anything else
+    is a StructureError naming the field."""
+    if type(v) is not int:
+        raise StructureError(f"{name} must be an integer, not {v!r:.40}")
+    return v
+
+
+def _json_ints(v, name: str, ndim: int = 1) -> list:
+    """`v` when it is `ndim` nested JSON lists of int64-sized JSON integers,
+    the lists at each depth of one length (a list of rows of one width for
+    `ndim` 2); a StructureError naming the field otherwise."""
+    form = "a list of " + "lists of " * (ndim - 1) + "integers"
+
+    def check(x, depth: int) -> None:
+        if depth == 0 and type(x) is int:
+            if not -2 ** 63 <= x < 2 ** 63:
+                raise StructureError(f"{name} entry {x} out of range")
+        elif depth > 0 and isinstance(x, list):
+            for y in x:
+                check(y, depth - 1)
+            if depth > 1 and len({len(y) for y in x}) > 1:
+                raise StructureError(f"{name} has lists of unequal length")
+        else:
+            raise StructureError(f"{name} must be {form}, not {x!r:.40}")
+
+    check(v, ndim)
+    return v
+
+
 def group_from_json(d: dict) -> FiniteGroup:
-    if not isinstance(d, dict) or "table" not in d:
-        raise StructureError("group json must be an object with a 'table' field")
-    tab = d["table"]
-    if "order" in d and len(tab) != d["order"]:
+    _json_object(d, "group", ("table",))
+    tab = _json_ints(d["table"], "group table", 2)
+    if "order" in d and len(tab) != _json_int(d["order"], "group order"):
         raise StructureError(f"declared order {d['order']} != table size {len(tab)}")
-    g = FiniteGroup(np.array(tab, dtype=np.int64), name=str(d.get("name", "G")))
+    g = FiniteGroup(tab, name=str(d.get("name", "G")))
     rep = validate_group(g)
     if not rep.ok:
         raise StructureError(f"group {g.name}: {rep.summary()}")
@@ -779,13 +818,11 @@ def xmod_to_json(xm: CrossedModule) -> dict:
 
 
 def xmod_from_json(d: dict) -> CrossedModule:
-    for key in ("H", "D", "alpha", "action"):
-        if key not in d:
-            raise StructureError(f"xmod json missing field {key!r}")
+    _json_object(d, "xmod", ("H", "D", "alpha", "action"))
     H = group_from_json(d["H"])
     D = group_from_json(d["D"])
-    alpha = GroupHom(H, D, np.array(d["alpha"], dtype=np.int64), name="alpha")
-    action = GroupAction(D, H, np.array(d["action"], dtype=np.int64))
+    alpha = GroupHom(H, D, _json_ints(d["alpha"], "alpha"), name="alpha")
+    action = GroupAction(D, H, _json_ints(d["action"], "action", 2))
     return CrossedModule(H, D, alpha, action, name=str(d.get("name", "xm")))
 
 

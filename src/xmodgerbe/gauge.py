@@ -682,11 +682,9 @@ def check_bfield(gcd: GaugeChartData, hinvs: list, table: dict) -> Residual:
 
 @dataclass
 class CurvatureReport:
-    """nu = F + alpha(B) samples; the gluing residual is only asserted for
+    """The gluing residual of nu = F + alpha(B); it is only asserted for
     abelian fibers, otherwise it is reported as-is."""
 
-    nu: list
-    valid: list
     gluing: Residual
     gluing_asserted: bool
 
@@ -741,7 +739,7 @@ def curvature_and_nu(gcd: GaugeChartData, dinvs: list) -> CurvatureReport:
             glue.add(f"nu-gluing[{c}]", (lhs - rhs)[ok])
     if n2 == 0 or not gcd.overlaps:
         glue.add_absent("nu-gluing[0]")
-    return CurvatureReport(nus, valids, glue, gcd.xm.h_abelian)
+    return CurvatureReport(glue, gcd.xm.h_abelian)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .fingroup import FiniteGroup, is_normal, quotient, subgroup, validate_group
+from .fingroup import (FiniteGroup, _json_int, _json_ints, _json_object,
+                       is_normal, quotient, subgroup, validate_group)
 from .util import DEFAULT_BUDGET, Budget, BudgetError, Report, StructureError
 
 __all__ = [
@@ -658,10 +659,14 @@ class CoverComplex:
 
     @staticmethod
     def from_json(d: dict, budget: Budget | None = None) -> CoverComplex:
-        if "charts" not in d or "intersections" not in d:
-            raise StructureError("cover json needs 'charts' and 'intersections'")
-        return CoverComplex.from_sets(int(d["charts"]), d["intersections"],
-                                      budget)
+        _json_object(d, "cover", ("charts", "intersections"))
+        sets = d["intersections"]
+        if not isinstance(sets, list):
+            raise StructureError(f"intersections must be a list, not "
+                                 f"{sets!r:.40}")
+        return CoverComplex.from_sets(
+            _json_int(d["charts"], "charts"),
+            [_json_ints(s, "intersection") for s in sets], budget)
 
 
 # The presets hand `from_sets` their intersections one at a time, so a
@@ -1263,11 +1268,6 @@ def enumerate_simplicial_maps(x: TruncatedSimplicialSet, y: TruncatedSimplicialS
 # homotopy
 
 
-def _const_vertex_index(d1: TruncatedSimplicialSet, n: int, vertex: int) -> int:
-    """Index in Delta1 level n of the constant word at `vertex` (0 or 1)."""
-    return 0 if vertex == 0 else n + 1
-
-
 def simplicially_homotopic(f: SimplicialMap, g: SimplicialMap,
                            budget: Budget | None = None,
                            prism: TruncatedSimplicialSet | None = None,
@@ -1286,12 +1286,12 @@ def simplicially_homotopic(f: SimplicialMap, g: SimplicialMap,
     pins: list[dict] = []
     for n in range(x.N + 1):
         m = d1.sizes[n]
-        e0 = _const_vertex_index(d1, n, 0)
-        e1 = _const_vertex_index(d1, n, 1)
+        # Delta1's level n lists the constant word at vertex 0 first and
+        # the one at vertex 1 last (index n + 1)
         lvl: dict[int, int] = {}
         for a, (fa, ga) in enumerate(zip(f.levels[n].tolist(), g.levels[n].tolist())):
-            lvl[a * m + e0] = fa
-            lvl[a * m + e1] = ga
+            lvl[a * m] = fa
+            lvl[a * m + n + 1] = ga
         pins.append(lvl)
     return next(_found_maps(_map_spec(prism, y, pins), y, budget, limit=1,
                             name="homotopy"), None)
@@ -1401,14 +1401,21 @@ def sset_to_json(x: TruncatedSimplicialSet) -> dict:
 
 
 def sset_from_json(d: dict) -> TruncatedSimplicialSet:
-    for key in ("N", "sizes", "faces", "degeneracies"):
-        if key not in d:
-            raise StructureError(f"simplicial-set json missing {key!r}")
-    N = int(d["N"])
-    faces = [[]] + [[np.array(a, dtype=np.int64) for a in lvl] for lvl in d["faces"]]
-    degens = [[np.array(a, dtype=np.int64) for a in lvl] for lvl in d["degeneracies"]]
-    degens += [[]]
-    x = TruncatedSimplicialSet(N, [int(s) for s in d["sizes"]], faces, degens,
+    _json_object(d, "simplicial-set", ("N", "sizes", "faces", "degeneracies"))
+    N = _json_int(d["N"], "N")
+    if N < 0:
+        raise StructureError(f"N must be >= 0, not {N}")
+    levels = {}
+    for key in ("faces", "degeneracies"):
+        if not isinstance(d[key], list) or len(d[key]) != N:
+            raise StructureError(f"{key} must be a list of {N} levels, not "
+                                 f"{d[key]!r:.40}")
+        # copied, so the set's read-only arrays do not replace d's lists
+        levels[key] = [list(_json_ints(lvl, f"{key} level", 2))
+                       for lvl in d[key]]
+    x = TruncatedSimplicialSet(N, list(_json_ints(d["sizes"], "sizes")),
+                               [[]] + levels["faces"],
+                               levels["degeneracies"] + [[]],
                                name=str(d.get("name", "X")))
     rep = validate_simplicial(x)
     if not rep.ok:

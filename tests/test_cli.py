@@ -1,10 +1,14 @@
 """End-to-end command-line behavior, run in process through main()."""
 
+import argparse
 import hashlib
 import importlib
+import itertools
 import json
 import os
+import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -58,6 +62,82 @@ def test_xmod_check_malformed_json_exit_2(capsys, tmp_path):
 def test_xmod_check_unknown_preset_exit_2(capsys):
     code, out, err = run_cli(capsys, "xmod-check", "xmod_nonsense:7")
     assert code == 2
+
+
+COVER_JSON = {"charts": 3, "intersections": [[0, 1], [1, 2], [0, 2]]}
+XMOD_JSON = {"H": {"table": [[0, 1], [1, 0]]}, "D": {"table": [[0]]},
+             "alpha": [0, 0], "action": [[0, 1]]}
+# the circle's simplicial set through level 3
+SSET_JSON = {"N": 3, "sizes": [1, 2, 3, 4],
+             "faces": [[[0, 0], [0, 0]],
+                       [[0, 1, 0], [0, 1, 1], [0, 0, 1]],
+                       [[0, 1, 2, 0], [0, 1, 2, 2], [0, 1, 1, 2],
+                        [0, 0, 1, 2]]],
+             "degeneracies": [[[0]], [[0, 1], [0, 2]],
+                              [[0, 1, 2], [0, 1, 3], [0, 2, 3]]]}
+INPUT_FILES = {"cover": COVER_JSON, "xmod": XMOD_JSON, "sset": SSET_JSON}
+
+
+def _input_file_argv(tmp_path, kind, data):
+    p = tmp_path / f"{kind}.json"
+    p.write_text(json.dumps(data))
+    return {"cover": ("gerbe-classify", "--cover", str(p), "--xmod",
+                      "xmod_fiber:cyclic:2"),
+            "xmod": ("xmod-check", str(p)),
+            "sset": ("classify-bundles", "--sset", str(p), "--group",
+                     "cyclic:2")}[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_FILES))
+def test_well_formed_input_files_load(capsys, tmp_path, kind):
+    argv = _input_file_argv(tmp_path, kind, INPUT_FILES[kind])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("kind, change, line", [
+    ("cover", {"intersections": 5}, "intersections must be a list, not 5"),
+    ("cover", {"intersections": [5]},
+     "intersection must be a list of integers, not 5"),
+    ("cover", {"intersections": [None]},
+     "intersection must be a list of integers, not None"),
+    ("cover", {"charts": None}, "charts must be an integer, not None"),
+    ("cover", {"charts": [3]}, "charts must be an integer, not [3]"),
+    ("cover", {"charts": 3.7}, "charts must be an integer, not 3.7"),
+    ("cover", {"charts": True}, "charts must be an integer, not True"),
+    ("cover", {"intersections": [[0.5, 1]]},
+     "intersection must be a list of integers, not 0.5"),
+    ("cover", {"intersections": "01"},
+     "intersections must be a list, not '01'"),
+    ("xmod", None, "xmod json must be an object, not None"),
+    ("xmod", {"action": None},
+     "action must be a list of lists of integers, not None"),
+    ("xmod", {"D": {"table": [[0.5]]}},
+     "group table must be a list of lists of integers, not 0.5"),
+    ("xmod", {"H": {"table": [[0, 1], [1]]}},
+     "group table has lists of unequal length"),
+    ("xmod", {"alpha": [0, 2 ** 70]}, f"alpha entry {2 ** 70} out of range"),
+    ("sset", None, "simplicial-set json must be an object, not None"),
+    ("sset", {"faces": 5}, "faces must be a list of 3 levels, not 5"),
+    ("sset", {"N": -1}, "N must be >= 0, not -1"),
+    ("sset", {"faces": SSET_JSON["faces"][:2]},
+     "faces must be a list of 3 levels"),
+], ids=["cover-intersections-int", "cover-intersection-int",
+        "cover-intersection-null", "cover-charts-null", "cover-charts-list",
+        "cover-charts-float", "cover-charts-bool", "cover-float-chart",
+        "cover-intersections-string", "xmod-null", "xmod-action-null",
+        "xmod-table-float", "xmod-table-ragged", "xmod-alpha-huge",
+        "sset-null", "sset-faces-int", "sset-negative-n",
+        "sset-missing-face-level"])
+def test_malformed_input_file_exit_2(capsys, tmp_path, kind, change, line):
+    # each once ended in a TypeError or IndexError traceback with exit 1,
+    # or ran on truncated data (3.7 charts as 3, True as 1, [0.5, 1] as
+    # {0, 1}, "01" as its characters, a table entry 0.5 as 0)
+    data = None if change is None else dict(INPUT_FILES[kind], **change)
+    argv = _input_file_argv(tmp_path, kind, data)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + line) and "Traceback" not in err
 
 
 def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
@@ -340,6 +420,89 @@ def test_residual_flags_rejected_where_unused_exit_2(argv, flag):
     with pytest.raises(SystemExit) as e:
         main(list(argv) + list(flag))
     assert e.value.code == 2
+
+
+# The long options each subcommand offers besides its inputs, written out
+# here rather than read from cli.py: every flag a subcommand reads, plus
+# --format and --jobs
+ACCEPTED = {
+    "xmod-check": {"--format", "--jobs"},
+    "gerbe-classify": {"--budget", "--cache-dir", "--force", "--format",
+                       "--jobs", "--out"},
+    "duskin-compare": {"--truncation", "--budget", "--format", "--jobs",
+                       "--out"},
+    "classify-bundles": {"--truncation", "--budget", "--format", "--jobs"},
+    "gauge-verify": {"--fd-step", "--tolerance", "--budget", "--format",
+                     "--jobs"},
+    "lift": {"--budget", "--format", "--jobs"},
+}
+INPUT_OPTIONS = {"--cover", "--xmod", "--sset", "--group", "--case"}
+MINIMAL_ARGV = {
+    "xmod-check": ("xmod-check", "xmod_mod:4:2"),
+    "gerbe-classify": ("gerbe-classify", "--cover", "circle:3", "--xmod",
+                       "xmod_base:cyclic:2"),
+    "duskin-compare": ("duskin-compare", "--xmod", "xmod_mod:4:2"),
+    "classify-bundles": ("classify-bundles", "--sset", "circle", "--group",
+                         "cyclic:2"),
+    "gauge-verify": ("gauge-verify", "--case", "trivial"),
+    "lift": ("lift", "--cover", "sphere:4", "--xmod", "xmod_mod:4:2"),
+}
+FLAG_VALUES = {"--truncation": ("3",), "--budget": ("1000",),
+               "--cache-dir": ("cache",), "--force": (), "--out": ("out",),
+               "--fd-step": ("0.01",), "--tolerance": ("1e-3",)}
+
+
+def _long_options() -> dict[str, set[str]]:
+    """Each subcommand's long options, its inputs and --help left out."""
+    from xmodgerbe.cli import build_parser
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return {name: {o for a in sp._actions for o in a.option_strings
+                   if o.startswith("--")} - INPUT_OPTIONS - {"--help"}
+            for name, sp in sub.choices.items()}
+
+
+def test_each_subcommand_offers_exactly_the_flags_it_reads():
+    assert _long_options() == ACCEPTED
+    assert sum(map(len, ACCEPTED.values())) == 25
+
+
+# the flags every subcommand offered before each offered only what it reads,
+# which its own run never read: 15 pairs; --truncation, --fd-step and
+# --tolerance were already refused where unread (the two tests above)
+DROPPED = [("xmod-check", f) for f in ("--budget", "--cache-dir", "--force",
+                                       "--out")]
+DROPPED += [("duskin-compare", f) for f in ("--cache-dir", "--force")]
+DROPPED += [(c, f) for c in ("classify-bundles", "gauge-verify", "lift")
+            for f in ("--cache-dir", "--force", "--out")]
+
+
+@pytest.mark.parametrize("command, flag", DROPPED,
+                         ids=[f"{c}{f}" for c, f in DROPPED])
+def test_dropped_flag_exit_2(capsys, tmp_path, monkeypatch, command, flag):
+    # `classify-bundles ... --force` once echoed "force": true, and `lift
+    # ... --cache-dir C --out O` exited 0 with neither directory written
+    assert flag not in ACCEPTED[command]
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main([*MINIMAL_ARGV[command], flag, *FLAG_VALUES[flag]])
+    assert e.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {flag}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_flag_table_matches_the_parser():
+    # README's table of the flags each subcommand reads, row by row
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    lines = text.splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda l: l.startswith("|"),
+                                    lines[start:]):
+        command, flags = (c.strip() for c in line.strip("|").split("|"))
+        table[command.strip("`")] = set(re.findall(r"`(--[a-z-]+)`", flags))
+    assert table == _long_options()
 
 
 def test_gauge_verify_reads_residual_flags(capsys):

@@ -10,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from xmodgerbe import gerbe, intlinalg
-from xmodgerbe.fingroup import (cyclic_group, derived_crossed_modules, kernel,
-                                preset_corpus,
-                                symmetric_group, xmod_automorphism,
+from xmodgerbe.fingroup import (CrossedModule, GroupHom, cyclic_group,
+                                derived_crossed_modules, kernel,
+                                preset_corpus, product_group,
+                                symmetric_group, trivial_action,
+                                xmod_automorphism,
                                 xmod_identity, xmod_mod, xmod_trivial_base,
                                 xmod_trivial_fiber)
 from xmodgerbe.gerbe import (CocycleTable, GerbeCocycle, LiftPlan,
@@ -483,12 +485,34 @@ def test_lift_plan_matches_one_shot_lift():
         plan.lift(enumerate_cocycles(ball_cover(3), plan.base)[1])
 
 
-# sphere:4 has no quads; xmod_mod:8:2 has ker alpha = Z4, a non-prime modulus
+def _z2_z4_mod2() -> CrossedModule:
+    """Z2 x Z4 -> Z2, the second factor mod 2, trivial action: its kernel
+    Z2 x Z2 is central and fixed by D, with two cyclic factors."""
+    h, d = product_group(cyclic_group(2), cyclic_group(4)), cyclic_group(2)
+    # product_group encodes (a, b) as 4a + b, so b mod 2 is the index mod 2
+    return CrossedModule(h, d, GroupHom(h, d, np.arange(8) % 2, name="mod2"),
+                         trivial_action(d, h), name="Z2xZ4->Z2")
+
+
+# sphere:4 has no quads; xmod_mod:8:2 has ker alpha = Z4, a non-prime
+# modulus; Z2 x Z4 -> Z2 has a kernel of two cyclic factors
 LIFT_CASES = pytest.mark.parametrize("cover, target", [
     (sphere_cover(4), xmod_mod(4, 2)),
     (sphere_cover(5), xmod_mod(4, 2)),
     (sphere_cover(5), xmod_mod(8, 2)),
-], ids=["sphere4-4:2", "sphere5-4:2", "sphere5-8:2"])
+    (sphere_cover(5), _z2_z4_mod2()),
+], ids=["sphere4-4:2", "sphere5-4:2", "sphere5-8:2", "sphere5-z2z4:2"])
+
+
+def test_lift_plan_of_two_cyclic_factors():
+    # H^3(S^3; Z2 x Z2) = Z2 x Z2, and every cocycle lifts with agreement
+    cover = sphere_cover(5)
+    plan = LiftPlan(cover, _z2_z4_mod2())
+    assert plan.emitted and plan.moduli == [2, 2]
+    assert plan.oracle.invariants == [2, 2]
+    table = enumerate_cocycles(cover, plan.base)
+    lifts = plan.lift_table(table)
+    assert len(table) == 1024 and lifts.found.all() and lifts.agreement.all()
 
 
 @LIFT_CASES
